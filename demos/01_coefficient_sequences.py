@@ -19,7 +19,6 @@ from b2weight import (
     alpha_closed,
     beta_closed,
 )
-from b2weight.ring import poly_eval
 from b2weight.vpoly import alpha_prime_scale, beta_prime_scale
 
 N_MAX = 4
@@ -51,9 +50,9 @@ for n in range(N_MAX + 1):
           f"alpha {'OK' if ok_a else 'MISMATCH'}, beta {'OK' if ok_b else 'MISMATCH'}")
 
 k0, k1 = Fraction(3, 10), Fraction(1, 10)
+at_point = alpha_beta_recurrence(N_MAX, k0, k1)  # the same recurrence, run in Q
 print(f"\nnumeric table at (k0, k1) = ({k0}, {k1}):")
 print(f"  {'n':>2}  {'alpha_n':>12}  {'beta_n':>12}")
 for n in range(N_MAX + 1):
-    a = poly_eval(seq.alpha[n], k0, k1)
-    b = poly_eval(seq.beta[n], k0, k1)
+    a, b = at_point.alpha[n], at_point.beta[n]
     print(f"  {n:>2}  {str(a):>12}  {str(b):>12}")

@@ -11,7 +11,6 @@ every row of the table away from its exact value.
 from fractions import Fraction
 
 from b2weight import ParamPoint, s_inner_closed, sector_inner_numeric
-from b2weight.ring import poly_eval
 
 print("=" * 72)
 print("sector quadrature vs exact closed forms")
@@ -25,7 +24,7 @@ for k0, k1 in [(0.3, 0.1), (-0.2, 0.25), (0.45, 0.0)]:
     for n in range(4):
         for kind in ("p12", "p14"):
             num = sector_inner_numeric(n, kind, p, tol=1e-9)
-            exact = float(poly_eval(s_inner_closed(n, kind), q0, q1))
+            exact = float(s_inner_closed(n, kind, q0, q1))
             rel = abs(num.value - exact) / abs(exact)
             print(f"  {n:>2} {kind:>5} {num.value:>20.14f} {exact:>20.14f} {rel:>10.2e}")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from io import StringIO
 
 from . import hyper, quad, vpoly
 from .errors import RegionError, ToleranceError
-from .ring import K0, K1, ParamPoly, poly_eval
+from .ring import K0, K1
 from .weight import ParamPoint, det_k_closed_form, eval_K
 
 _EXACT_TOKEN = "identical"
@@ -207,7 +208,7 @@ def _suite_quad(report: Report, cfg: RunConfig) -> None:
         return
     for n in range(cfg.nmax + 1):
         for kind in ("p12", "p14"):
-            exact = float(poly_eval(hyper.s_inner_closed(n, kind), cfg.k0, cfg.k1))
+            exact = float(hyper.s_inner_closed(n, kind, cfg.k0, cfg.k1))
             name = f"quad/pairing_vs_closed/{kind}/n{n:02d}"
             try:
                 got = quad.sector_inner_numeric(n, kind, point, tol=cfg.tol * 0.1)
@@ -299,26 +300,18 @@ def cmd_verify(cfg: RunConfig) -> tuple[Report, int]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_exact(value: ParamPoly, substitute: bool, k0: Fraction, k1: Fraction) -> str:
-    if substitute:
-        return str(poly_eval(value, k0, k1))
-    return str(value)
-
-
 def cmd_table(cfg: RunConfig, symbolic: bool) -> str:
-    seq = hyper.alpha_beta_recurrence(cfg.nmax)
+    params = (K0, K1) if symbolic else (cfg.k0, cfg.k1)
+    seq = hyper.alpha_beta_recurrence(cfg.nmax, *params)
     rows = []
     for n in range(cfg.nmax + 1):
         cells = (
             seq.alpha[n],
             seq.beta[n],
-            hyper.s_inner_closed(n, "p12"),
-            hyper.s_inner_closed(n, "p14"),
+            hyper.s_inner_closed(n, "p12", *params),
+            hyper.s_inner_closed(n, "p14", *params),
         )
-        rows.append(
-            [str(n)]
-            + [_fmt_exact(cell, not symbolic, cfg.k0, cfg.k1) for cell in cells]
-        )
+        rows.append([str(n)] + [str(cell) for cell in cells])
     header = ["n", "alpha", "beta", "s_p12", "s_p14"]
     if cfg.fmt == "csv":
         out = [",".join(header)]
@@ -423,8 +416,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a separate "-7/20" as an option: glue it to its flag
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--k0", "--k1") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             cfg = _config_from_args(args, args.suite)

@@ -32,7 +32,12 @@ _SECTOR = math.pi / 4
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Integral value with a refinement-difference error estimate."""
+    """Integral value with a refinement-difference error estimate.
+
+    ``error_estimate`` is the difference between the last two refinements.  It
+    is not a certified bound: it leaves out the error of the series values in
+    the integrand, and the actual error can exceed it by a small factor.
+    """
 
     value: float
     error_estimate: float

@@ -180,17 +180,7 @@ class ParamPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    # -- evaluation and printing ----------------------------------------------
-
-    def __call__(self, k0: Scalar, k1: Scalar) -> Fraction:
-        return poly_eval(self, k0, k1)
-
-    def eval_float(self, k0: float, k1: float) -> float:
-        """Evaluate at float parameters (for the numerical layers)."""
-        total = 0.0
-        for (e0, e1), coeff in self._terms.items():
-            total += float(coeff) * k0**e0 * k1**e1
-        return total
+    # -- printing ------------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"ParamPoly({self})"
@@ -227,25 +217,20 @@ ONE = ParamPoly.const(1)
 ZERO = ParamPoly.zero()
 
 
-def poch(a: ParamPoly | Scalar, n: int) -> ParamPoly:
-    """Rising product a(a+1)...(a+n-1) in Q[k0, k1]; poch(a, 0) = 1."""
+def poch_table(a, n: int) -> list:
+    """[(a)_0, (a)_1, ..., (a)_n] as prefix products, in the arithmetic of a
+    (ParamPoly, Fraction or float)."""
     if n < 0:
         raise ValueError("poch requires a non-negative integer length")
-    base = ParamPoly.coerce(a)
-    result = ParamPoly.const(1)
+    table = [a * 0 + 1]
     for i in range(n):
-        result = result * (base + i)
-    return result
+        table.append(table[-1] * (a + i))
+    return table
 
 
-def poch_scalar(a, n: int):
-    """Rising product for plain numeric a (Fraction stays exact, float stays float)."""
-    if n < 0:
-        raise ValueError("poch_scalar requires a non-negative integer length")
-    result = a * 0 + 1
-    for i in range(n):
-        result = result * (a + i)
-    return result
+def poch(a, n: int):
+    """Rising product a(a+1)...(a+n-1) in the arithmetic of a; poch(a, 0) = 1."""
+    return poch_table(a, n)[-1]
 
 
 def poly_eval(p: ParamPoly, k0: Scalar, k1: Scalar) -> Fraction:

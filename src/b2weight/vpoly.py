@@ -24,6 +24,7 @@ it can only mean an implementation bug.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -550,21 +551,14 @@ def alpha_beta_via_laplacian(n: int) -> tuple[ParamPoly, ParamPoly]:
     return alpha_scaled, beta_scaled
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def alpha_prime_scale(n: int) -> Fraction:
     """2^(4n) (2n)! (2n+1)! relating alpha_n to its operator-route value."""
-    return Fraction(2 ** (4 * n) * _factorial(2 * n) * _factorial(2 * n + 1))
+    return Fraction(2 ** (4 * n) * math.factorial(2 * n) * math.factorial(2 * n + 1))
 
 
 def beta_prime_scale(n: int) -> Fraction:
     """2^(4n+2) (2n+1)! (2n+2)! relating beta_n to its operator-route value."""
-    return Fraction(2 ** (4 * n + 2) * _factorial(2 * n + 1) * _factorial(2 * n + 2))
+    return Fraction(2 ** (4 * n + 2) * math.factorial(2 * n + 1) * math.factorial(2 * n + 2))
 
 
 def inner_product_S_exact(n: int, kind: str, backend: str = "operator") -> ParamPoly:

@@ -111,6 +111,17 @@ def test_table_rational_substitution(capsys):
     assert rows[1][1] == "1/2"  # the Wallis value at n = 1
 
 
+def test_table_accepts_negative_rational_as_separate_value(capsys):
+    code, joined, _ = run_cli(capsys, "table", "--k0=-7/20", "--k1=2/25", "--format", "csv")
+    assert code == 0
+    code, separate, _ = run_cli(capsys, "table", "--k0", "-7/20", "--k1", "2/25", "--format", "csv")
+    assert code == 0
+    assert separate == joined
+    code, out, _ = run_cli(capsys, "table", "--k1", "-2/25", "--k0", "-.35", "--format", "csv")
+    assert code == 0
+    assert out == run_cli(capsys, "table", "--k1=-2/25", "--k0=-.35", "--format", "csv")[1]
+
+
 def test_table_json_format(capsys):
     code, out, _ = run_cli(capsys, "table", "--nmax", "1", "--format", "json")
     assert code == 0

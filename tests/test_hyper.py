@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from b2weight.errors import DegenerateParameterError, RegionError
+from b2weight.errors import DegenerateParameterError, RegionError, ToleranceError
 from b2weight.hyper import (
+    _GAMMA_RELERR,
+    _H_PARAMS,
     alpha_beta_recurrence,
     alpha_closed,
     asym_f_check,
@@ -19,12 +23,11 @@ from b2weight.hyper import (
     gamma_fn,
     gauss_2f1,
     h_func,
-    poch_scalar,
     s_inner_closed,
     squeeze_check,
     stirling_ratio,
 )
-from b2weight.ring import K0, K1, ParamPoly, poly_eval
+from b2weight.ring import K0, K1, ParamPoly, poch, poly_eval
 
 mpmath.mp.dps = 30
 
@@ -167,6 +170,46 @@ def test_h2_at_unit_argument_matches_gamma_quotient():
     assert abs(res.value - oracle) <= res.tail_bound + 1e-12
 
 
+def _assert_h_within_bound(i, z, k0, k1):
+    res = h_func(i, z, k0, k1)
+    a, b, c = _H_PARAMS[i](k0, k1)
+    with mpmath.workdps(40):
+        err = abs(res.value - mpmath.hyp2f1(a, b, c, z))
+    assert err <= res.tail_bound, f"h{i}(z={z}) at k0={k0}, k1={k1}: {float(err):.3e}"
+
+
+def test_h_bound_holds_near_the_sliver_edge():
+    # |c - a - b - 1| = 2|k0| from just outside the sliver (1e-5) to 2e-3
+    for k0 in (6e-6, 2e-5, 1e-4, 1e-3, -6e-6, -2e-5, -1e-4, -1e-3):
+        for j in range(13):
+            k1 = -0.45 + 0.075 * j
+            for z in (0.76, 0.8, 0.9, 0.99, 1 - 1e-6):
+                for i in (1, 2, 3, 4):
+                    _assert_h_within_bound(i, z, k0, k1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    i=st.integers(1, 4),
+    k0=st.one_of(
+        st.floats(-0.49, 0.49),
+        st.floats(-3, -1.3).map(lambda e: 10**e),
+        st.floats(-3, -1.3).map(lambda e: -(10**e)),
+    ),
+    k1=st.floats(-0.49, 0.49),
+    z=st.one_of(
+        st.floats(0, 1),
+        st.floats(0.73, 0.77),
+        st.floats(-9, -1).map(lambda e: 1 - 10**e),
+    ),
+)
+def test_h_bound_holds_over_the_parameters(i, k0, k1, z):
+    try:
+        _assert_h_within_bound(i, z, k0, k1)
+    except ToleranceError:
+        pass  # refusing an uncertifiable tolerance is allowed; a wrong bound is not
+
+
 def test_h_region_checks():
     with pytest.raises(RegionError):
         h_func(1, 1.5, 0.3, 0.1)
@@ -198,7 +241,7 @@ def test_recurrence_matches_closed_forms_through_n8():
 def test_alpha_closed_wallis_specialization():
     # at k0 = k1 = 0 the sum collapses to (1/2)_n / n!
     for n in range(9):
-        wallis = poch_scalar(Fraction(1, 2), n) / math.factorial(n)
+        wallis = poch(Fraction(1, 2), n) / math.factorial(n)
         assert poly_eval(alpha_closed(n), 0, 0) == wallis
 
 
@@ -221,6 +264,55 @@ def test_s_inner_closed_consistent_with_sequences():
         assert s_inner_closed(n, "p14") == beta_closed(n) * ONE_PLUS
 
 
+POINTS = [
+    (Fraction(-7, 20), Fraction(2, 25)),
+    (Fraction(3, 10), Fraction(-1, 10)),
+    (Fraction(-5, 3), Fraction(-2, 7)),
+    (Fraction(0), Fraction(1, 3)),
+    (Fraction(-2, 9), Fraction(0)),
+    (Fraction(0), Fraction(0)),
+]
+
+
+def test_point_values_equal_substituted_symbolic_values():
+    n_max = 12
+    seq = alpha_beta_recurrence(n_max)
+    symbolic = [
+        (alpha_closed(n), beta_closed(n), s_inner_closed(n, "p12"), s_inner_closed(n, "p14"))
+        for n in range(n_max + 1)
+    ]
+    for k0, k1 in POINTS:
+        at = alpha_beta_recurrence(n_max, k0, k1)
+        for n in range(n_max + 1):
+            assert at.alpha[n] == poly_eval(seq.alpha[n], k0, k1)
+            assert at.beta[n] == poly_eval(seq.beta[n], k0, k1)
+            point = (
+                alpha_closed(n, k0, k1),
+                beta_closed(n, k0, k1),
+                s_inner_closed(n, "p12", k0, k1),
+                s_inner_closed(n, "p14", k0, k1),
+            )
+            for got, poly in zip(point, symbolic[n]):
+                assert isinstance(got, Fraction)
+                assert got == poly_eval(poly, k0, k1), f"n={n} at ({k0}, {k1})"
+
+
+def test_point_values_take_exact_parameters_only():
+    seq = alpha_beta_recurrence(3, 1, 0)
+    assert all(isinstance(v, Fraction) for v in seq.alpha + seq.beta)
+    assert seq.beta[0] == Fraction(1, 2)  # -(1 + 2k1 - 2k0)/2 stays exact
+    for value in (alpha_closed(2, 1, -1), beta_closed(2, 1, -1), s_inner_closed(2, "p14", 1, -1)):
+        assert isinstance(value, Fraction)
+    for call in (
+        lambda: alpha_beta_recurrence(3, 0.25, 0),
+        lambda: alpha_closed(2, 0, 0.1),
+        lambda: beta_closed(2, 0.25, 0),
+        lambda: s_inner_closed(2, "p12", 0.25, 0.1),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # terminating sums at unit argument
 # ---------------------------------------------------------------------------
@@ -239,14 +331,14 @@ def test_f_values_consistent_with_closed_form():
     for n in (0, 1, 3):
         f1, f2 = f_values(n, k0, k1)
         pref1 = (
-            poch_scalar(half + k1 + k0, n + 1)
-            * poch_scalar(half + k1 - k0, n)
-            / (poch_scalar(half, n + 1) * math.factorial(n))
+            poch(half + k1 + k0, n + 1)
+            * poch(half + k1 - k0, n)
+            / (poch(half, n + 1) * math.factorial(n))
         )
         pref2 = -(
-            poch_scalar(half + k1 + k0, n + 1)
-            * poch_scalar(half + k1 - k0, n + 1)
-            / (poch_scalar(half, n + 1) * math.factorial(n + 1))
+            poch(half + k1 + k0, n + 1)
+            * poch(half + k1 - k0, n + 1)
+            / (poch(half, n + 1) * math.factorial(n + 1))
         )
         assert f1 * pref1 == poly_eval(s_inner_closed(n, "p12"), k0, k1)
         assert f2 * pref2 == poly_eval(s_inner_closed(n, "p14"), k0, k1)
@@ -337,6 +429,17 @@ def test_gamma_matches_stdlib_on_range():
     while x <= 20.0:
         assert abs(gamma_fn(x) - math.gamma(x)) <= 1e-13 * math.gamma(x)
         x += 0.173
+
+
+def test_gamma_within_claimed_error():
+    # the grid _GAMMA_RELERR was measured on: [-10, 10] and 1e-12..1e-3 off each pole
+    xs = [-10 + i / 100 for i in range(2001) if i % 100]
+    xs += [pole + sign * m * 10.0**k for pole in range(-10, 1) for sign in (-1, 1)
+           for k in range(-12, -3) for m in (1.0, 3.1, 8.9)]
+    with mpmath.workdps(40):
+        for x in xs:
+            ref = mpmath.gamma(mpmath.mpf(x))
+            assert abs(gamma_fn(x) - ref) <= _GAMMA_RELERR * abs(ref), f"x = {x!r}"
 
 
 def test_gamma_reflection_identity():

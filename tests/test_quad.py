@@ -124,6 +124,17 @@ def test_sector_pairing_region_and_argument_checks():
         sector_inner_numeric(0, "p12", ParamPoint(0.1, 0.1), mode="bogus")
 
 
+def test_sector_pairing_direct_mode_near_the_sector_edge():
+    # small |k0| and large k1: eval_L takes the near-1 connection branch there
+    k0, k1 = Fraction(1, 60), Fraction(13, 31)
+    p = ParamPoint(float(k0), float(k1))
+    for n in (1, 2):
+        for kind in ("p12", "p14"):
+            exact = float(s_inner_closed(n, kind, k0, k1))
+            got = sector_inner_numeric(n, kind, p, mode="direct")
+            assert abs(got.value - exact) <= 1e-8 * abs(exact)
+
+
 def test_asym_integral_plain_ratio():
     # int_0^1 ((1-t)/(1+t))^n dt against 1/(2n)
     num, asym = asym_integral_check(0.0, 0.0, 0.0, 200)
