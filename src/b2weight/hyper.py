@@ -20,6 +20,7 @@ and if r < 1 the whole tail from t_m on is at most |t_m| / (1 - r).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,6 +122,20 @@ def euler_transform(
     return (c - a, c - b, c, z, prefactor)
 
 
+# h_func and eval_L use six parameter triples at one point
+@functools.lru_cache(maxsize=64)
+def _connection_coeffs(a: float, b: float, c: float) -> tuple[float, float]:
+    """Gamma quotients of the two series in 1 - z of the near-1 branch.
+
+    They depend on the parameters only, and one h_func index at one point
+    asks for the same ones at every z.
+    """
+    d = c - a - b
+    coeff1 = gamma_fn(c) * gamma_fn(d) * _recip_gamma(c - a) * _recip_gamma(c - b)
+    coeff2 = gamma_fn(c) * gamma_fn(-d) * _recip_gamma(a) * _recip_gamma(b)
+    return coeff1, coeff2
+
+
 def gauss_2f1(
     a: float,
     b: float,
@@ -177,8 +192,7 @@ def gauss_2f1(
 
     # argument close to 1: map to a pair of series in w when well conditioned
     if abs(d - round(d)) >= 1e-5:
-        coeff1 = gamma_fn(c) * gamma_fn(d) * _recip_gamma(c - a) * _recip_gamma(c - b)
-        coeff2 = gamma_fn(c) * gamma_fn(-d) * _recip_gamma(a) * _recip_gamma(b)
+        coeff1, coeff2 = _connection_coeffs(a, b, c)
         s1 = _sum_series(a, b, 1.0 - d, w, tol=1e-16, max_terms=4_000)
         s2 = _sum_series(c - a, c - b, 1.0 + d, w, tol=1e-16, max_terms=4_000)
         wd = math.exp(d * math.log(w)) if w > 0 else 0.0

@@ -12,10 +12,18 @@ a weak endpoint kink that stalls the algebraic rule, a double-exponential
 rule on the full integrand takes over.  The radial half of the plane integral
 is folded in analytically (a factor 2^l l! in the pairing normalization), so
 no infinite-domain quadrature appears anywhere.
+
+The order n of a pairing enters only through an explicit factor
+(1 - v)^e (1 + v)^(-e-2); the rule's exponents a = +/-(k1 + 1/2) and b0 (-2 k0
+for p12, 0 for p14) do not depend on n.  So every n of both kinds at one point
+draws on four rule families, and a bounded memo keeps each rule with the
+products of h-values at its nodes: the series are summed once per node, not
+once per node and n.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import RegionError, ToleranceError
-from .hyper import gamma_fn, h_func
+from .hyper import _EPS, _GAMMA_RELERR, gamma_fn, h_func
 from .weight import ParamPoint, d_consts, eval_L
 
 _SECTOR = math.pi / 4
@@ -32,11 +40,15 @@ _SECTOR = math.pi / 4
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Integral value with a refinement-difference error estimate.
+    """Integral value with an error estimate and the total nodes used.
 
-    ``error_estimate`` is the difference between the last two refinements.  It
-    is not a certified bound: it leaves out the error of the series values in
-    the integrand, and the actual error can exceed it by a small factor.
+    ``error_estimate`` starts from the difference between the last two
+    refinements, which is a heuristic for the quadrature error.  The sector
+    pairings of mode "h" add the error of the h-values carried through the
+    rule (from their certified tail bounds) and the rounding of forming and
+    summing the terms.  Mode "direct", ``singular_integral``, ``tanh_sinh``
+    and the tanh-sinh fallback of mode "h" report the refinement difference
+    alone, which the actual error can exceed by a small factor.
     """
 
     value: float
@@ -124,6 +136,48 @@ def tanh_sinh(
     raise ToleranceError(f"double-exponential rule did not reach tol={tol}")
 
 
+def _gauss_jacobi_doubling(
+    level: Callable[[int], tuple[np.ndarray, np.ndarray, float]],
+    alpha: float,
+    beta: float,
+    smooth_at: Callable[[float, float], float],
+    tol: float,
+    n_start: int = 24,
+    n_max: int = 3072,
+) -> QuadResult:
+    """int_0^1 v^alpha (1-v)^beta smooth(v) dv by node doubling.
+
+    ``level(n)`` returns the weights of the n-node Gauss-Jacobi rule for the
+    exponents, the smooth factor at its nodes, and an error term of those
+    values; the term of the accepted level is added to the refinement
+    difference.  When doubling
+    stalls, the double-exponential rule integrates v^alpha (1-v)^beta
+    smooth_at(v, 1 - v) instead.
+    """
+    if alpha <= -1.0 or beta <= -1.0:
+        raise RegionError(f"endpoint exponents must exceed -1, got ({alpha}, {beta})")
+    previous = None
+    total_nodes = 0
+    n = n_start
+    while n <= n_max:
+        w, values, value_err = level(n)
+        value = float(np.dot(w, values))
+        total_nodes += n
+        if previous is not None:
+            err = abs(value - previous)
+            if err <= tol * (1.0 + abs(value)):
+                return QuadResult(value, err + value_err, total_nodes)
+        previous = value
+        n *= 2
+
+    def full(_v: float, dist0: float, dist1: float) -> float:
+        weight = math.exp(alpha * math.log(dist0) + beta * math.log(dist1))
+        return weight * smooth_at(dist0, dist1)
+
+    de = tanh_sinh(full, tol=tol)
+    return QuadResult(de.value, de.error_estimate, total_nodes + de.nodes)
+
+
 def singular_integral(
     alpha: float,
     beta: float,
@@ -138,37 +192,20 @@ def singular_integral(
     exceed -1.  Falls back to the double-exponential rule when node doubling
     stalls (this happens when ``smooth`` itself has a weak endpoint kink).
     """
-    if alpha <= -1.0 or beta <= -1.0:
-        raise RegionError(f"endpoint exponents must exceed -1, got ({alpha}, {beta})")
-    previous = None
-    total_nodes = 0
-    n = n_start
-    while n <= n_max:
+
+    def level(n: int):
         v, w = _gauss_jacobi_01(n, alpha, beta)
-        value = float(np.dot(w, np.asarray(smooth(v), dtype=float)))
-        total_nodes += n
-        if previous is not None:
-            err = abs(value - previous)
-            if err <= tol * (1.0 + abs(value)):
-                return QuadResult(value, err, total_nodes)
-        previous = value
-        n *= 2
+        return w, np.asarray(smooth(v), dtype=float), 0.0
 
-    def full(_v: float, dist0: float, dist1: float) -> float:
-        weight = math.exp(alpha * math.log(dist0) + beta * math.log(dist1))
-        return weight * float(smooth(np.array([dist0]))[0])
+    def smooth_at(v: float, _one_minus_v: float) -> float:
+        return float(smooth(np.array([v]))[0])
 
-    de = tanh_sinh(full, tol=tol)
-    return QuadResult(de.value, de.error_estimate, total_nodes + de.nodes)
+    return _gauss_jacobi_doubling(level, alpha, beta, smooth_at, tol, n_start, n_max)
 
 
 # ---------------------------------------------------------------------------
 # sector pairings
 # ---------------------------------------------------------------------------
-
-
-def _h_on_nodes(i: int, v: np.ndarray, p: ParamPoint, tol: float) -> np.ndarray:
-    return np.array([h_func(i, float(z), p.k0, p.k1, tol=tol).value for z in v])
 
 
 def sector_inner_numeric(
@@ -199,54 +236,87 @@ def sector_inner_numeric(
     raise ValueError(f"mode must be 'h' or 'direct', got {mode!r}")
 
 
+# Rules kept at once: one point's pairings draw on four families (two kinds
+# times two slots) of at most eight doubling levels each (24 to 3072 nodes).
+_H_RULE_CACHE = 32
+
+
+@functools.lru_cache(maxsize=_H_RULE_CACHE)
+def _h_rule(
+    k0: float, k1: float, i: int, j: int, a: float, b0: float, size: int, htol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``size``-node rule for v^a (1-v)^b0 with h_i h_j at its nodes.
+
+    Returns nodes, weights, the product h_i h_j and a bound on its error
+    built from the certified tail bounds of the two series.
+    """
+    v, w = _gauss_jacobi_01(size, a, b0)
+    hi = [h_func(i, float(z), k0, k1, tol=htol) for z in v]
+    hj = hi if j == i else [h_func(j, float(z), k0, k1, tol=htol) for z in v]
+    vi, ti = np.array([r.value for r in hi]), np.array([r.tail_bound for r in hi])
+    vj, tj = np.array([r.value for r in hj]), np.array([r.tail_bound for r in hj])
+    arrays = (v, w, vi * vj, np.abs(vi) * tj + np.abs(vj) * ti + ti * tj)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _h_integral(
+    k0: float, k1: float, i: int, j: int, b0: float, e: int, htol: float, tol: float
+) -> QuadResult:
+    """int_0^1 v^a (1-v)^b0 (1-v)^e (1+v)^(-e-2) h_i h_j dv on a shared rule.
+
+    Only the explicit factor depends on e, so every n at one point reuses the
+    nodes, weights and h-values of the family (k0, k1, i, j, b0).  Slot 1
+    (i = 1) has a = k1 + 1/2, slot 2 (i = 2) has a = -k1 - 1/2.  The error
+    estimate adds to the refinement difference the h error carried through
+    the rule and the rounding of forming and summing its terms.
+    """
+    a = k1 + 0.5 if i == 1 else -k1 - 0.5
+
+    def level(size: int):
+        v, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, a, b0, size, htol)
+        explicit = ((1.0 - v) / (1.0 + v)) ** e / (1.0 + v) ** 2
+        weighted = w * explicit
+        propagated = float(np.dot(weighted, hprod_bound))
+        # one rounding per summed term; forming a term rounds the ratio three
+        # times, raises it to the e-th power and takes a few products more
+        rounding = (size + 3 * e + 8) * _EPS * float(np.dot(weighted, np.abs(hprod)))
+        return w, explicit * hprod, propagated + rounding
+
+    def smooth_at(v: float, one_minus_v: float) -> float:
+        hprod = h_func(i, v, k0, k1, htol, one_minus_v).value
+        hprod *= h_func(j, v, k0, k1, htol, one_minus_v).value
+        return (one_minus_v / (1.0 + v)) ** e / (1.0 + v) ** 2 * hprod
+
+    return _gauss_jacobi_doubling(level, a, b0, smooth_at, tol)
+
+
 def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
     k0, k1 = p.k0, p.k1
     d1, d2 = d_consts(p)
     htol = max(1e-11, tol * 1e-3)
     sub_tol = tol / 8.0
     if kind == "p12":
-        power = 2 * n
-
-        def smooth1(v: np.ndarray) -> np.ndarray:
-            return (1.0 + v) ** (-power - 2) * _h_on_nodes(1, v, p, htol) ** 2
-
-        def smooth2(v: np.ndarray) -> np.ndarray:
-            return (1.0 + v) ** (-power - 2) * _h_on_nodes(2, v, p, htol) ** 2
-
-        i1 = singular_integral(k1 + 0.5, power - 2 * k0, smooth1, sub_tol)
-        i2 = singular_integral(-k1 - 0.5, power - 2 * k0, smooth2, sub_tol)
+        # (1-v)^(2n - 2k0): the weight keeps -2k0, the explicit factor 2n
+        i1 = _h_integral(k0, k1, 1, 1, -2.0 * k0, 2 * n, htol, sub_tol)
+        i2 = _h_integral(k0, k1, 2, 2, -2.0 * k0, 2 * n, htol, sub_tol)
         coeff1 = 4.0 * d1 * ((1 + 2 * k0 + 2 * k1) / (1 + 2 * k1)) ** 2
         coeff2 = 4.0 * d2
-        value = coeff1 * i1.value + coeff2 * i2.value
-        err = abs(coeff1) * i1.error_estimate + abs(coeff2) * i2.error_estimate
-        return QuadResult(value, err, i1.nodes + i2.nodes)
-
-    power = 2 * n + 1
-
-    def smooth3(v: np.ndarray) -> np.ndarray:
-        return (
-            (1.0 + v) ** (-power - 2)
-            * _h_on_nodes(1, v, p, htol)
-            * _h_on_nodes(3, v, p, htol)
-        )
-
-    def smooth4(v: np.ndarray) -> np.ndarray:
-        return (
-            (1.0 + v) ** (-power - 2)
-            * _h_on_nodes(2, v, p, htol)
-            * _h_on_nodes(4, v, p, htol)
-        )
-
-    j1 = singular_integral(k1 + 0.5, float(power), smooth3, sub_tol)
-    j2 = singular_integral(-k1 - 0.5, float(power), smooth4, sub_tol)
-    # signs fixed by expanding (L p14^T)^T diag(d) (L p12^T): the slot-1
-    # product is +, the slot-2 product is -; at k = 0 this reduces to the
-    # elementary value -1/2 of the first odd pairing, which pins them
-    coeff1 = 4.0 * d1 * (1 - 2 * k0 + 2 * k1) * (1 + 2 * k0 + 2 * k1) / (1 + 2 * k1) ** 2
-    coeff2 = -4.0 * d2
-    value = coeff1 * j1.value + coeff2 * j2.value
-    err = abs(coeff1) * j1.error_estimate + abs(coeff2) * j2.error_estimate
-    return QuadResult(value, err, j1.nodes + j2.nodes)
+    else:
+        i1 = _h_integral(k0, k1, 1, 3, 0.0, 2 * n + 1, htol, sub_tol)
+        i2 = _h_integral(k0, k1, 2, 4, 0.0, 2 * n + 1, htol, sub_tol)
+        # signs fixed by expanding (L p14^T)^T diag(d) (L p12^T): the slot-1
+        # product is +, the slot-2 product is -; at k = 0 this reduces to the
+        # elementary value -1/2 of the first odd pairing, which pins them
+        coeff1 = 4.0 * d1 * (1 - 2 * k0 + 2 * k1) * (1 + 2 * k0 + 2 * k1) / (1 + 2 * k1) ** 2
+        coeff2 = -4.0 * d2
+    part1, part2 = coeff1 * i1.value, coeff2 * i2.value
+    # d1 and d2 each carry four gamma values; the coefficients and the sum a
+    # few roundings more
+    rounding = (4.0 * _GAMMA_RELERR + 16.0 * _EPS) * (abs(part1) + abs(part2))
+    err = abs(coeff1) * i1.error_estimate + abs(coeff2) * i2.error_estimate + rounding
+    return QuadResult(part1 + part2, err, i1.nodes + i2.nodes)
 
 
 def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:

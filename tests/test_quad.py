@@ -11,6 +11,7 @@ from b2weight.errors import RegionError
 from b2weight.hyper import gamma_fn, s_inner_closed
 from b2weight.quad import (
     QuadResult,
+    _h_rule,
     asym_integral_check,
     sector_inner_numeric,
     singular_integral,
@@ -133,6 +134,78 @@ def test_sector_pairing_direct_mode_near_the_sector_edge():
             exact = float(s_inner_closed(n, kind, k0, k1))
             got = sector_inner_numeric(n, kind, p, mode="direct")
             assert abs(got.value - exact) <= 1e-8 * abs(exact)
+
+
+# the near-boundary points of criterion 04 and the largest-rule point, then
+# rational points inside the region
+BOUNDARY_POINTS = [
+    (Fraction(9, 20), Fraction(0)),
+    (Fraction(0), Fraction(9, 20)),
+    (Fraction(-9, 20), Fraction(0)),
+]
+SHARED_RULE_POINTS = BOUNDARY_POINTS + [
+    (Fraction(3, 10), Fraction(1, 10)),
+    (Fraction(-7, 20), Fraction(2, 25)),
+    (Fraction(1, 60), Fraction(13, 31)),
+]
+PAIRINGS_TO_20 = [(n, kind) for n in range(21) for kind in ("p12", "p14")]
+
+
+@pytest.fixture(scope="module")
+def pairings_to_20():
+    """Mode-h pairing and exact value for n <= 20 and both kinds at each point."""
+    table = {}
+    for k0, k1 in SHARED_RULE_POINTS:
+        p = ParamPoint(float(k0), float(k1))
+        for n, kind in PAIRINGS_TO_20:
+            got = sector_inner_numeric(n, kind, p)
+            table[k0, k1, n, kind] = (got, s_inner_closed(n, kind, k0, k1))
+    return table
+
+
+def test_sector_pairing_matches_closed_form_to_n20(pairings_to_20):
+    for (k0, k1, n, kind), (got, exact) in pairings_to_20.items():
+        rel_tol = 1e-6 if (k0, k1) in BOUNDARY_POINTS else 1e-8
+        assert abs(got.value - float(exact)) <= rel_tol * abs(float(exact)), (k0, k1, n, kind)
+
+
+def test_sector_pairing_error_estimate_bounds_the_error(pairings_to_20):
+    # zero slack, compared in exact arithmetic
+    for (k0, k1, n, kind), (got, exact) in pairings_to_20.items():
+        error = abs(Fraction(got.value) - exact)
+        assert error <= Fraction(got.error_estimate), (k0, k1, n, kind, float(error))
+
+
+def _bits(result: QuadResult) -> tuple:
+    return result.value.hex(), result.error_estimate.hex(), result.nodes
+
+
+def test_shared_rule_results_do_not_depend_on_cache_state():
+    p = ParamPoint(-0.35, 0.08)
+
+    def sweep(order):
+        return {call: _bits(sector_inner_numeric(*call, p)) for call in order}
+
+    _h_rule.cache_clear()
+    cold = sweep(PAIRINGS_TO_20)
+    warm = sweep(PAIRINGS_TO_20)
+    _h_rule.cache_clear()
+    reverse = sweep(PAIRINGS_TO_20[::-1])
+    assert cold == warm == reverse
+
+
+def test_shared_rule_cache_stays_bounded():
+    _h_rule.cache_clear()
+    for k0, k1 in SHARED_RULE_POINTS[3:]:
+        p = ParamPoint(float(k0), float(k1))
+        for n, kind in PAIRINGS_TO_20:
+            sector_inner_numeric(n, kind, p)
+            info = _h_rule.cache_info()
+            assert info.currsize <= info.maxsize
+        # one point's rule families fit: a second sweep builds no rule
+        for n, kind in PAIRINGS_TO_20:
+            sector_inner_numeric(n, kind, p)
+        assert _h_rule.cache_info().misses == info.misses
 
 
 def test_asym_integral_plain_ratio():
