@@ -42,6 +42,10 @@ _SECTOR = math.pi / 4
 class QuadResult:
     """Integral value with an error estimate and the total nodes used.
 
+    ``nodes`` counts integrand evaluations over all refinement levels: each
+    Gauss-Jacobi level evaluates its whole rule, each tanh-sinh level after
+    the first only the nodes the previous level did not have.
+
     ``error_estimate`` starts from the difference between the last two
     refinements, which is a heuristic for the quadrature error.  The sector
     pairings of mode "h" add the error of the h-values carried through the
@@ -105,15 +109,22 @@ def tanh_sinh(
     The integrand is called as f(v, v, 1 - v) with the distances to both
     endpoints supplied exactly, so algebraic endpoint factors can be formed
     from them without catastrophic cancellation.
+
+    Level L has step 2^-L and floor(t_max 2^L) nodes on each side; its
+    even-indexed nodes are exactly the nodes of level L - 1, so each level
+    adds only its odd-indexed nodes to the running sum.  ``nodes`` counts the
+    integrand evaluations over all levels.
     """
     previous = None
-    value = 0.0
+    total = 0.0
     nodes = 0
     for level in range(max_level + 1):
         h = 1.0 / 2**level
         count = int(math.floor(t_max / h))
-        total = 0.0
-        for j in range(-count, count + 1):
+        # level 0 takes every node, later levels the odd-indexed ones
+        step = 1 if level == 0 else 2
+        first = -count if level == 0 or count % 2 else 1 - count
+        for j in range(first, count + 1, step):
             t = j * h
             two_phi = math.pi * math.sinh(t)
             # overflow-safe sigmoid pieces: em = exp(-|2 phi|) in (0, 1]
@@ -126,8 +137,8 @@ def tanh_sinh(
             if dvdt == 0.0 or near == 0.0:
                 continue
             total += f(dist0, dist0, dist1) * dvdt
+            nodes += 1
         value = total * h
-        nodes += 2 * count + 1
         if previous is not None:
             err = abs(value - previous)
             if err <= tol * (1.0 + abs(value)) and level >= 3:

@@ -1,21 +1,22 @@
 """Exact arithmetic in the polynomial ring Q[k0, k1].
 
-Coefficients are ``fractions.Fraction`` (arbitrary-precision rationals, always
-in lowest terms with positive denominator), so every identity in this package
-that is stated over the rationals can be tested with zero tolerance.
+A polynomial is stored sparsely as integer numerators over one shared denominator:
 
-A polynomial is stored sparsely as a map from exponent pairs to coefficients:
+    ParamPoly:  {(e0, e1): int} over den   meaning  sum of (c / den) * k0^e0 * k1^e1
 
-    ParamPoly terms:  {(e0, e1): Fraction}   meaning sum of c * k0^e0 * k1^e1
-
-Zero coefficients are never stored; the zero polynomial has an empty map.
-Instances are immutable: all operations return new polynomials, so values can
-be shared freely across threads or cached without defensive copies.
+The form is canonical: no numerator is zero, den > 0, and the gcd of den and all
+numerators is 1 (zero is the empty map over 1), so equality and hashing are
+structural.  Each operation does integer arithmetic and one gcd on its result,
+not one gcd per term.  Coefficients go in and come out (``terms``, iteration,
+``coefficient``) as exact ``fractions.Fraction``, so every identity stated over
+the rationals can be tested with zero tolerance.  Instances are immutable: all
+operations return new polynomials, so values can be shared or cached freely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
 Monomial = tuple[int, int]
@@ -30,29 +31,45 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """(numerator, denominator) of an exact scalar; an int builds no Fraction."""
+    return (value, 1) if isinstance(value, int) else _as_fraction(value).as_integer_ratio()
+
+
+def _make(num: dict[Monomial, int], den: int) -> "ParamPoly":
+    """The canonical ParamPoly of num/den, for den > 0 and no zero in num."""
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {mono: c // g for mono, c in num.items()}
+        den //= g
+    result = ParamPoly.__new__(ParamPoly)
+    result._num = num
+    result._den = den
+    return result
+
+
 class ParamPoly:
     """A polynomial in the two parameters k0, k1 with rational coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                frac = _as_fraction(coeff)
-                if frac != 0:
-                    clean[mono] = frac
-        self._terms = clean
+        fracs = {mono: _as_fraction(c) for mono, c in (terms or {}).items()}
+        fracs = {mono: f for mono, f in fracs.items() if f}
+        # over the lcm of reduced denominators the form is already canonical
+        self._den = lcm(*(f.denominator for f in fracs.values()))
+        self._num = {mono: f.numerator * (self._den // f.denominator) for mono, f in fracs.items()}
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "ParamPoly":
-        return cls()
+        return ZERO
 
     @classmethod
     def const(cls, value: Scalar) -> "ParamPoly":
-        return cls({(0, 0): value})
+        p, q = _ratio(value)
+        return _make({(0, 0): p} if p else {}, q)
 
     @classmethod
     def gen_k0(cls) -> "ParamPoly":
@@ -72,56 +89,55 @@ class ParamPoly:
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        """A copy of the sparse term map."""
-        return dict(self._terms)
+        """The sparse term map with Fraction coefficients (a fresh dict)."""
+        return dict(self)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        return Fraction(self._num.get(mono, 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_constant(self) -> bool:
-        return all(mono == (0, 0) for mono in self._terms)
+        return not self._num
 
     def constant_value(self) -> Fraction:
-        if not self.is_constant():
+        if any(mono != (0, 0) for mono in self._num):
             raise ValueError(f"{self} is not a constant polynomial")
-        return self._terms.get((0, 0), Fraction(0))
+        return self.coefficient((0, 0))
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        if not self._terms:
-            return -1
-        return max(e0 + e1 for e0, e1 in self._terms)
+        return max((e0 + e1 for e0, e1 in self._num), default=-1)
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((mono, Fraction(c, den)) for mono, c in self._num.items())
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
         other = ParamPoly.coerce(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = out.get(mono, Fraction(0)) + coeff
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = {mono: c * fa for mono, c in self._num.items()} if fa != 1 else dict(self._num)
+        for mono, c in other._num.items():
+            new = out.get(mono, 0) + c * fb
             if new:
                 out[mono] = new
             else:
-                out.pop(mono, None)
-        result = ParamPoly.__new__(ParamPoly)
-        result._terms = out
-        return result
+                del out[mono]
+        return _make(out, da * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        result = ParamPoly.__new__(ParamPoly)
-        result._terms = {mono: -coeff for mono, coeff in self._terms.items()}
-        return result
+        return _make({mono: -c for mono, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
         return self + (-ParamPoly.coerce(other))
@@ -131,24 +147,15 @@ class ParamPoly:
 
     def __mul__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
         if not isinstance(other, ParamPoly):
-            frac = _as_fraction(other)
-            if frac == 0:
-                return ParamPoly.zero()
-            result = ParamPoly.__new__(ParamPoly)
-            result._terms = {m: c * frac for m, c in self._terms.items()}
-            return result
-        out: dict[Monomial, Fraction] = {}
-        for (a0, a1), ca in self._terms.items():
-            for (b0, b1), cb in other._terms.items():
+            p, q = _ratio(other)
+            return _make({mono: c * p for mono, c in self._num.items()} if p else {}, self._den * q)
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for (a0, a1), ca in self._num.items():
+            for (b0, b1), cb in other._num.items():
                 mono = (a0 + b0, a1 + b1)
-                new = out.get(mono, Fraction(0)) + ca * cb
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
-        result = ParamPoly.__new__(ParamPoly)
-        result._terms = out
-        return result
+                out[mono] = get(mono, 0) + ca * cb
+        return _make({mono: c for mono, c in out.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -175,10 +182,10 @@ class ParamPoly:
             other = ParamPoly.const(other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- printing ------------------------------------------------------------
 
@@ -186,18 +193,13 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         # graded-lex: lower total degree first, then higher k0-power first
-        ordered = sorted(self._terms.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
+        ordered = sorted(self, key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
         pieces: list[str] = []
         for (e0, e1), coeff in ordered:
-            mono_parts = []
-            if e0:
-                mono_parts.append("k0" if e0 == 1 else f"k0^{e0}")
-            if e1:
-                mono_parts.append("k1" if e1 == 1 else f"k1^{e1}")
-            mono = "*".join(mono_parts)
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("k0", e0), ("k1", e1)) if e)
             if not mono:
                 body = str(abs(coeff))
             elif abs(coeff) == 1:
@@ -214,7 +216,7 @@ class ParamPoly:
 K0 = ParamPoly.gen_k0()
 K1 = ParamPoly.gen_k1()
 ONE = ParamPoly.const(1)
-ZERO = ParamPoly.zero()
+ZERO = _make({}, 1)
 
 
 def poch_table(a, n: int) -> list:
@@ -234,10 +236,15 @@ def poch(a, n: int):
 
 
 def poly_eval(p: ParamPoly, k0: Scalar, k1: Scalar) -> Fraction:
-    """Exact substitution k0, k1 -> rationals."""
-    v0 = _as_fraction(k0)
-    v1 = _as_fraction(k1)
-    total = Fraction(0)
-    for (e0, e1), coeff in p:
-        total += coeff * v0**e0 * v1**e1
-    return total
+    """Exact substitution k0, k1 -> rationals.
+
+    With k0 = a0/b0, k1 = a1/b1 and top exponents E0, E1 the value is
+    sum c * a0^e0 b0^(E0-e0) a1^e1 b1^(E1-e1) / (den b0^E0 b1^E1): an int sum
+    and one Fraction at the end."""
+    (a0, b0), (a1, b1) = _ratio(k0), _ratio(k1)
+    top0 = max((e0 for e0, _ in p._num), default=0)
+    top1 = max((e1 for _, e1 in p._num), default=0)
+    pw0 = [a0**e * b0 ** (top0 - e) for e in range(top0 + 1)]
+    pw1 = [a1**e * b1 ** (top1 - e) for e in range(top1 + 1)]
+    total = sum(c * pw0[e0] * pw1[e1] for (e0, e1), c in p._num.items())
+    return Fraction(total, p._den * b0**top0 * b1**top1)

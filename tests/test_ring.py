@@ -1,10 +1,14 @@
 """Ring axioms and exact evaluation for Q[k0, k1]."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from b2weight.hyper import alpha_beta_recurrence, alpha_closed, beta_closed, s_inner_closed
 from b2weight.ring import K0, K1, ONE, ParamPoly, poch, poly_eval
 
 
@@ -98,3 +102,145 @@ def test_printing_is_deterministic_graded_lex():
     assert str(p) == "1 + k0 + k1 + k0^2"
     assert str(ParamPoly.zero()) == "0"
     assert str(-2 * K1) == "-2*k1"
+
+
+def test_poly_eval_matches_termwise_fraction_sum():
+    seq = alpha_beta_recurrence(12)
+    points = [
+        (Fraction(-7, 20), Fraction(2, 25)),
+        (Fraction(3, 10), Fraction(-1, 10)),
+        (Fraction(-13, 31), Fraction(-1, 60)),
+        (Fraction(0), Fraction(9, 20)),
+        (Fraction(-9, 20), Fraction(0)),
+        (Fraction(0), Fraction(0)),
+    ]
+    for k0, k1 in points:
+        for poly in seq.alpha + seq.beta:
+            want = sum((c * k0**e0 * k1**e1 for (e0, e1), c in poly), Fraction(0))
+            got = poly_eval(poly, k0, k1)
+            assert type(got) is Fraction and got == want
+    assert poly_eval(ParamPoly.zero(), Fraction(1, 3), -2) == 0
+    with pytest.raises(TypeError):
+        poly_eval(K0, 0.5, 0)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a plain {monomial: Fraction} reference
+# ---------------------------------------------------------------------------
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+scalars = st.one_of(st.integers(-30, 30), fractions)
+term_maps = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), fractions, max_size=6
+)
+
+
+def ref(terms) -> dict:
+    return {mono: Fraction(c) for mono, c in terms.items() if c}
+
+
+def ref_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for mono, c in q.items():
+        out[mono] = out.get(mono, 0) + c
+    return ref(out)
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (a0, a1), ca in p.items():
+        for (b0, b1), cb in q.items():
+            out[(a0 + b0, a1 + b1)] = out.get((a0 + b0, a1 + b1), 0) + ca * cb
+    return ref(out)
+
+
+def ref_scale(p: dict, s) -> dict:
+    return ref({mono: c * s for mono, c in p.items()})
+
+
+def assert_matches(poly: ParamPoly, want: dict) -> None:
+    """Same terms through every read path, and the canonical form."""
+    assert poly.terms == want
+    assert dict(iter(poly)) == want
+    assert all(type(c) is Fraction for _, c in poly)
+    for mono in list(want) + [(9, 9)]:
+        assert poly.coefficient(mono) == want.get(mono, 0)
+    assert poly.is_zero() == (not want)
+    num, den = poly._num, poly._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 for c in num.values())
+    assert math.gcd(den, *num.values()) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=term_maps, q=term_maps, s=scalars, e=st.integers(0, 4))
+def test_kernel_matches_fraction_reference(p, q, s, e):
+    rp, rq = ref(p), ref(q)
+    P, Q = ParamPoly(p), ParamPoly(q)
+    assert_matches(P, rp)
+    assert_matches(P + Q, ref_add(rp, rq))
+    assert_matches(P - Q, ref_add(rp, ref_scale(rq, -1)))
+    assert_matches(-P, ref_scale(rp, -1))
+    assert_matches(P * Q, ref_mul(rp, rq))
+    assert_matches(P * s, ref_scale(rp, s))
+    assert_matches(s * P, ref_scale(rp, s))
+    assert_matches(P + s, ref_add(rp, ref({(0, 0): s})))
+    assert_matches(s + P, ref_add(rp, ref({(0, 0): s})))
+    assert_matches(s - P, ref_add(ref({(0, 0): s}), ref_scale(rp, -1)))
+    power = {(0, 0): Fraction(1)}
+    for _ in range(e):
+        power = ref_mul(power, rp)
+    assert_matches(P**e, power)
+    if s:
+        assert_matches(P / s, ref_scale(rp, 1 / Fraction(s)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            P / s
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=term_maps, q=term_maps, s=fractions.filter(bool))
+def test_equal_values_built_differently_are_equal_and_hash_equal(p, q, s):
+    P, Q = ParamPoly(p), ParamPoly(q)
+    for a, b in [(P + Q - Q, P), ((P * s) / s, P), (P * Q, Q * P), (P + P, 2 * P), (P - P, ParamPoly.zero())]:
+        assert a == b and hash(a) == hash(b)
+
+
+def test_equal_values_built_differently_fixed_cases():
+    pairs = [
+        ((K0 + 1) ** 2, K0**2 + 2 * K0 + 1),
+        ((K0 * Fraction(3, 7)) / Fraction(3, 7), K0),
+        (ParamPoly({(0, 0): Fraction(2, 4)}), ONE / 2),
+        ((K1 / 3 + Fraction(1, 6)) * 6, 2 * K1 + 1),
+        (ParamPoly.const(0), ParamPoly.zero()),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert ParamPoly.const(Fraction(-3, 4)) == Fraction(-3, 4)
+    assert ParamPoly.const(5) == 5
+
+
+def test_printing_of_closed_forms_is_pinned():
+    assert str(alpha_closed(3)) == (
+        "5/16 - 15/28*k0 + 103/140*k1 - 463/1260*k0^2 - 2/5*k0*k1 + 1219/1260*k1^2"
+        " + 34/105*k0^3 - 38/105*k0^2*k1 - 46/105*k0*k1^2 + 10/21*k1^3 + 41/315*k0^4"
+        " + 8/105*k0^3*k1 - 2/5*k0^2*k1^2 - 8/105*k0*k1^3 + 17/63*k1^4 - 4/105*k0^5"
+        " + 4/105*k0^4*k1 + 8/105*k0^3*k1^2 - 8/105*k0^2*k1^3 - 4/105*k0*k1^4"
+        " + 4/105*k1^5 - 4/315*k0^6 + 4/105*k0^4*k1^2 - 4/105*k0^2*k1^4 + 4/315*k1^6"
+    )
+    assert str(beta_closed(3)) == (
+        "-35/128 + 35/64*k0 - 1823/2240*k1 + 1891/10080*k0^2 + 299/560*k0*k1"
+        " - 1219/1440*k1^2 - 1891/5040*k0^3 + 2287/5040*k0^2*k1 + 3151/5040*k0*k1^2"
+        " - 517/720*k1^3 - 83/2520*k0^4 - 11/70*k0^3*k1 + 101/420*k0^2*k1^2"
+        " + 13/70*k0*k1^3 - 17/72*k1^4 + 83/1260*k0^5 - 89/1260*k0^4*k1"
+        " - 1/6*k0^3*k1^2 + 37/210*k0^2*k1^3 + 127/1260*k0*k1^4 - 19/180*k1^5"
+        " + 1/630*k0^6 + 1/105*k0^5*k1 - 1/70*k0^4*k1^2 - 2/105*k0^3*k1^3"
+        " + 1/42*k0^2*k1^4 + 1/105*k0*k1^5 - 1/90*k1^6 - 1/315*k0^7 + 1/315*k0^6*k1"
+        " + 1/105*k0^5*k1^2 - 1/105*k0^4*k1^3 - 1/105*k0^3*k1^4 + 1/105*k0^2*k1^5"
+        " + 1/315*k0*k1^6 - 1/315*k1^7"
+    )
+    assert str(s_inner_closed(2, "p14")) == (
+        "-5/16 - 89/60*k1 + 259/180*k0^2 - 439/180*k1^2 + 26/15*k0^2*k1 - 2*k1^3"
+        " - 7/9*k0^4 + 2*k0^2*k1^2 - 11/9*k1^4 - 4/15*k0^4*k1 + 8/15*k0^2*k1^3"
+        " - 4/15*k1^5 + 4/45*k0^6 - 4/15*k0^4*k1^2 + 4/15*k0^2*k1^4 - 4/45*k1^6"
+    )
