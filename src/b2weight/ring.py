@@ -71,14 +71,6 @@ class ParamPoly:
         p, q = _ratio(value)
         return _make({(0, 0): p} if p else {}, q)
 
-    @classmethod
-    def gen_k0(cls) -> "ParamPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def gen_k1(cls) -> "ParamPoly":
-        return cls({(0, 1): 1})
-
     @staticmethod
     def coerce(value: "ParamPoly | Scalar") -> "ParamPoly":
         if isinstance(value, ParamPoly):
@@ -213,8 +205,8 @@ class ParamPoly:
         return " ".join(pieces)
 
 
-K0 = ParamPoly.gen_k0()
-K1 = ParamPoly.gen_k1()
+K0 = ParamPoly({(1, 0): 1})
+K1 = ParamPoly({(0, 1): 1})
 ONE = ParamPoly.const(1)
 ZERO = _make({}, 1)
 

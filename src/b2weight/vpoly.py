@@ -6,13 +6,15 @@ spanned by t1, t2 by the matching signed permutation:
 
     (w f)(x) = f(x.M) . M^{-1}
 
-A vector polynomial is stored sparsely with one entry per monomial-and-slot,
+A scalar polynomial (``XPoly``) is stored sparsely as {(a, b): ParamPoly},
+meaning the sum of c * x1^a x2^b, and a vector polynomial is the pair of its
+components,
 
-    VPoly terms: {(a, b, s): ParamPoly}   meaning  sum of  c * x1^a x2^b t_s
+    VPoly (f1, f2)   meaning   f1(x) t1 + f2(x) t2,   f1, f2 XPoly,
 
-and scalar polynomials (``XPoly``) drop the slot index.  All coefficients
-live in Q[k0, k1], so the operator identities in this module are checked as
-exact polynomial statements, never numerically.
+so all of its arithmetic is XPoly arithmetic.  All coefficients live in
+Q[k0, k1], so the operator identities in this module are checked as exact
+polynomial statements, never numerically.
 
 The modified first-order operators act as a plain derivative plus, for each
 of the four positive roots v (the two coordinate directions with weight k1,
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from . import hyper
 from .errors import InexactDivisionError, InvarianceError, NotProportionalError
 from .ring import K0, K1, ParamPoly
 
@@ -296,116 +297,84 @@ def divide_by_linear(p: XPoly, root: tuple[int, int]) -> XPoly:
 
 
 class VPoly:
-    """Polynomial map R^2 -> span(t1, t2) with ParamPoly coefficients."""
+    """Polynomial map R^2 -> span(t1, t2), the pair (f1, f2) of f1 t1 + f2 t2.
 
-    __slots__ = ("_terms",)
+    All arithmetic is component-wise ``XPoly`` arithmetic; the ``(a, b, s)``
+    keys of ``x1^a x2^b t_s`` appear only in the constructor, ``terms`` and
+    ``repr``.
+    """
+
+    __slots__ = ("f1", "f2")
 
     def __init__(self, terms: Mapping[VKey, Coeff] | None = None):
-        clean: dict[VKey, ParamPoly] = {}
-        if terms:
-            for (a, b, s), coeff in terms.items():
-                if s not in (1, 2):
-                    raise ValueError(f"slot index must be 1 or 2, got {s}")
-                poly = ParamPoly.coerce(coeff)
-                if not poly.is_zero():
-                    clean[(a, b, s)] = poly
-        self._terms = clean
+        parts: tuple[dict, dict] = ({}, {})
+        for (a, b, s), coeff in (terms or {}).items():
+            if s not in (1, 2):
+                raise ValueError(f"slot index must be 1 or 2, got {s}")
+            parts[s - 1][(a, b)] = coeff
+        self.f1, self.f2 = XPoly(parts[0]), XPoly(parts[1])
 
     @classmethod
     def from_components(cls, f1: XPoly, f2: XPoly) -> "VPoly":
-        terms: dict[VKey, ParamPoly] = {}
-        for (a, b), coeff in f1:
-            terms[(a, b, 1)] = coeff
-        for (a, b), coeff in f2:
-            terms[(a, b, 2)] = coeff
         result = cls.__new__(cls)
-        result._terms = terms
+        result.f1, result.f2 = f1, f2
         return result
+
+    def _map(self, fn) -> "VPoly":
+        return VPoly.from_components(fn(self.f1), fn(self.f2))
 
     @property
     def terms(self) -> dict[VKey, ParamPoly]:
-        return dict(self._terms)
+        return {(a, b, s): c for s in (1, 2) for (a, b), c in self.component(s)}
 
     def component(self, s: int) -> XPoly:
-        result = XPoly.__new__(XPoly)
-        result._terms = {
-            (a, b): coeff for (a, b, slot), coeff in self._terms.items() if slot == s
-        }
-        return result
+        return (self.f1, self.f2)[s - 1]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return self.f1.is_zero() and self.f2.is_zero()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self.f1 == other.f1 and self.f2 == other.f2
 
     def __add__(self, other: "VPoly") -> "VPoly":
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _clean(out, key, coeff)
-        result = VPoly.__new__(VPoly)
-        result._terms = out
-        return result
+        return VPoly.from_components(self.f1 + other.f1, self.f2 + other.f2)
 
     def __neg__(self) -> "VPoly":
-        result = VPoly.__new__(VPoly)
-        result._terms = {k: -c for k, c in self._terms.items()}
-        return result
+        return self._map(XPoly.__neg__)
 
     def __sub__(self, other: "VPoly") -> "VPoly":
-        return self + (-other)
+        return VPoly.from_components(self.f1 - other.f1, self.f2 - other.f2)
 
     def __mul__(self, other: Coeff) -> "VPoly":
         scalar = ParamPoly.coerce(other)
-        result = VPoly.__new__(VPoly)
-        result._terms = (
-            {}
-            if scalar.is_zero()
-            else {k: c * scalar for k, c in self._terms.items()}
-        )
-        return result
+        return self._map(lambda f: f * scalar)
 
     __rmul__ = __mul__
 
     def scale_x(self, p: XPoly) -> "VPoly":
         """Multiply by a scalar polynomial in x."""
-        out: dict[VKey, ParamPoly] = {}
-        for (a1, b1), c1 in p:
-            for (a2, b2, s), c2 in self._terms.items():
-                _clean(out, (a1 + a2, b1 + b2, s), c1 * c2)
-        result = VPoly.__new__(VPoly)
-        result._terms = out
-        return result
+        return self._map(p.__mul__)
 
     def derivative(self, i: int) -> "VPoly":
-        out: dict[VKey, ParamPoly] = {}
-        for (a, b, s), coeff in self._terms.items():
-            if i == 1 and a:
-                _clean(out, (a - 1, b, s), coeff * a)
-            elif i == 2 and b:
-                _clean(out, (a, b - 1, s), coeff * b)
-        result = VPoly.__new__(VPoly)
-        result._terms = out
-        return result
+        return self._map(lambda f: f.derivative(i))
 
     def t_substitute(self, images: Mapping[int, tuple[int, int]]) -> "VPoly":
         """Replace each slot t_s by sign * t_slot per ``images[s] = (sign, slot)``."""
-        out: dict[VKey, ParamPoly] = {}
-        for (a, b, s), coeff in self._terms.items():
+        parts = [XPoly(), XPoly()]
+        for s in (1, 2):
             sign, slot = images[s]
-            _clean(out, (a, b, slot), coeff if sign > 0 else -coeff)
-        result = VPoly.__new__(VPoly)
-        result._terms = out
-        return result
+            f = self.component(s)
+            parts[slot - 1] = parts[slot - 1] + (f if sign > 0 else -f)
+        return VPoly.from_components(*parts)
 
     def homogeneous_degree(self) -> int | None:
         """Common total x-degree, None for the zero polynomial.
 
         Raises ValueError when terms of different degrees are mixed.
         """
-        degrees = {a + b for (a, b, _s) in self._terms}
+        degrees = {a + b for f in (self.f1, self.f2) for (a, b), _c in f}
         if not degrees:
             return None
         if len(degrees) > 1:
@@ -413,11 +382,11 @@ class VPoly:
         return degrees.pop()
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if self.is_zero():
             return "VPoly(0)"
         bits = [
             f"({coeff})*x1^{a}*x2^{b}*t{s}"
-            for (a, b, s), coeff in sorted(self._terms.items())
+            for (a, b, s), coeff in sorted(self.terms.items())
         ]
         return "VPoly(" + " + ".join(bits) + ")"
 
@@ -433,41 +402,28 @@ P14 = VPoly({(0, 1, 1): -1, (1, 0, 2): -1})
 
 def group_act(w: GroupElement, f: VPoly) -> VPoly:
     """(w f)(x) = f(x.M) . M^{-1}."""
-    out: dict[VKey, ParamPoly] = {}
-    for (a, b, s), coeff in f.terms.items():
-        (na, nb), x_sign = w.point_image(a, b)
-        t_sign, slot = w.t_image(s)
-        _clean(out, (na, nb, slot), coeff * (x_sign * t_sign))
-    result = VPoly.__new__(VPoly)
-    result._terms = out
-    return result
+    return f.t_substitute({s: w.t_image(s) for s in (1, 2)})._map(lambda p: p.compose(w))
 
 
 def dunkl_d(i: int, f: VPoly) -> VPoly:
     """First-order modified derivative in direction i (1 or 2)."""
     if i not in (1, 2):
         raise ValueError(f"direction must be 1 or 2, got {i}")
-    result = f.derivative(i)
+    d = f.derivative(i)
+    parts = [d.f1, d.f2]
     for root, refl, weight in _ROOT_DATA:
         v_i = root[i - 1]
         if v_i == 0:
             continue
         for s in (1, 2):
             part = f.component(s)
-            if part.is_zero():
-                continue
             numerator = part - part.compose(refl)
             if numerator.is_zero():
                 continue
-            quotient = divide_by_linear(numerator, root)
             sign, slot = refl.t_image(s)
-            factor = weight * (v_i * sign)
-            add = VPoly.__new__(VPoly)
-            add._terms = {
-                (a, b, slot): coeff * factor for (a, b), coeff in quotient
-            }
-            result = result + add
-    return result
+            quotient = divide_by_linear(numerator, root)
+            parts[slot - 1] = parts[slot - 1] + quotient * (weight * (v_i * sign))
+    return VPoly.from_components(*parts)
 
 
 def laplacian(f: VPoly) -> VPoly:
@@ -523,15 +479,10 @@ def product_rule_residual(f: XPoly, g: VPoly) -> VPoly:
 
 def _extract_multiple_of_p12(f: VPoly) -> ParamPoly:
     """The scalar c with f = c * p_{1,2}, or raise NotProportionalError."""
-    allowed = {(0, 1, 1), (1, 0, 2)}
-    extra = set(f.terms) - allowed
-    if extra:
-        raise NotProportionalError(f"unexpected support {sorted(extra)}")
-    c_pos = f.terms.get((1, 0, 2), ParamPoly.zero())
-    c_neg = f.terms.get((0, 1, 1), ParamPoly.zero())
-    if c_pos + c_neg != ParamPoly.zero():
-        raise NotProportionalError("coefficients do not match the degree-1 carrier")
-    return c_pos
+    c = f.f2.terms.get((1, 0), ParamPoly.zero())
+    if f != P12 * c:
+        raise NotProportionalError(f"{f!r} is not a multiple of the degree-1 carrier")
+    return c
 
 
 def alpha_beta_via_laplacian(n: int) -> tuple[ParamPoly, ParamPoly]:
@@ -561,24 +512,19 @@ def beta_prime_scale(n: int) -> Fraction:
     return Fraction(2 ** (4 * n + 2) * math.factorial(2 * n + 1) * math.factorial(2 * n + 2))
 
 
-def inner_product_S_exact(n: int, kind: str, backend: str = "operator") -> ParamPoly:
-    """Exact sphere-pairing value as an element of Q[k0, k1].
+def inner_product_S_exact(n: int, kind: str) -> ParamPoly:
+    """Exact sphere-pairing value as an element of Q[k0, k1], by the operator route.
 
-    kind "p12" returns alpha_n * (1 + 2k1 + 2k0), kind "p14" the beta variant.
-    backend "operator" recomputes via iterated Laplacians (supported n <= 4);
-    backend "recurrence" uses the two-term recurrence and scales to any n.
+    kind "p12" returns alpha_n * (1 + 2k1 + 2k0), kind "p14" the beta variant,
+    both recomputed from iterated Laplacians (supported n <= 4).  The same
+    values at any n come from ``hyper.s_inner_closed``.
     """
     if kind not in ("p12", "p14"):
         raise ValueError(f"kind must be 'p12' or 'p14', got {kind!r}")
+    if n > 4:
+        raise ValueError("the operator route supports n <= 4; use hyper.s_inner_closed")
     anchor = 1 + 2 * K1 + 2 * K0
-    if backend == "operator":
-        if n > 4:
-            raise ValueError("operator backend supports n <= 4; use 'recurrence'")
-        alpha_scaled, beta_scaled = alpha_beta_via_laplacian(n)
-        if kind == "p12":
-            return (alpha_scaled / alpha_prime_scale(n)) * anchor
-        return (beta_scaled / beta_prime_scale(n)) * anchor
-    if backend == "recurrence":
-        seq = hyper.alpha_beta_recurrence(n)
-        return (seq.alpha[n] if kind == "p12" else seq.beta[n]) * anchor
-    raise ValueError(f"unknown backend {backend!r}")
+    alpha_scaled, beta_scaled = alpha_beta_via_laplacian(n)
+    if kind == "p12":
+        return (alpha_scaled / alpha_prime_scale(n)) * anchor
+    return (beta_scaled / beta_prime_scale(n)) * anchor

@@ -92,6 +92,49 @@ def test_p12_and_p14_are_relative_invariants_of_the_same_type():
     assert group_act(SIGMA_D_PLUS, P14.scale_x(PHI)) == -1 * P14.scale_x(PHI)
 
 
+def test_group_act_is_a_left_action():
+    rng = random.Random(7)
+    fs = [random_vpoly(rng, max_deg=5, n_terms=7) for _ in range(3)]
+    for u in ALL_ELEMENTS:
+        for v in ALL_ELEMENTS:
+            for f in fs:
+                assert group_act(u * v, f) == group_act(u, group_act(v, f)), (u.name, v.name)
+
+
+# ---------------------------------------------------------------------------
+# the VPoly surface
+# ---------------------------------------------------------------------------
+
+
+def test_vpoly_rejects_slots_other_than_one_and_two():
+    for s in (0, 3):
+        with pytest.raises(ValueError):
+            VPoly({(0, 0, s): 1})
+
+
+def test_vpoly_terms_drop_zero_coefficients():
+    f = VPoly({(1, 0, 1): 0, (0, 1, 2): 3, (2, 0, 2): K0 - K0, (0, 0, 1): Fraction(1, 2)})
+    assert f.terms == {(0, 1, 2): ParamPoly.const(3), (0, 0, 1): ParamPoly.const(Fraction(1, 2))}
+    assert VPoly({(0, 0, 1): 0}).is_zero()
+    assert (P12 - P12).terms == {}
+
+
+def test_vpoly_from_components_round_trip():
+    rng = random.Random(13)
+    for f in [P12, P14, VPoly()] + [random_vpoly(rng) for _ in range(10)]:
+        assert VPoly.from_components(f.component(1), f.component(2)) == f
+    assert P12.component(1) == -1 * X2
+    assert P12.component(2) == X1
+
+
+def test_vpoly_repr_is_pinned():
+    assert repr(P14.scale_x(PHI)) == (
+        "VPoly((1)*x1^0*x2^3*t1 + (1)*x1^1*x2^2*t2"
+        " + (-1)*x1^2*x2^1*t1 + (-1)*x1^3*x2^0*t2)"
+    )
+    assert repr(VPoly()) == "VPoly(0)"
+
+
 # ---------------------------------------------------------------------------
 # exact division
 # ---------------------------------------------------------------------------
@@ -274,20 +317,18 @@ def test_inner_product_values():
 
 
 def test_inner_product_backends_agree():
-    for n in range(3):
-        for kind in ("p12", "p14"):
-            assert inner_product_S_exact(n, kind, "operator") == inner_product_S_exact(
-                n, kind, "recurrence"
-            )
+    # the operator route against the two-term recurrence times the anchor
+    seq = alpha_beta_recurrence(4)
+    for n in range(5):
+        assert inner_product_S_exact(n, "p12") == seq.alpha[n] * ONE_PLUS, f"p12 n={n}"
+        assert inner_product_S_exact(n, "p14") == seq.beta[n] * ONE_PLUS, f"p14 n={n}"
 
 
 def test_inner_product_unsupported_cases():
     with pytest.raises(ValueError):
-        inner_product_S_exact(5, "p12", "operator")
+        inner_product_S_exact(5, "p12")
     with pytest.raises(ValueError):
         inner_product_S_exact(1, "p15")
-    with pytest.raises(ValueError):
-        inner_product_S_exact(1, "p12", "magic")
 
 
 def test_homogeneous_degree_query():
