@@ -33,7 +33,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import RegionError, ToleranceError
 from .hyper import _EPS, _GAMMA_RELERR, gamma_fn, h_func
-from .weight import ParamPoint, d_consts, eval_L
+from .weight import ParamPoint, _eval_L_bounded, d_consts
 
 _SECTOR = math.pi / 4
 
@@ -48,11 +48,14 @@ class QuadResult:
 
     ``error_estimate`` starts from the difference between the last two
     refinements, which is a heuristic for the quadrature error.  The sector
-    pairings of mode "h" add the error of the h-values carried through the
-    rule (from their certified tail bounds) and the rounding of forming and
-    summing the terms.  Mode "direct", ``singular_integral``, ``tanh_sinh``
-    and the tanh-sinh fallback of mode "h" report the refinement difference
-    alone, which the actual error can exceed by a small factor.
+    pairings add the error of the series values carried through the rule
+    (from their certified tail bounds) and the rounding of forming and
+    summing the terms: mode "h" for the h-values at the Gauss-Jacobi nodes,
+    mode "direct" for the entries of L at the tanh-sinh nodes.
+    ``tanh_sinh`` and the tanh-sinh fallback of mode "h" report the
+    refinement difference and the rounding of the sum, ``singular_integral``
+    the refinement difference alone; the actual error can exceed those by a
+    small factor.
     """
 
     value: float
@@ -113,10 +116,23 @@ def tanh_sinh(
     Level L has step 2^-L and floor(t_max 2^L) nodes on each side; its
     even-indexed nodes are exactly the nodes of level L - 1, so each level
     adds only its odd-indexed nodes to the running sum.  ``nodes`` counts the
-    integrand evaluations over all levels.
+    integrand evaluations over all levels.  ``error_estimate`` is the
+    difference of the last two levels plus the rounding of the sum.
     """
+    return _tanh_sinh(lambda v, d0, d1: (f(v, d0, d1), 0.0), tol, max_level, t_max)
+
+
+def _tanh_sinh(
+    f: Callable[[float, float, float], tuple[float, float]],
+    tol: float = 1e-10,
+    max_level: int = 9,
+    t_max: float = 6.2,
+) -> QuadResult:
+    """``tanh_sinh`` for an integrand that returns its value and a bound on
+    the value's error; the bounds are integrated by the same rule and added
+    to the error estimate."""
     previous = None
-    total = 0.0
+    total = total_bound = total_abs = 0.0
     nodes = 0
     for level in range(max_level + 1):
         h = 1.0 / 2**level
@@ -136,13 +152,19 @@ def tanh_sinh(
             dvdt = 0.25 * math.pi * math.cosh(t) * sech_sq
             if dvdt == 0.0 or near == 0.0:
                 continue
-            total += f(dist0, dist0, dist1) * dvdt
+            value, bound = f(dist0, dist0, dist1)
+            term = value * dvdt
+            total += term
+            total_abs += abs(term)
+            total_bound += bound * dvdt
             nodes += 1
         value = total * h
         if previous is not None:
             err = abs(value - previous)
             if err <= tol * (1.0 + abs(value)) and level >= 3:
-                return QuadResult(value, err, nodes)
+                # the sum of `nodes` terms rounds at most once per term
+                rounding = (nodes + 2) * _EPS * total_abs * h
+                return QuadResult(value, err + total_bound * h + rounding, nodes)
         previous = value
     raise ToleranceError(f"double-exponential rule did not reach tol={tol}")
 
@@ -233,6 +255,8 @@ def sector_inner_numeric(
     with Gauss-Jacobi carrying the exact endpoint exponents; mode "direct"
     integrates the raw matrix form over the angle with a double-exponential
     rule and exists as an independent cross-check of the factored route.
+    Both carry the tail bounds of their series values into the error
+    estimate (see ``QuadResult``).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -332,14 +356,17 @@ def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
 
 def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
     d1, d2 = d_consts(p)
-    diag = np.diag([d1, d2])
     phi_power = 2 * n if kind == "p12" else 2 * n + 1
+    left_sign = 1.0 if kind == "p12" else -1.0
+    # d1 and d2 each carry four gamma values; phi rounds about three times,
+    # and its power and the final products a few times more
+    rho = 4.0 * _GAMMA_RELERR + (3 * phi_power + 8) * _EPS
 
-    def integrand(frac: float, dist0: float, dist1: float) -> float:
+    def integrand(frac: float, dist0: float, dist1: float) -> tuple[float, float]:
         theta = _SECTOR * frac
         delta = _SECTOR * dist1
         if theta == 0.0 or delta == 0.0:
-            return 0.0
+            return 0.0, 0.0
         # slope and its complement without cancellation at either edge
         if dist1 < 0.5:
             td = math.tan(delta)
@@ -347,17 +374,26 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
         else:
             u = math.tan(theta)
         complement = math.sin(2.0 * delta) / math.cos(theta) ** 2
-        ell = eval_L(u, p, tol=1e-11, u_sq_complement=complement)
-        kmat = ell.T @ diag @ ell
-        left = np.array([-math.sin(theta), math.cos(theta)])
-        if kind == "p14":
-            left = np.array([-math.sin(theta), -math.cos(theta)])
-        right = np.array([-math.sin(theta), math.cos(theta)])
+        ell, ell_err = _eval_L_bounded(u, p, 1e-11, complement)
+        sin_t, cos_t = math.sin(theta), math.cos(theta)
+        # left^T L^T diag(d) L right = sum_r d_r y_r z_r with y = L left,
+        # z = L right, left = (-sin, +-cos) and right = (-sin, cos)
+        value = bound = 0.0
+        for (l0, l1), (e0, e1), d in zip(ell.tolist(), ell_err, (d1, d2)):
+            y = -l0 * sin_t + left_sign * l1 * cos_t
+            z = -l0 * sin_t + l1 * cos_t
+            # error of y and of z: the entries' bounds, and three roundings
+            # of each product and of the sum
+            dev = (e0 + 3.0 * _EPS * abs(l0)) * sin_t + (e1 + 3.0 * _EPS * abs(l1)) * cos_t
+            value += d * y * z
+            bound += abs(d) * (dev * (abs(y) + abs(z) + dev) + rho * abs(y * z))
         phi = math.sin(2.0 * delta)  # equals cos(2 theta)
-        return phi**phi_power * float(left @ kmat @ right)
+        scale = phi**phi_power
+        return scale * value, abs(scale) * bound
 
-    de = tanh_sinh(integrand, tol=tol)
-    return QuadResult(8.0 * _SECTOR * de.value, 8.0 * _SECTOR * de.error_estimate, de.nodes)
+    de = _tanh_sinh(integrand, tol=tol)
+    value = 8.0 * _SECTOR * de.value
+    return QuadResult(value, 8.0 * _SECTOR * de.error_estimate + 2.0 * _EPS * abs(value), de.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 Monomial = tuple[int, int]
 Scalar = Union[int, Fraction]
@@ -209,6 +209,23 @@ K0 = ParamPoly({(1, 0): 1})
 K1 = ParamPoly({(0, 1): 1})
 ONE = ParamPoly.const(1)
 ZERO = _make({}, 1)
+
+
+def shifted_sum(parts: Iterable[tuple[int, Monomial, ParamPoly]]) -> ParamPoly:
+    """sum of k * k0^e0 k1^e1 * p over the parts (k, (e0, e1), p), k an int.
+
+    The numerators are accumulated over the lcm of the denominators, and the
+    result is made canonical once (one gcd), whatever the number of parts."""
+    parts = list(parts)
+    den = lcm(*(p._den for _, _, p in parts))
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for k, (s0, s1), p in parts:
+        factor = k * (den // p._den)
+        for (e0, e1), c in p._num.items():
+            mono = (e0 + s0, e1 + s1)
+            out[mono] = get(mono, 0) + factor * c
+    return _make({mono: c for mono, c in out.items() if c}, den)
 
 
 def poch_table(a, n: int) -> list:

@@ -22,17 +22,27 @@ the two diagonals with weight k0), the exact divided difference of the scalar
 part along v with the root's reflection applied to the slot index.  Divided
 differences are exact polynomial divisions; a nonzero remainder raises, since
 it can only mean an implementation bug.
+
+The modified Laplacian, the sum of the squares of the two first-order
+operators, is applied through its closed second-order form instead: it is
+linear with coefficients affine in (k0, k1), so the image of each basis
+monomial x1^a x2^b t_s is a short list of integer entries, computed once on
+first use and cached.  ``laplacian`` sums those images in integers and builds
+each output coefficient once.  ``dunkl_d``, ``divide_by_linear`` and the
+hand-written right-hand side of ``product_rule_residual`` stay as independent
+references for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import InexactDivisionError, InvarianceError, NotProportionalError
-from .ring import K0, K1, ParamPoly
+from .ring import K0, K1, ParamPoly, shifted_sum
 
 XKey = tuple[int, int]
 VKey = tuple[int, int, int]
@@ -426,9 +436,89 @@ def dunkl_d(i: int, f: VPoly) -> VPoly:
     return VPoly.from_components(*parts)
 
 
+def _divide_homogeneous(p: list[int], root: tuple[int, int]) -> list[int]:
+    """Exact quotient of a homogeneous integer polynomial by <x, root>.
+
+    ``p[a]`` is the coefficient of x1^a x2^(d-a); the quotient is returned in
+    the same form.  Raises InexactDivisionError on a nonzero remainder.
+    """
+    v1, v2 = root
+    d = len(p) - 1
+    if v1 == 0:
+        # <x, root> = v2 x2: drop the x2-free top coefficient
+        q, remainder = [c // v2 for c in p[:d]], p[d]
+    else:
+        # p_a = q_(a-1) + v2 q_a, solved from the top down
+        q = [0] * d
+        carry = 0
+        for a in range(d, 0, -1):
+            q[a - 1] = carry = p[a] - v2 * carry
+        remainder = p[0] - v2 * carry
+    if remainder:
+        raise InexactDivisionError(f"{p} is not divisible by the root form {root}")
+    return q
+
+
+@functools.cache
+def _monomial_image(a: int, b: int, s: int) -> tuple[tuple[VKey, XKey, int], ...]:
+    """Laplacian of x1^a x2^b t_s as integer entries (target key, weight, k).
+
+    Each entry ((a', b', s'), (e0, e1), k) stands for k k0^e0 k1^e1 x1^a' x2^b'
+    t_s'.  The closed second-order form gives them directly:
+
+        L f = sum_s (lap f_s) t_s + sum_v kappa_v sum_s tau(sigma_v) t_s
+              [2 <grad f_s, v> <x, v> - |v|^2 (f_s - f_s o sigma_v)] / <x, v>^2
+
+    over the positive roots v with weights kappa_v, reflections sigma_v and
+    slot maps tau(sigma_v).  Filled on first use and kept: up to degree d
+    the cache holds at most (d + 1)(d + 2) immutable entries.
+    """
+    d = a + b
+    if d < 2:
+        return ()
+    out: dict[tuple[VKey, XKey], int] = {}
+    if a > 1:
+        out[((a - 2, b, s), (0, 0))] = a * (a - 1)
+    if b > 1:
+        out[((a, b - 2, s), (0, 0))] = b * (b - 1)
+    for root, refl, weight in _ROOT_DATA:
+        (kappa,) = weight.terms  # the one monomial k0 or k1
+        v1, v2 = root
+        norm_sq = v1 * v1 + v2 * v2
+        # the numerator, homogeneous of degree d, indexed by its x1-exponent
+        num = [0] * (d + 1)
+        num[a] += 2 * (v1 * v1 * a + v2 * v2 * b) - norm_sq
+        if a:
+            num[a - 1] += 2 * v1 * v2 * a
+        if b:
+            num[a + 1] += 2 * v1 * v2 * b
+        (a_img, _b_img), sign = refl.point_image(a, b)
+        num[a_img] += norm_sq * sign
+        quotient = _divide_homogeneous(_divide_homogeneous(num, root), root)
+        t_sign, slot = refl.t_image(s)
+        for a_out, k in enumerate(quotient):
+            if k:
+                key = ((a_out, d - 2 - a_out, slot), kappa)
+                out[key] = out.get(key, 0) + t_sign * k
+    return tuple((key, kappa, k) for (key, kappa), k in out.items() if k)
+
+
 def laplacian(f: VPoly) -> VPoly:
-    """Sum of the squares of the two modified derivatives."""
-    return dunkl_d(1, dunkl_d(1, f)) + dunkl_d(2, dunkl_d(2, f))
+    """Sum of the squares of the two modified derivatives.
+
+    Applied as a sparse linear map: every term c x1^a x2^b t_s of f adds
+    k c k0^e0 k1^e1 to the coefficient of each entry of its cached image,
+    and each output coefficient is summed once in integers.
+    """
+    parts: dict[VKey, list] = {}
+    for s in (1, 2):
+        for (a, b), coeff in f.component(s):
+            for key, kappa, k in _monomial_image(a, b, s):
+                parts.setdefault(key, []).append((k, kappa, coeff))
+    components: tuple[dict, dict] = ({}, {})
+    for (a, b, s), terms in parts.items():
+        components[s - 1][(a, b)] = shifted_sum(terms)
+    return VPoly.from_components(XPoly(components[0]), XPoly(components[1]))
 
 
 def laplacian_power(f: VPoly, m: int) -> VPoly:
@@ -490,8 +580,10 @@ def alpha_beta_via_laplacian(n: int) -> tuple[ParamPoly, ParamPoly]:
 
     Applies the modified Laplacian 2n times to phi^(2n) p_{1,2} and 2n+1
     times to phi^(2n+1) p_{1,4}; both collapse to multiples of p_{1,2} whose
-    scalars are returned.  Exact but cost grows quickly; n <= 4 is the
-    supported desk-scale range.
+    scalars are returned.  Each step applies the closed second-order form of
+    the Laplacian through the cached integer images of the basis monomials
+    (see ``laplacian``), so the images of one degree are built once and
+    shared by every n and both kinds.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -516,13 +608,13 @@ def inner_product_S_exact(n: int, kind: str) -> ParamPoly:
     """Exact sphere-pairing value as an element of Q[k0, k1], by the operator route.
 
     kind "p12" returns alpha_n * (1 + 2k1 + 2k0), kind "p14" the beta variant,
-    both recomputed from iterated Laplacians (supported n <= 4).  The same
+    both recomputed from iterated Laplacians (supported n <= 8).  The same
     values at any n come from ``hyper.s_inner_closed``.
     """
     if kind not in ("p12", "p14"):
         raise ValueError(f"kind must be 'p12' or 'p14', got {kind!r}")
-    if n > 4:
-        raise ValueError("the operator route supports n <= 4; use hyper.s_inner_closed")
+    if n > 8:
+        raise ValueError("the operator route supports n <= 8; use hyper.s_inner_closed")
     anchor = 1 + 2 * K1 + 2 * K0
     alpha_scaled, beta_scaled = alpha_beta_via_laplacian(n)
     if kind == "p12":

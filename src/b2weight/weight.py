@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegionError
-from .hyper import gamma_fn, gauss_2f1, h_func
+from .hyper import _EPS, gamma_fn, gauss_2f1, h_func
 
 _HALF_SECTOR = math.pi / 4
 
@@ -93,6 +93,19 @@ def eval_L(
     ``u_sq_complement`` may pass 1 - u^2 computed to better accuracy than the
     subtraction (useful when u is extremely close to 1).
     """
+    return _eval_L_bounded(u, p, tol, u_sq_complement)[0]
+
+
+def _eval_L_bounded(
+    u: float, p: ParamPoint, tol: float, u_sq_complement: float | None
+) -> tuple[np.ndarray, list[list[float]]]:
+    """``eval_L`` with a bound on the error of each entry.
+
+    Each bound is the certified tail bound of the entry's 2F1 value times its
+    prefactor, plus a rounding term for the prefactors: exp(+-k1 log u) and
+    exp(-k0 log(1 - u^2)) lose about 2 |k1 log u| and 2 |k0 log(1 - u^2)|
+    ulps, and forming each entry a few more.
+    """
     if u_sq_complement is None:
         if not 0.0 < u < 1.0:
             raise RegionError(f"eval_L requires 0 < u < 1, got u = {u}")
@@ -108,24 +121,34 @@ def eval_L(
     k0, k1 = p.k0, p.k1
     z = u * u if w >= 0.5 else 1.0 - w
     log_u = math.log(u) if w >= 0.5 else 0.5 * math.log1p(-w)
+    log_w = math.log(w)
     up = math.exp(k1 * log_u)
     um = math.exp(-k1 * log_u)
-    pref = math.exp(-k0 * math.log(w))
+    pref = math.exp(-k0 * log_w)
+    rel = (2.0 * abs(k1 * log_u) + 2.0 * abs(k0 * log_w) + 16.0) * _EPS
 
-    f11 = gauss_2f1(-k0, 0.5 - k0 + k1, k1 + 0.5, z, tol, z_complement=w).value
-    f22 = gauss_2f1(-k0, 0.5 - k0 - k1, 0.5 - k1, z, tol, z_complement=w).value
+    f11 = gauss_2f1(-k0, 0.5 - k0 + k1, k1 + 0.5, z, tol, z_complement=w)
+    f22 = gauss_2f1(-k0, 0.5 - k0 - k1, 0.5 - k1, z, tol, z_complement=w)
     ell = np.empty((2, 2))
-    ell[0, 0] = up * pref * f11
-    ell[1, 1] = um * pref * f22
+    ell[0, 0] = up * pref * f11.value
+    ell[1, 1] = um * pref * f22.value
+    err = [[up * pref * f11.tail_bound, 0.0], [0.0, um * pref * f22.tail_bound]]
     if k0 == 0.0:
         ell[0, 1] = 0.0
         ell[1, 0] = 0.0
     else:
-        f12 = gauss_2f1(1 - k0, 0.5 - k0 + k1, k1 + 1.5, z, tol, z_complement=w).value
-        f21 = gauss_2f1(1 - k0, 0.5 - k0 - k1, 1.5 - k1, z, tol, z_complement=w).value
-        ell[0, 1] = -(k0 / (k1 + 0.5)) * up * pref * u * f12
-        ell[1, 0] = -(k0 / (0.5 - k1)) * um * pref * u * f21
-    return ell
+        f12 = gauss_2f1(1 - k0, 0.5 - k0 + k1, k1 + 1.5, z, tol, z_complement=w)
+        f21 = gauss_2f1(1 - k0, 0.5 - k0 - k1, 1.5 - k1, z, tol, z_complement=w)
+        pref12 = -(k0 / (k1 + 0.5)) * up * pref * u
+        pref21 = -(k0 / (0.5 - k1)) * um * pref * u
+        ell[0, 1] = pref12 * f12.value
+        ell[1, 0] = pref21 * f21.value
+        err[0][1] = abs(pref12) * f12.tail_bound
+        err[1][0] = abs(pref21) * f21.tail_bound
+    for r in range(2):
+        for c in range(2):
+            err[r][c] += rel * abs(ell[r, c])
+    return ell, err
 
 
 def eval_K(theta: float, p: ParamPoint) -> WeightEval:

@@ -64,17 +64,17 @@ def test_criterion_01_exact_sequence_identities():
 
 
 def test_criterion_02_operator_route_identity():
-    seq = alpha_beta_recurrence(4)
+    seq = alpha_beta_recurrence(8)
     ok = True
     detail = []
-    for n in range(5):
+    for n in range(9):
         alpha_scaled, beta_scaled = alpha_beta_via_laplacian(n)
         ok_a = alpha_scaled == seq.alpha[n] * alpha_prime_scale(n)
         ok_b = beta_scaled == seq.beta[n] * beta_prime_scale(n)
         ok = ok and ok_a and ok_b
         if not (ok_a and ok_b):
             detail.append(f"n={n}")
-    report(2, "iterated-Laplacian route == scaled recurrence, n <= 4, exact", ok,
+    report(2, "iterated-Laplacian route == scaled recurrence, n <= 8, exact", ok,
            ", ".join(detail))
 
 

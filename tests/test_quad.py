@@ -176,6 +176,18 @@ def test_sector_pairing_error_estimate_bounds_the_error(pairings_to_20):
         assert error <= Fraction(got.error_estimate), (k0, k1, n, kind, float(error))
 
 
+def test_direct_mode_error_estimate_bounds_the_error():
+    # zero slack, compared in exact arithmetic; (1/60, 13/31) is where the
+    # near-1 connection branch of eval_L cancels most
+    for k0, k1 in SHARED_RULE_POINTS:
+        p = ParamPoint(float(k0), float(k1))
+        for n in range(5):
+            for kind in ("p12", "p14"):
+                got = sector_inner_numeric(n, kind, p, mode="direct")
+                error = abs(Fraction(got.value) - s_inner_closed(n, kind, k0, k1))
+                assert error <= Fraction(got.error_estimate), (k0, k1, n, kind, float(error))
+
+
 def _bits(result: QuadResult) -> tuple:
     return result.value.hex(), result.error_estimate.hex(), result.nodes
 

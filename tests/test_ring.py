@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b2weight.hyper import alpha_beta_recurrence, alpha_closed, beta_closed, s_inner_closed
-from b2weight.ring import K0, K1, ONE, ParamPoly, poch, poly_eval
+from b2weight.ring import K0, K1, ONE, ParamPoly, poch, poly_eval, shifted_sum
 
 
 def random_poly(rng: random.Random, max_deg: int = 3, max_terms: int = 5) -> ParamPoly:
@@ -196,6 +196,21 @@ def test_kernel_matches_fraction_reference(p, q, s, e):
     else:
         with pytest.raises(ZeroDivisionError):
             P / s
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    parts=st.lists(
+        st.tuples(st.integers(-9, 9), st.sampled_from([(0, 0), (1, 0), (0, 1)]), term_maps),
+        max_size=6,
+    )
+)
+def test_shifted_sum_matches_fraction_reference(parts):
+    want: dict = {}
+    for k, (s0, s1), terms in parts:
+        shifted = {(e0 + s0, e1 + s1): c * k for (e0, e1), c in ref(terms).items()}
+        want = ref_add(want, shifted)
+    assert_matches(shifted_sum((k, shift, ParamPoly(t)) for k, shift, t in parts), want)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from b2weight import vpoly
 from b2weight.errors import InexactDivisionError, InvarianceError
 from b2weight.hyper import alpha_beta_recurrence
 from b2weight.ring import K0, K1, ParamPoly, poly_eval
@@ -183,6 +186,60 @@ def test_dunkl_operators_commute():
         assert dunkl_d(1, dunkl_d(2, f)) == dunkl_d(2, dunkl_d(1, f))
 
 
+def dunkl_laplacian(f: VPoly) -> VPoly:
+    """The modified Laplacian as the composition of the first-order operators."""
+    return dunkl_d(1, dunkl_d(1, f)) + dunkl_d(2, dunkl_d(2, f))
+
+
+def test_laplacian_matches_dunkl_composition_on_every_monomial():
+    for degree in range(19):
+        for a in range(degree + 1):
+            for s in (1, 2):
+                f = VPoly({(a, degree - a, s): 1})
+                assert laplacian(f) == dunkl_laplacian(f), (a, degree - a, s)
+
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+param_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), fractions, min_size=1, max_size=4
+).map(ParamPoly)
+vpoly_terms = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from([1, 2])),
+    st.one_of(fractions, param_coeffs),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(terms=vpoly_terms)
+def test_laplacian_matches_dunkl_composition_on_random_vpolys(terms):
+    # mixed degrees, Fraction and non-constant ParamPoly coefficients over
+    # different denominators
+    f = VPoly(terms)
+    assert laplacian(f) == dunkl_laplacian(f)
+
+
+def test_laplacian_of_zero_and_of_mixed_degrees():
+    assert laplacian(VPoly()) == VPoly()
+    assert laplacian(VPoly({(0, 0, 1): 3, (1, 0, 2): K0})).is_zero()
+    f = VPoly({(3, 0, 1): Fraction(1, 3), (0, 2, 2): K0 / 5, (4, 3, 1): 1 - K1, (1, 1, 2): 7})
+    assert laplacian(f) == dunkl_laplacian(f)
+    assert laplacian(f) == sum(
+        (laplacian(VPoly({key: c})) for key, c in f.terms.items()), VPoly()
+    )
+
+
+def test_operator_route_does_not_depend_on_cache_state():
+    def run(order):
+        vpoly._monomial_image.cache_clear()
+        return {n: alpha_beta_via_laplacian(n) for n in order}
+
+    cold = run(range(9))
+    warm = {n: alpha_beta_via_laplacian(n) for n in range(9)}
+    reversed_order = run(range(8, -1, -1))
+    assert cold == warm == reversed_order
+
+
 def test_laplacian_kills_degree_one_carrier():
     assert laplacian(P12).is_zero()
     assert laplacian(P14).is_zero()
@@ -303,8 +360,8 @@ def test_alpha_beta_via_laplacian_wallis_point():
 
 
 def test_operator_route_matches_recurrence():
-    seq = alpha_beta_recurrence(3)
-    for n in range(4):
+    seq = alpha_beta_recurrence(8)
+    for n in range(9):
         alpha_scaled, beta_scaled = alpha_beta_via_laplacian(n)
         assert alpha_scaled == seq.alpha[n] * alpha_prime_scale(n), f"alpha n={n}"
         assert beta_scaled == seq.beta[n] * beta_prime_scale(n), f"beta n={n}"
@@ -326,7 +383,7 @@ def test_inner_product_backends_agree():
 
 def test_inner_product_unsupported_cases():
     with pytest.raises(ValueError):
-        inner_product_S_exact(5, "p12")
+        inner_product_S_exact(9, "p12")
     with pytest.raises(ValueError):
         inner_product_S_exact(1, "p15")
 
