@@ -35,7 +35,9 @@ _EXACT_TOKEN = "identical"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed command configuration; raw strings are kept for lossless echo."""
+    """Parsed command configuration; raw strings are kept for lossless echo.
+
+    ``tol`` is None outside ``verify``; ``eval-k`` gets nmax 0 and fmt json."""
 
     suite: str
     k0_raw: str
@@ -43,7 +45,7 @@ class RunConfig:
     k0: Fraction
     k1: Fraction
     nmax: int
-    tol: float
+    tol: float | None
     theta: float | None
     fmt: str
     out: str | None
@@ -362,29 +364,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, nmax_default: int):
-        p.add_argument(
-            "--k0", type=_rational_str, default=None,
-            help="parameter k0 (rational or decimal)",
-        )
-        p.add_argument(
-            "--k1", type=_rational_str, default=None,
-            help="parameter k1 (rational or decimal)",
-        )
-        p.add_argument("--nmax", type=_nonneg_int, default=nmax_default)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="json")
+    def common(p: argparse.ArgumentParser, nmax_default: int | None = None):
+        for name in ("k0", "k1"):
+            p.add_argument(
+                f"--{name}", type=_rational_str, default=None,
+                help=f"parameter {name} (rational or decimal)",
+            )
+        if nmax_default is not None:
+            p.add_argument("--nmax", type=_nonneg_int, default=nmax_default)
+            p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=("exact", "quad", "asym", "all"))
     common(p_verify, nmax_default=6)
+    p_verify.add_argument("--tol", type=float, default=1e-8)
 
     p_table = sub.add_parser("table", help="tabulate the coefficient sequences")
     common(p_table, nmax_default=8)
 
     p_eval = sub.add_parser("eval-k", help="evaluate the weight matrix at one angle")
-    common(p_eval, nmax_default=0)
+    common(p_eval)
     p_eval.add_argument("--theta", type=float, required=True)
 
     return parser
@@ -399,10 +399,10 @@ def _config_from_args(args: argparse.Namespace, suite: str) -> RunConfig:
         k1_raw=k1_raw,
         k0=parse_rational(k0_raw),
         k1=parse_rational(k1_raw),
-        nmax=args.nmax,
-        tol=args.tol,
+        nmax=getattr(args, "nmax", 0),
+        tol=getattr(args, "tol", None),
         theta=getattr(args, "theta", None),
-        fmt=args.fmt,
+        fmt=getattr(args, "fmt", "json"),
         out=args.out,
     )
 

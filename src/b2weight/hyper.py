@@ -353,6 +353,28 @@ def s_inner_closed(n: int, kind: str, k0=K0, k1=K1):
 # ---------------------------------------------------------------------------
 
 
+def _unit_sum(n: int, upper, lower, tiny=0):
+    """sum_{j=0}^{n} prod (u)_j / (prod (l)_j j!) over the upper and lower
+    parameters, in the parameters' arithmetic (Fraction or float).
+
+    Raises DegenerateParameterError when a denominator factor has absolute
+    value at most ``tiny``.  The factors multiply in the order given.
+    """
+    # one, in the arithmetic of the last upper parameter
+    total = term = upper[-1] * 0 + 1
+    for j in range(n):
+        num = math.prod(u + j for u in upper)
+        den = math.prod(l + j for l in lower) * (j + 1)
+        if abs(den) <= tiny:
+            raise DegenerateParameterError(
+                f"denominator Pochhammer vanishes at step {j} "
+                f"(upper={upper}, lower={lower}, n={n})"
+            )
+        term = term * num / den
+        total = total + term
+    return total
+
+
 def f_values(n: int, k0, k1):
     """The two terminating 3F2-type sums at unit argument.
 
@@ -364,31 +386,11 @@ def f_values(n: int, k0, k1):
     if n < 0:
         raise ValueError("n must be non-negative")
     exact = isinstance(k0, (Fraction, int)) and isinstance(k1, (Fraction, int))
-    half = HALF if exact else 0.5
-
-    def sum_3f2(upper, lower):
-        total = upper[2] * 0 + 1  # one, in the operand arithmetic
-        term = total
-        for j in range(n):
-            num = (upper[0] + j) * (upper[1] + j) * (upper[2] + j)
-            den = (lower[0] + j) * (lower[1] + j) * (j + 1)
-            if (den == 0) if exact else (abs(den) < 1e-12):
-                raise DegenerateParameterError(
-                    f"denominator Pochhammer vanishes at step {j} "
-                    f"(k0={k0}, k1={k1}, n={n})"
-                )
-            term = term * num / den
-            total = total + term
-        return total
-
-    f1 = sum_3f2(
-        (-n + k0 * 0, -n + k0 * 0, -k1),
-        (-n - half - k1 - k0, -n + half - k1 + k0),
-    )
-    f2 = sum_3f2(
-        (-n + k0 * 0, -n - 1 + k0 * 0, -k1),
-        (-n - half - k1 - k0, -n - half - k1 + k0),
-    )
+    half, tiny = (HALF, 0) if exact else (0.5, 1e-12)
+    m = -n + k0 * 0  # -n in the parameters' arithmetic
+    low = -n - half - k1 - k0
+    f1 = _unit_sum(n, (m, m, -k1), (low, -n + half - k1 + k0), tiny)
+    f2 = _unit_sum(n, (m, m - 1, -k1), (low, -n - half - k1 + k0), tiny)
     return f1, f2
 
 
@@ -401,16 +403,7 @@ def chu_vandermonde(n: int, k1: Exact) -> tuple[Fraction, Fraction]:
     if n < 0:
         raise ValueError("n must be non-negative")
     k1 = Fraction(k1)
-    total = Fraction(1)
-    term = Fraction(1)
-    for j in range(n):
-        den = (-n - 2 * k1 + j) * (j + 1)
-        if den == 0:
-            raise DegenerateParameterError(
-                f"denominator Pochhammer vanishes at step {j} (k1={k1}, n={n})"
-            )
-        term = term * (-n + j) * (-k1 + j) / den
-        total += term
+    total = _unit_sum(n, (-n, -k1), (-n - 2 * k1,))
     den_poch = poch(1 + 2 * k1, n)
     if den_poch == 0:
         raise DegenerateParameterError(f"(1+2k1)_n vanishes for k1={k1}, n={n}")
@@ -456,16 +449,8 @@ def squeeze_check(n: int, a: Exact, b: Exact, c: Exact) -> SqueezeReport:
             f"squeeze_check requires 0<a<1, -1<b<0, c>-1; got a={a}, b={b}, c={c}"
         )
 
-    def terminating(u1, u2, l1, l2):
-        total = Fraction(1)
-        term = Fraction(1)
-        for j in range(n):
-            term = term * (u1 + j) * (u2 + j) * (c + j) / ((l1 + j) * (l2 + j) * (j + 1))
-            total += term
-        return total
-
-    plain = terminating(-n, -n, -n - a, -n - b)
-    shifted = terminating(-n, -n - 1, -n - a, -n - b - 1)
+    plain = _unit_sum(n, (-n, -n, c), (-n - a, -n - b))
+    shifted = _unit_sum(n, (-n, -n - 1, c), (-n - a, -n - b - 1))
     middle = poch(1 + a + b + c, n) / poch(1 + a + b, n)
     if c >= 0:
         branch = "c>=0"

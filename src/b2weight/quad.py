@@ -6,10 +6,11 @@ one-dimensional integrals
     int_0^1 v^alpha (1 - v)^beta * smooth(v) dv,      alpha, beta > -1,
 
 with algebraic endpoint singularities carried entirely by the explicit
-exponents.  The engine is Gauss-Jacobi with exactly those exponents and
-node-count doubling until two refinements agree; when the smooth factor keeps
-a weak endpoint kink that stalls the algebraic rule, a double-exponential
-rule on the full integrand takes over.  The radial half of the plane integral
+exponents.  Each rule has one engine.  Gauss-Jacobi carries exactly those
+exponents and doubles its node count until two refinements agree; it serves
+mode "h" of the pairings and ``singular_integral``, and raises ToleranceError
+when doubling stalls.  Mode "direct", the independent cross-check, integrates
+the raw matrix form with a tanh-sinh rule.  The radial half of the plane integral
 is folded in analytically (a factor 2^l l! in the pairing normalization), so
 no infinite-domain quadrature appears anywhere.
 
@@ -36,6 +37,9 @@ from .hyper import _EPS, _GAMMA_RELERR, gamma_fn, h_func
 from .weight import ParamPoint, _eval_L_bounded, d_consts
 
 _SECTOR = math.pi / 4
+# node counts of Gauss-Jacobi doubling; tanh-sinh levels and node range
+_GJ_START, _GJ_MAX = 24, 3072
+_TS_LEVELS, _TS_T_MAX = 9, 6.2
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,9 @@ class QuadResult:
     (from their certified tail bounds) and the rounding of forming and
     summing the terms: mode "h" for the h-values at the Gauss-Jacobi nodes,
     mode "direct" for the entries of L at the tanh-sinh nodes.
-    ``tanh_sinh`` and the tanh-sinh fallback of mode "h" report the
-    refinement difference and the rounding of the sum, ``singular_integral``
-    the refinement difference alone; the actual error can exceed those by a
-    small factor.
+    ``tanh_sinh`` alone adds the integrand's own bounds and the rounding of
+    the sum, ``singular_integral`` reports the refinement difference alone;
+    the actual error can exceed those by a small factor.
     """
 
     value: float
@@ -102,41 +105,28 @@ def _gauss_jacobi_01(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.
 
 
 def tanh_sinh(
-    f: Callable[[float, float, float], float],
-    tol: float = 1e-10,
-    max_level: int = 9,
-    t_max: float = 6.2,
+    f: Callable[[float, float, float], tuple[float, float]], tol: float = 1e-10
 ) -> QuadResult:
     """Double-exponential rule on (0, 1) for endpoint-singular integrands.
 
     The integrand is called as f(v, v, 1 - v) with the distances to both
     endpoints supplied exactly, so algebraic endpoint factors can be formed
-    from them without catastrophic cancellation.
+    from them without catastrophic cancellation.  It returns its value and a
+    bound on the error of that value (0.0 for a value exact up to rounding).
 
-    Level L has step 2^-L and floor(t_max 2^L) nodes on each side; its
-    even-indexed nodes are exactly the nodes of level L - 1, so each level
-    adds only its odd-indexed nodes to the running sum.  ``nodes`` counts the
-    integrand evaluations over all levels.  ``error_estimate`` is the
-    difference of the last two levels plus the rounding of the sum.
+    Level L has step 2^-L and floor(6.2 * 2^L) nodes on each side, for L up
+    to 9; its even-indexed nodes are exactly the nodes of level L - 1, so
+    each level adds only its odd-indexed nodes to the running sum.  ``nodes``
+    counts the integrand evaluations over all levels.  ``error_estimate`` is
+    the difference of the last two levels, plus the integrand's bounds
+    integrated by the same rule, plus the rounding of the sum.
     """
-    return _tanh_sinh(lambda v, d0, d1: (f(v, d0, d1), 0.0), tol, max_level, t_max)
-
-
-def _tanh_sinh(
-    f: Callable[[float, float, float], tuple[float, float]],
-    tol: float = 1e-10,
-    max_level: int = 9,
-    t_max: float = 6.2,
-) -> QuadResult:
-    """``tanh_sinh`` for an integrand that returns its value and a bound on
-    the value's error; the bounds are integrated by the same rule and added
-    to the error estimate."""
     previous = None
     total = total_bound = total_abs = 0.0
     nodes = 0
-    for level in range(max_level + 1):
+    for level in range(_TS_LEVELS + 1):
         h = 1.0 / 2**level
-        count = int(math.floor(t_max / h))
+        count = int(math.floor(_TS_T_MAX / h))
         # level 0 takes every node, later levels the odd-indexed ones
         step = 1 if level == 0 else 2
         first = -count if level == 0 or count % 2 else 1 - count
@@ -170,29 +160,19 @@ def _tanh_sinh(
 
 
 def _gauss_jacobi_doubling(
-    level: Callable[[int], tuple[np.ndarray, np.ndarray, float]],
-    alpha: float,
-    beta: float,
-    smooth_at: Callable[[float, float], float],
-    tol: float,
-    n_start: int = 24,
-    n_max: int = 3072,
+    level: Callable[[int], tuple[np.ndarray, np.ndarray, float]], tol: float
 ) -> QuadResult:
-    """int_0^1 v^alpha (1-v)^beta smooth(v) dv by node doubling.
+    """A Gauss-Jacobi integral by node doubling from 24 to 3072 nodes.
 
-    ``level(n)`` returns the weights of the n-node Gauss-Jacobi rule for the
-    exponents, the smooth factor at its nodes, and an error term of those
-    values; the term of the accepted level is added to the refinement
-    difference.  When doubling
-    stalls, the double-exponential rule integrates v^alpha (1-v)^beta
-    smooth_at(v, 1 - v) instead.
+    ``level(n)`` returns the weights of the n-node rule, the smooth factor at
+    its nodes, and an error term of those values; the term of the accepted
+    level is added to the refinement difference.  Raises ToleranceError when
+    no two successive levels agree to ``tol``.
     """
-    if alpha <= -1.0 or beta <= -1.0:
-        raise RegionError(f"endpoint exponents must exceed -1, got ({alpha}, {beta})")
     previous = None
     total_nodes = 0
-    n = n_start
-    while n <= n_max:
+    n = _GJ_START
+    while n <= _GJ_MAX:
         w, values, value_err = level(n)
         value = float(np.dot(w, values))
         total_nodes += n
@@ -202,13 +182,7 @@ def _gauss_jacobi_doubling(
                 return QuadResult(value, err + value_err, total_nodes)
         previous = value
         n *= 2
-
-    def full(_v: float, dist0: float, dist1: float) -> float:
-        weight = math.exp(alpha * math.log(dist0) + beta * math.log(dist1))
-        return weight * smooth_at(dist0, dist1)
-
-    de = tanh_sinh(full, tol=tol)
-    return QuadResult(de.value, de.error_estimate, total_nodes + de.nodes)
+    raise ToleranceError(f"Gauss-Jacobi doubling did not reach tol={tol} by {_GJ_MAX} nodes")
 
 
 def singular_integral(
@@ -216,24 +190,22 @@ def singular_integral(
     beta: float,
     smooth: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-10,
-    n_start: int = 24,
-    n_max: int = 3072,
 ) -> QuadResult:
-    """int_0^1 v^alpha (1-v)^beta smooth(v) dv with certified-by-agreement error.
+    """int_0^1 v^alpha (1-v)^beta smooth(v) dv by Gauss-Jacobi node doubling.
 
     ``smooth`` must accept a numpy array of nodes in (0, 1).  Exponents must
-    exceed -1.  Falls back to the double-exponential rule when node doubling
-    stalls (this happens when ``smooth`` itself has a weak endpoint kink).
+    exceed -1.  Declare every algebraic endpoint power in alpha and beta,
+    where the rule carries it exactly: a smooth factor with an endpoint kink,
+    such as (1 - v)^0.5, stalls the doubling, which raises ToleranceError.
     """
+    if alpha <= -1.0 or beta <= -1.0:
+        raise RegionError(f"endpoint exponents must exceed -1, got ({alpha}, {beta})")
 
     def level(n: int):
         v, w = _gauss_jacobi_01(n, alpha, beta)
         return w, np.asarray(smooth(v), dtype=float), 0.0
 
-    def smooth_at(v: float, _one_minus_v: float) -> float:
-        return float(smooth(np.array([v]))[0])
-
-    return _gauss_jacobi_doubling(level, alpha, beta, smooth_at, tol, n_start, n_max)
+    return _gauss_jacobi_doubling(level, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +291,7 @@ def _h_integral(
         rounding = (size + 3 * e + 8) * _EPS * float(np.dot(weighted, np.abs(hprod)))
         return w, explicit * hprod, propagated + rounding
 
-    def smooth_at(v: float, one_minus_v: float) -> float:
-        hprod = h_func(i, v, k0, k1, htol, one_minus_v).value
-        hprod *= h_func(j, v, k0, k1, htol, one_minus_v).value
-        return (one_minus_v / (1.0 + v)) ** e / (1.0 + v) ** 2 * hprod
-
-    return _gauss_jacobi_doubling(level, a, b0, smooth_at, tol)
+    return _gauss_jacobi_doubling(level, tol)
 
 
 def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
@@ -391,7 +358,7 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
         scale = phi**phi_power
         return scale * value, abs(scale) * bound
 
-    de = _tanh_sinh(integrand, tol=tol)
+    de = tanh_sinh(integrand, tol=tol)
     value = 8.0 * _SECTOR * de.value
     return QuadResult(value, 8.0 * _SECTOR * de.error_estimate + 2.0 * _EPS * abs(value), de.nodes)
 

@@ -51,6 +51,23 @@ def test_verify_quad_fails_outside_region(capsys):
     assert payload["overall_pass"] is False
 
 
+def test_verify_quad_reports_a_pairing_error_in_its_row(capsys):
+    # the p14 pairing needs 2F1 near z = 1 with c - a - b = 2e-4 there
+    code, out, _ = run_cli(
+        capsys, "verify", "quad", "--k0", "4999/10000", "--k1", "0", "--nmax", "0"
+    )
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks.pop("quad/pairing_vs_closed/p14/n00")["got"].startswith("error: ")
+    assert sorted(checks) == [
+        "quad/det_weight/theta0.2",
+        "quad/det_weight/theta0.5",
+        "quad/det_weight/theta0.7",
+        "quad/pairing_vs_closed/p12/n00",
+    ]
+    assert all(c["pass"] is True for c in checks.values())
+
+
 def test_verify_asym_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "asym", "--k0", "0.2", "--k1", "0.1")
     assert code == 0
@@ -127,6 +144,33 @@ def test_table_json_format(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["alpha"] == "1"
+
+
+def test_table_text_format(capsys):
+    code, out, _ = run_cli(capsys, "table", "--nmax", "1", "--format", "text")
+    assert code == 0
+    assert [line.rstrip() for line in out.splitlines()] == [
+        "n  alpha" + " " * 40 + "beta" + " " * 106 + "s_p12" + " " * 86 + "s_p14",
+        "0  1" + " " * 44 + "-1/2 + k0 - k1"
+        + " " * 96 + "1 + 2*k0 + 2*k1" + " " * 76 + "-1/2 - 2*k1 + 2*k0^2 - 2*k1^2",
+        "1  1/2 - 2/3*k0 + 2/3*k1 - 2/3*k0^2 + 2/3*k1^2  -3/8 + 3/4*k0 - 11/12*k1"
+        " + 1/6*k0^2 + 1/3*k0*k1 - 1/2*k1^2 - 1/3*k0^3 + 1/3*k0^2*k1 + 1/3*k0*k1^2"
+        " - 1/3*k1^3  1/2 + 1/3*k0 + 5/3*k1 - 2*k0^2 + 2*k1^2 - 4/3*k0^3"
+        " - 4/3*k0^2*k1 + 4/3*k0*k1^2 + 4/3*k1^3  -3/8 - 5/3*k1 + 5/3*k0^2"
+        " - 7/3*k1^2 + 4/3*k0^2*k1 - 4/3*k1^3 - 2/3*k0^4 + 4/3*k0^2*k1^2 - 2/3*k1^4",
+    ]
+
+
+def test_options_a_command_does_not_read_are_usage_errors():
+    for argv in (
+        ["eval-k", "--theta", "0.5", "--format", "csv"],
+        ["eval-k", "--theta", "0.5", "--nmax", "7"],
+        ["eval-k", "--theta", "0.5", "--tol", "3"],
+        ["table", "--tol", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_eval_k_payload(capsys):

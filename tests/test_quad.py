@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from b2weight.errors import RegionError
+from b2weight.errors import RegionError, ToleranceError
 from b2weight.hyper import gamma_fn, s_inner_closed
 from b2weight.quad import (
     QuadResult,
@@ -56,10 +56,19 @@ def test_singular_integral_rejects_bad_exponents():
         singular_integral(0.0, -1.5, const_one)
 
 
+def test_singular_integral_needs_declared_endpoint_powers():
+    # an endpoint kink left in the smooth factor stalls the doubling
+    with pytest.raises(ToleranceError):
+        singular_integral(0.0, 0.0, lambda v: (1 - v) ** 0.5, tol=1e-12)
+    # declared as an exponent, the rule carries it exactly
+    res = singular_integral(0.0, 0.5, const_one, tol=1e-12)
+    assert abs(res.value - 2.0 / 3.0) <= 1e-12
+
+
 def test_tanh_sinh_handles_endpoint_singularities():
     # int_0^1 v^(-1/2) (1-v)^(-1/2) dv = pi via the distance arguments
     def f(_v, d0, d1):
-        return 1.0 / math.sqrt(d0 * d1)
+        return 1.0 / math.sqrt(d0 * d1), 0.0
 
     res = tanh_sinh(f, tol=1e-12)
     assert abs(res.value - math.pi) <= 1e-11
