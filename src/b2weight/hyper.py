@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateParameterError, RegionError, ToleranceError
-from .ring import K0, K1, ParamPoly, _as_fraction, poch, poch_table
+from .ring import K0, K1, ParamPoly, _as_fraction, poch
 
 HALF = Fraction(1, 2)
 Exact = Union[int, Fraction]
@@ -230,14 +230,7 @@ _H_PARAMS = {
 }
 
 
-def h_func(
-    i: int,
-    z: float,
-    k0: float,
-    k1: float,
-    tol: float = 1e-12,
-    z_complement: float | None = None,
-) -> HypResult:
+def h_func(i: int, z: float, k0: float, k1: float, tol: float = 1e-12) -> HypResult:
     """One of the four auxiliary series h_i(z); h_i(0) = 1.
 
     All four have c - a - b = 1 +/- 2*k0, so they converge absolutely on the
@@ -250,7 +243,7 @@ def h_func(
     if not abs(k0) < 0.5:
         raise RegionError(f"h_func requires |k0| < 1/2, got k0 = {k0}")
     a, b, c = _H_PARAMS[i](float(k0), float(k1))
-    return gauss_2f1(a, b, c, z, tol=tol, z_complement=z_complement)
+    return gauss_2f1(a, b, c, z, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +286,14 @@ def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
     alpha = [one_plus * 0 + 1]
     beta = [(-one_minus) / 2]
     for n in range(1, n_max + 1):
-        a_n = (-one_plus * beta[n - 1]) / (2 * n + 1) + (
-            ((2 * n - 1) - 2 * k0) * alpha[n - 1]
+        # one division per entry; the signs sit on the linear factors
+        a_n = (
+            ((2 * n - 1) - 2 * k0) * alpha[n - 1] + (-one_plus) * beta[n - 1]
         ) / (2 * n + 1)
         alpha.append(a_n)
-        b_n = (-one_minus * a_n) / (2 * (n + 1)) + (
-            n * ((2 * n + 1) + 2 * k0) * beta[n - 1]
-        ) / ((n + 1) * (2 * n + 1))
+        b_n = (
+            (2 * n * ((2 * n + 1) + 2 * k0)) * beta[n - 1] + (-(2 * n + 1) * one_minus) * a_n
+        ) / (2 * (n + 1) * (2 * n + 1))
         beta.append(b_n)
     return AlphaBetaSeq(n_max, tuple(alpha), tuple(beta))
 
@@ -311,19 +305,26 @@ def _closed_sum(n: int, e: int, b: Fraction, m: int, k0, k1):
         * (-k1)_j (b+k0+k1)_{m-j} (1/2+k1-k0)_{n+e-j},
 
     with (b, m) = (3/2, n) for alpha, beta and (1/2, n+1) for the pairings,
-    e = 0 for alpha, p12 and e = 1 for beta, p14.
+    e = 0 for alpha, p12 and e = 1 for beta, p14.  It is evaluated in nested
+    form: with F = b+k0+k1, S = 1/2+k1-k0, the integer r_j = (-n)_j (-n-e)_j / j!
+    and the quadratic q_j = (F + m-j-1)(S + n+e-j-1) (F*S is computed once),
+
+        P_0 = 1,  P_{j+1} = P_j q_j + r_{j+1} (-k1)_{j+1},  sum = P_n (F)_{m-n} (S)_e.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     k0, k1 = _exact_param(k0), _exact_param(k1)
-    lower = poch_table(-k1, n)
-    first = poch_table(b + k0 + k1, m)
-    second = poch_table(HALF + k1 - k0, n + e)
-    total = 0
-    rational = Fraction(1)  # (-n)_j (-n-e)_j / j!
-    for j in range(n + 1):
-        total = total + lower[j] * first[m - j] * second[n + e - j] * rational
-        rational = rational * (j - n) * (j - n - e) / (j + 1)
+    first, second = b + k0 + k1, HALF + k1 - k0
+    product = first * second
+    total = lower = first * 0 + 1  # P_j and (-k1)_j
+    rational = 1  # r_j
+    for j in range(n):
+        p, s = m - j - 1, n + e - j - 1
+        lower = lower * (j - k1)
+        rational = rational * (j - n) * (j - n - e) // (j + 1)
+        step = product + s * first + p * second + p * s
+        total = total * step + rational * lower
+    total = total * poch(first, m - n) * poch(second, e)
     return total * (Fraction((-1) ** e, math.factorial(n + e)) / poch(b, m))
 
 

@@ -228,20 +228,15 @@ def shifted_sum(parts: Iterable[tuple[int, Monomial, ParamPoly]]) -> ParamPoly:
     return _make({mono: c for mono, c in out.items() if c}, den)
 
 
-def poch_table(a, n: int) -> list:
-    """[(a)_0, (a)_1, ..., (a)_n] as prefix products, in the arithmetic of a
-    (ParamPoly, Fraction or float)."""
+def poch(a, n: int):
+    """Rising product a(a+1)...(a+n-1) in the arithmetic of a (ParamPoly,
+    Fraction or float); poch(a, 0) = 1."""
     if n < 0:
         raise ValueError("poch requires a non-negative integer length")
-    table = [a * 0 + 1]
+    result = a * 0 + 1
     for i in range(n):
-        table.append(table[-1] * (a + i))
-    return table
-
-
-def poch(a, n: int):
-    """Rising product a(a+1)...(a+n-1) in the arithmetic of a; poch(a, 0) = 1."""
-    return poch_table(a, n)[-1]
+        result = result * (a + i)
+    return result
 
 
 def poly_eval(p: ParamPoly, k0: Scalar, k1: Scalar) -> Fraction:

@@ -264,6 +264,70 @@ def test_s_inner_closed_consistent_with_sequences():
         assert s_inner_closed(n, "p14") == beta_closed(n) * ONE_PLUS
 
 
+def _closed_sum_by_terms(n, e, b, m, k0, k1):
+    """The single sum of ``hyper._closed_sum`` added term by term, as its
+    docstring states it: (-1)^e / ((n+e)! (b)_m) * sum_j (-n)_j (-n-e)_j / j!
+    * (-k1)_j (b+k0+k1)_{m-j} (1/2+k1-k0)_{n+e-j}."""
+    half = Fraction(1, 2)
+    total = 0
+    for j in range(n + 1):
+        # (-n)_j (-n-e)_j / j! = (-1)^j C(n, j) * (-1)^j (n+e)! / (n+e-j)!
+        rational = math.comb(n, j) * math.perm(n + e, j)
+        total = total + rational * (
+            poch(-k1, j) * poch(b + k0 + k1, m - j) * poch(half + k1 - k0, n + e - j)
+        )
+    return total * Fraction((-1) ** e, math.factorial(n + e)) / poch(b, m)
+
+
+def _closed_forms_by_terms(n, k0=K0, k1=K1):
+    """(alpha_n, beta_n, p12, p14) from the term-by-term reference."""
+    three_halves, half = Fraction(3, 2), Fraction(1, 2)
+    return (
+        _closed_sum_by_terms(n, 0, three_halves, n, k0, k1),
+        _closed_sum_by_terms(n, 1, three_halves, n, k0, k1),
+        _closed_sum_by_terms(n, 0, half, n + 1, k0, k1),
+        _closed_sum_by_terms(n, 1, half, n + 1, k0, k1),
+    )
+
+
+def _closed_forms(n, *point):
+    return (
+        alpha_closed(n, *point),
+        beta_closed(n, *point),
+        s_inner_closed(n, "p12", *point),
+        s_inner_closed(n, "p14", *point),
+    )
+
+
+def test_closed_forms_match_term_by_term_sum_symbolically():
+    for n in range(9):
+        assert _closed_forms(n) == _closed_forms_by_terms(n), f"n={n}"
+
+
+REFERENCE_POINTS = [
+    (Fraction(0), Fraction(3, 7)),
+    (Fraction(-2, 5), Fraction(0)),
+    (Fraction(1), Fraction(-1)),
+    (Fraction(-3, 11), Fraction(-5, 4)),
+    (Fraction(-9, 20), Fraction(0)),
+    (Fraction(0), Fraction(0)),
+]
+
+
+def test_closed_forms_match_term_by_term_sum_at_points():
+    for k0, k1 in REFERENCE_POINTS:
+        for n in range(31):
+            got = _closed_forms(n, k0, k1)
+            assert all(isinstance(v, Fraction) for v in got)
+            assert got == _closed_forms_by_terms(n, k0, k1), f"n={n} at ({k0}, {k1})"
+
+
+def test_recurrence_matches_closed_forms_at_n30():
+    seq = alpha_beta_recurrence(30)
+    assert seq.alpha[30] == alpha_closed(30)
+    assert seq.beta[30] == beta_closed(30)
+
+
 POINTS = [
     (Fraction(-7, 20), Fraction(2, 25)),
     (Fraction(3, 10), Fraction(-1, 10)),
@@ -277,22 +341,13 @@ POINTS = [
 def test_point_values_equal_substituted_symbolic_values():
     n_max = 12
     seq = alpha_beta_recurrence(n_max)
-    symbolic = [
-        (alpha_closed(n), beta_closed(n), s_inner_closed(n, "p12"), s_inner_closed(n, "p14"))
-        for n in range(n_max + 1)
-    ]
+    symbolic = [_closed_forms(n) for n in range(n_max + 1)]
     for k0, k1 in POINTS:
         at = alpha_beta_recurrence(n_max, k0, k1)
         for n in range(n_max + 1):
             assert at.alpha[n] == poly_eval(seq.alpha[n], k0, k1)
             assert at.beta[n] == poly_eval(seq.beta[n], k0, k1)
-            point = (
-                alpha_closed(n, k0, k1),
-                beta_closed(n, k0, k1),
-                s_inner_closed(n, "p12", k0, k1),
-                s_inner_closed(n, "p14", k0, k1),
-            )
-            for got, poly in zip(point, symbolic[n]):
+            for got, poly in zip(_closed_forms(n, k0, k1), symbolic[n]):
                 assert isinstance(got, Fraction)
                 assert got == poly_eval(poly, k0, k1), f"n={n} at ({k0}, {k1})"
 
