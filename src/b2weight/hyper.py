@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateParameterError, RegionError, ToleranceError
-from .ring import K0, K1, ParamPoly, _as_fraction, poch
+from .ring import K0, K1, ParamPoly, _as_fraction, _ratio, poch
 
 HALF = Fraction(1, 2)
 Exact = Union[int, Fraction]
@@ -298,6 +298,16 @@ def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
     return AlphaBetaSeq(n_max, tuple(alpha), tuple(beta))
 
 
+def _integral_scale(k0, k1):
+    """(D, D k0, D k1) for an even D that makes D k0, D k1 integral: D = 2 in
+    Q[k0, k1], D = 2 lcm(den k0, den k1) at a rational point (ints out)."""
+    if isinstance(k0, ParamPoly):
+        return 2, 2 * k0, 2 * k1
+    (p0, q0), (p1, q1) = _ratio(k0), _ratio(k1)
+    d = 2 * math.lcm(q0, q1)
+    return d, p0 * (d // q0), p1 * (d // q1)
+
+
 def _closed_sum(n: int, e: int, b: Fraction, m: int, k0, k1):
     """The single sum shared by the four closed forms:
 
@@ -306,26 +316,35 @@ def _closed_sum(n: int, e: int, b: Fraction, m: int, k0, k1):
 
     with (b, m) = (3/2, n) for alpha, beta and (1/2, n+1) for the pairings,
     e = 0 for alpha, p12 and e = 1 for beta, p14.  It is evaluated in nested
-    form: with F = b+k0+k1, S = 1/2+k1-k0, the integer r_j = (-n)_j (-n-e)_j / j!
-    and the quadratic q_j = (F + m-j-1)(S + n+e-j-1) (F*S is computed once),
+    form, P_0 = 1, P_{j+1} = P_j q_j + r_{j+1} (-k1)_{j+1}, sum = P_n (F)_{m-n} (S)_e,
+    with F = b+k0+k1, S = 1/2+k1-k0, the integer r_j = (-n)_j (-n-e)_j / j! and
+    q_j = (F + m-j-1)(S + n+e-j-1), and in integers: for the even D of
+    ``_integral_scale``, D F, D S, D^2 q_j (built from (D F)(D S), computed
+    once), U_j = D^{2j} (-k1)_j and every T_j = D^{2j} P_j in
 
-        P_0 = 1,  P_{j+1} = P_j q_j + r_{j+1} (-k1)_{j+1},  sum = P_n (F)_{m-n} (S)_e.
+        T_0 = 1,  T_{j+1} = T_j (D^2 q_j) + r_{j+1} U_{j+1}
+
+    are integral (ints at a point, integer coefficients for the symbolic K0,
+    K1); (F)_{m-n}, (S)_e, (b)_m, (n+e)! and the powers of D meet in one division.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    k0, k1 = _exact_param(k0), _exact_param(k1)
-    first, second = b + k0 + k1, HALF + k1 - k0
-    product = first * second
-    total = lower = first * 0 + 1  # P_j and (-k1)_j
+    d, a0, a1 = _integral_scale(k0, k1)
+    first, second = int(d * b) + a0 + a1, d // 2 + a1 - a0  # D F, D S
+    product, shift = first * second, d * a1  # (D F)(D S), D^2 k1
+    total = lower = first * 0 + 1  # T_j and U_j
     rational = 1  # r_j
     for j in range(n):
-        p, s = m - j - 1, n + e - j - 1
-        lower = lower * (j - k1)
+        p, s = d * (m - j - 1), d * (n + e - j - 1)
+        lower = lower * (d * d * j - shift)
         rational = rational * (j - n) * (j - n - e) // (j + 1)
         step = product + s * first + p * second + p * s
         total = total * step + rational * lower
-    total = total * poch(first, m - n) * poch(second, e)
-    return total * (Fraction((-1) ** e, math.factorial(n + e)) / poch(b, m))
+    for factor in [first + d * i for i in range(m - n)] + [second + d * i for i in range(e)]:
+        total = total * factor
+    twice_b = int(2 * b)  # 2^m (b)_m = twice_b (twice_b + 2) ... (twice_b + 2m - 2)
+    scale = math.factorial(n + e) * d ** (n + m + e) * math.prod(range(twice_b, twice_b + 2 * m, 2))
+    return total * Fraction((-1) ** e * 2**m, scale)
 
 
 def alpha_closed(n: int, k0=K0, k1=K1):

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import RegionError, ToleranceError
 from .hyper import _EPS, _GAMMA_RELERR, gamma_fn, h_func
@@ -78,6 +77,10 @@ def _gauss_jacobi_01(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.
     moment is formed through lgamma, so very large exponents (deep endpoint
     powers such as (1-v)^n with n in the hundreds) stay inside float range.
     """
+    # imported here: scipy.linalg is most of the time and memory of `import
+    # b2weight`, and the exact routes never build a Gauss-Jacobi rule
+    from scipy.linalg import eigh_tridiagonal
+
     a_exp = float(beta)   # exponent of (1-x) in the [-1, 1] convention
     b_exp = float(alpha)  # exponent of (1+x)
     s = a_exp + b_exp

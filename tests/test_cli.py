@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import b2weight
 from b2weight.cli import main, parse_rational
 
 
@@ -217,3 +221,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["overall_pass"] is True
+
+
+def test_exact_routes_leave_scipy_unimported():
+    """scipy.linalg is imported on the first Gauss-Jacobi rule, not before."""
+    script = (
+        "import sys, contextlib, io, b2weight\n"
+        "from b2weight import cli\n"
+        "b2weight.alpha_closed(3), b2weight.s_inner_closed(4, 'p14', 1, -1)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['table', '--nmax', '4', '--k0=-7/20', '--k1=2/25'])\n"
+        "print('scipy' in sys.modules)\n"
+        "b2weight.singular_integral(0.5, -0.5, lambda v: v)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(b2weight.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]

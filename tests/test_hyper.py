@@ -1,12 +1,13 @@
 """Hypergeometric layer: series with certified tails, exact sums, gamma."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from b2weight.errors import DegenerateParameterError, RegionError, ToleranceError
@@ -328,6 +329,11 @@ def test_recurrence_matches_closed_forms_at_n30():
     assert seq.beta[30] == beta_closed(30)
 
 
+@functools.cache
+def _symbolic_closed_forms(n_max):
+    return [_closed_forms(n) for n in range(n_max + 1)]
+
+
 POINTS = [
     (Fraction(-7, 20), Fraction(2, 25)),
     (Fraction(3, 10), Fraction(-1, 10)),
@@ -341,7 +347,7 @@ POINTS = [
 def test_point_values_equal_substituted_symbolic_values():
     n_max = 12
     seq = alpha_beta_recurrence(n_max)
-    symbolic = [_closed_forms(n) for n in range(n_max + 1)]
+    symbolic = _symbolic_closed_forms(n_max)
     for k0, k1 in POINTS:
         at = alpha_beta_recurrence(n_max, k0, k1)
         for n in range(n_max + 1):
@@ -350,6 +356,33 @@ def test_point_values_equal_substituted_symbolic_values():
             for got, poly in zip(_closed_forms(n, k0, k1), symbolic[n]):
                 assert isinstance(got, Fraction)
                 assert got == poly_eval(poly, k0, k1), f"n={n} at ({k0}, {k1})"
+
+
+_EXACT_PARAM = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=64))
+
+
+@st.composite
+def _closed_form_points(draw):
+    """(k0, k1) as ints or Fractions, some on S = 0 or F = 0 (b = 1/2 or 3/2)."""
+    k0 = draw(_EXACT_PARAM)
+    vanishing = st.sampled_from([k0 - Fraction(1, 2), -Fraction(1, 2) - k0, -Fraction(3, 2) - k0])
+    return k0, draw(st.one_of(_EXACT_PARAM, vanishing))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=_closed_form_points())
+@example(point=(Fraction(-7, 20), Fraction(2, 27)))  # coprime denominators
+@example(point=(Fraction(5, 9), Fraction(-11, 16)))
+@example(point=(1, -2))  # plain ints
+@example(point=(Fraction(1, 4), Fraction(-1, 4)))  # S = 0
+@example(point=(Fraction(-1, 3), Fraction(-1, 6)))  # F = 0 for the pairings
+@example(point=(Fraction(2, 5), Fraction(-19, 10)))  # F = 0 for alpha, beta
+def test_point_closed_forms_equal_substituted_symbolic_forms(point):
+    k0, k1 = point
+    for n, symbolic in enumerate(_symbolic_closed_forms(12)):
+        for got, poly in zip(_closed_forms(n, k0, k1), symbolic):
+            assert isinstance(got, Fraction)
+            assert got == poly_eval(poly, k0, k1), f"n={n} at ({k0}, {k1})"
 
 
 def test_point_values_take_exact_parameters_only():
