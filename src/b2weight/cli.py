@@ -17,6 +17,7 @@ configuration except for the ``elapsed_s`` field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -357,7 +358,9 @@ def cmd_eval_k(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="b2weight",
         description="Verification suites and evaluations for the sector matrix weight.",

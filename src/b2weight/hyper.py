@@ -16,6 +16,12 @@ m with limit 1, so the ratio of consecutive terms from index m on is at most
     r = z * max((a+m)/(1+m), 1) * max((b+m)/(c+m), 1),
 
 and if r < 1 the whole tail from t_m on is at most |t_m| / (1 - r).
+
+The float path works on arrays: ``_gauss_2f1_rows`` takes several parameter
+triples at a whole array of arguments and sums all their series in one
+``_sum_series`` call, which runs every row in the order of a
+one-term-at-a-time loop.  ``gauss_2f1`` and ``h_func`` call it with one
+argument.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 from .errors import DegenerateParameterError, RegionError, ToleranceError
 from .ring import K0, K1, ParamPoly, _as_fraction, _ratio, poch
@@ -77,36 +85,81 @@ def _recip_gamma(x: float) -> float:
 # the Gauss series
 # ---------------------------------------------------------------------------
 
+# ``_sum_series`` forms terms in blocks: the first of 32 indices, each later
+# one twice as wide, but no block array holds more than 65 536 floats (rows
+# times indices), which bounds the working set of a large batch.
+_FIRST_BLOCK = 32
+_BLOCK_FLOATS = 65_536
+
 
 def _sum_series(
-    a: float, b: float, c: float, z: float, tol: float, max_terms: int
-) -> HypResult:
-    """Forward summation of F(a, b; c; z) for 0 <= z < 1 with certified tail."""
-    if z == 0.0:
-        return HypResult(1.0, 0.0, 1)
-    m_pos = int(max(0.0, math.ceil(-a), math.ceil(-b), math.ceil(-c))) + 1
-    total = 0.0
-    abs_sum = 0.0
-    term = 1.0
-    m = 0
-    while m <= max_terms:
-        if term == 0.0:
-            # terminating series: truncation error is exactly zero
-            return HypResult(total, _EPS * abs_sum * max(m, 1), max(m, 1))
-        if m >= m_pos:
-            r = z * max((a + m) / (1.0 + m), 1.0) * max((b + m) / (c + m), 1.0)
-            if 0.0 <= r < 1.0:
-                tail = abs(term) / (1.0 - r)
-                if tail <= tol:
-                    return HypResult(total, tail + _EPS * abs_sum * m, m)
-        total += term
-        abs_sum += abs(term)
-        term *= (a + m) * (b + m) / ((c + m) * (1.0 + m)) * z
-        m += 1
-    raise ToleranceError(
-        f"2F1 series did not certify tol={tol} within {max_terms} terms "
-        f"(a={a}, b={b}, c={c}, z={z})"
-    )
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    z: np.ndarray,
+    tol: np.ndarray,
+    max_terms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward summation of F(a_k, b_k; c_k; z_k), 0 <= z_k < 1, for every row k.
+
+    Returns the arrays (value, tail_bound, terms_used).  Each row stops at the
+    first index m <= max_terms where its term is zero (a terminating series,
+    bounded by rounding alone) or where, from the first index past every
+    negative parameter on, the tail bound of the module docstring is at most
+    its tol; a row with no such index raises ToleranceError.  The terms, the
+    partial sums and the sums of absolute values are formed in blocks of
+    indices by ``multiply.accumulate`` and ``add.accumulate``, which run in
+    sequence, so every row rounds exactly as a one-term-at-a-time loop would.
+    """
+    rows = len(a)
+    value, bound = np.ones(rows), np.zeros(rows)
+    terms = np.ones(rows, dtype=np.int64)
+    # the first index past every negative parameter
+    m_pos = np.maximum(np.ceil(-np.minimum(np.minimum(a, b), c)), 0.0) + 1.0
+    live = np.flatnonzero(z != 0.0)  # F = 1 exactly at z = 0
+    # per live row: a, b, c, z, tol, max_terms, m_pos, and the running term,
+    # partial sum and sum of absolute values
+    carry = np.ones(rows), np.zeros(rows), np.zeros(rows)
+    state = np.array([a, b, c, z, tol, max_terms, m_pos, *carry])[:, live]
+    start, width = 0, _FIRST_BLOCK
+    with np.errstate(all="ignore"):  # rows past their stop may overflow
+        while live.size:
+            width = max(1, min(width, _BLOCK_FLOATS // live.size))
+            m = np.arange(start, start + width, dtype=float)
+            ra, rb, rc, rz, rtol, rmax, rpos, term, total, abs_sum = state[:, :, None]
+            am, bm, cm, m1 = ra + m, rb + m, rc + m, 1.0 + m
+            # column j holds index start + j, the last column the carry
+            ratio = am * bm / (cm * m1) * rz
+            seq = np.multiply.accumulate(np.concatenate((term, ratio), axis=1), axis=1)
+            now = seq[:, :-1]
+            sums = np.add.accumulate(np.concatenate((total, now), axis=1), axis=1)
+            abs_sums = np.add.accumulate(np.concatenate((abs_sum, np.abs(now)), axis=1), axis=1)
+            r = rz * np.maximum(am / m1, 1.0) * np.maximum(bm / cm, 1.0)
+            tail = np.abs(now) / (1.0 - r)
+            certified = (m >= rpos) & (0.0 <= r) & (r < 1.0) & (tail <= rtol)
+            stop = ((now == 0.0) | certified) & (m <= rmax)
+            first = stop.argmax(axis=1)
+            hit = np.flatnonzero(stop[np.arange(live.size), first])
+            j = first[hit]
+            rounding = _EPS * abs_sums[hit, j] * np.maximum(m[j], 1.0)
+            done = live[hit]
+            value[done] = sums[hit, j]
+            bound[done] = np.where(now[hit, j] == 0.0, rounding, tail[hit, j] + rounding)
+            terms[done] = np.maximum(start + j, 1)
+            going = np.ones(live.size, dtype=bool)
+            going[hit] = False
+            over = np.flatnonzero(going & (state[5] < start + width))
+            if over.size:
+                k = live[over[0]]
+                raise ToleranceError(
+                    f"2F1 series did not certify tol={tol[k]} within {int(max_terms[k])} terms "
+                    f"(a={a[k]}, b={b[k]}, c={c[k]}, z={z[k]})"
+                )
+            state[7:] = seq[:, -1], sums[:, -1], abs_sums[:, -1]
+            live, state = live[going], state[:, going]
+            start += width
+            width *= 2
+    return value, bound, terms
 
 
 def euler_transform(
@@ -136,6 +189,119 @@ def _connection_coeffs(a: float, b: float, c: float) -> tuple[float, float]:
     return coeff1, coeff2
 
 
+def _gauss_2f1_rows(
+    params: list[tuple[float, float, float]], z: np.ndarray, w: np.ndarray, tol: float
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """F(a, b; c; z) for every triple (a, b, c) of ``params`` at every z of an array.
+
+    ``w`` holds 1 - z, possibly to better accuracy than the subtraction; both
+    lie in [0, 1].  Returns one (value, tail_bound, terms_used) triple of
+    arrays per parameter triple.  The branches are those ``gauss_2f1``
+    documents, chosen per triple and argument, and the series of all of them
+    are summed in one ``_sum_series`` call.
+    """
+    # the better-conditioned representation of the argument wins
+    z_eff = np.where(w >= 0.5, z, 1.0 - w)
+    unit = w == 0.0
+    forward = ~unit & (z_eff <= 0.75)
+    near = ~unit & ~forward
+    groups = []  # (a, b, c, arguments, tol, max_terms) per group of series
+
+    def queue(a, b, c, x, row_tol, max_terms) -> int:
+        groups.append((a, b, c, x, row_tol, max_terms))
+        return len(groups) - 1
+
+    def plan(a: float, b: float, c: float):
+        """Queue the series of one triple; return what assembles its values."""
+        if _is_nonpositive_integer(c, tol=0.0):
+            raise RegionError(f"gauss_2f1 parameter c = {c} is a non-positive integer")
+        if (a <= 0 and a == round(a)) or (b <= 0 and b == round(b)):
+            terminating = queue(a, b, c, z_eff, tol, 10**6)
+            return lambda sums: sums[terminating]
+        d = c - a - b
+        if unit.any():
+            if d <= 0:
+                raise RegionError(
+                    f"2F1 diverges at z = 1 when c - a - b = {d} is not positive"
+                )
+            unit_value = gamma_fn(c) * gamma_fn(d) * _recip_gamma(c - a) * _recip_gamma(c - b)
+            unit_bound = 5.0 * _GAMMA_RELERR * abs(unit_value)
+            if unit_bound > tol * (1.0 + abs(unit_value)):
+                raise ToleranceError(
+                    f"tol={tol} unreachable for 2F1 at z=1 (best bound {unit_bound:.3e})"
+                )
+        forward_rows = queue(a, b, c, z_eff[forward], tol, 2_000)
+        # argument close to 1: a pair of series in w where that map is well
+        # conditioned, else, in a thin sliver where c - a - b is nearly an
+        # integer, capped forward summation after an Euler transform or without
+        connection = near.any() and abs(d - round(d)) >= 1e-5
+        if connection:
+            coeff1, coeff2 = _connection_coeffs(a, b, c)
+            near_rows = (
+                queue(a, b, 1.0 - d, w[near], 1e-16, 4_000),
+                queue(c - a, c - b, 1.0 + d, w[near], 1e-16, 4_000),
+            )
+        elif near.any() and d <= -0.5:
+            prefactor = np.array([euler_transform(a, b, c, x)[4] for x in z_eff[near].tolist()])
+            inner_tol = tol / np.maximum(prefactor, 1e-300)
+            near_rows = queue(c - a, c - b, c, z_eff[near], inner_tol, 500_000)
+        else:
+            prefactor = 1.0
+            near_rows = queue(a, b, c, z_eff[near], tol, 500_000)
+
+        def assemble(sums):
+            value, bound = np.empty(len(z)), np.empty(len(z))
+            terms = np.ones(len(z), dtype=np.int64)
+            if unit.any():
+                value[unit], bound[unit] = unit_value, unit_bound
+            value[forward], bound[forward], terms[forward] = sums[forward_rows]
+            if not connection:
+                inner, inner_bound, terms[near] = sums[near_rows]
+                value[near], bound[near] = prefactor * inner, prefactor * inner_bound
+                return value, bound, terms
+            (s1, t1, n1), (s2, t2, n2) = (sums[k] for k in near_rows)
+            wd = np.array([math.exp(d * math.log(x)) if x > 0 else 0.0 for x in w[near].tolist()])
+            part1 = coeff1 * s1
+            part2 = coeff2 * wd * s2
+            near_value = part1 + part2
+            near_bound = (
+                abs(coeff1) * t1
+                + abs(coeff2) * wd * t2
+                + (np.abs(part1) + np.abs(part2)) * 8.0 * _GAMMA_RELERR
+            )
+            unreachable = np.flatnonzero(near_bound > tol * (1.0 + np.abs(near_value)))
+            if unreachable.size:
+                best = near_bound[unreachable[0]]
+                raise ToleranceError(
+                    f"tol={tol} unreachable for 2F1 near z=1 (best bound {best:.3e}; "
+                    f"c-a-b = {d} is close to an integer)" if abs(d - round(d)) < 1e-3
+                    else f"tol={tol} unreachable for 2F1 near z=1 (best bound {best:.3e})"
+                )
+            value[near], bound[near], terms[near] = near_value, near_bound, n1 + n2
+            return value, bound, terms
+
+        return assemble
+
+    assemblers = [plan(float(a), float(b), float(c)) for a, b, c in params]
+    sizes = [len(group[3]) for group in groups]
+    a, b, c, x, row_tol, max_terms = zip(*groups)
+    summed = _sum_series(
+        *(np.repeat(np.array(p, dtype=float), sizes) for p in (a, b, c)),
+        np.concatenate(x),
+        np.concatenate([np.full(size, t, dtype=float) for t, size in zip(row_tol, sizes)]),
+        np.repeat(np.array(max_terms, dtype=float), sizes),
+    )
+    edges = np.cumsum([0] + sizes)
+    sums = [tuple(x[lo:hi] for x in summed) for lo, hi in zip(edges[:-1], edges[1:])]
+    return [assemble(sums) for assemble in assemblers]
+
+
+def _at_one_point(a: float, b: float, c: float, z: float, w: float, tol: float) -> HypResult:
+    """``_gauss_2f1_rows`` for one triple at one argument."""
+    ((value, bound, terms),) = _gauss_2f1_rows([(a, b, c)], np.array([z]), np.array([w]), tol)
+    return HypResult(float(value[0]), float(bound[0]), int(terms[0]))
+
+
 def gauss_2f1(
     a: float,
     b: float,
@@ -161,65 +327,10 @@ def gauss_2f1(
     a, b, c, z = float(a), float(b), float(c), float(z)
     if not 0.0 <= z <= 1.0:
         raise RegionError(f"gauss_2f1 requires 0 <= z <= 1, got z = {z}")
-    if _is_nonpositive_integer(c, tol=0.0):
-        raise RegionError(f"gauss_2f1 parameter c = {c} is a non-positive integer")
-    w = z_complement if z_complement is not None else 1.0 - z
+    w = float(z_complement) if z_complement is not None else 1.0 - z
     if not 0.0 <= w <= 1.0:
         raise RegionError(f"z_complement must lie in [0, 1], got {w}")
-    # the better-conditioned representation of the argument wins
-    z_eff = z if w >= 0.5 else 1.0 - w
-    d = c - a - b
-
-    terminating = (a <= 0 and a == round(a)) or (b <= 0 and b == round(b))
-    if terminating:
-        return _sum_series(a, b, c, z_eff, tol=0.0 if z == 0 else tol, max_terms=10**6)
-
-    if w == 0.0:
-        if d <= 0:
-            raise RegionError(
-                f"2F1 diverges at z = 1 when c - a - b = {d} is not positive"
-            )
-        value = gamma_fn(c) * gamma_fn(d) * _recip_gamma(c - a) * _recip_gamma(c - b)
-        bound = 5.0 * _GAMMA_RELERR * abs(value)
-        if bound > tol * (1.0 + abs(value)):
-            raise ToleranceError(
-                f"tol={tol} unreachable for 2F1 at z=1 (best bound {bound:.3e})"
-            )
-        return HypResult(value, bound, 1)
-
-    if z_eff <= 0.75:
-        return _sum_series(a, b, c, z_eff, tol, max_terms=2_000)
-
-    # argument close to 1: map to a pair of series in w when well conditioned
-    if abs(d - round(d)) >= 1e-5:
-        coeff1, coeff2 = _connection_coeffs(a, b, c)
-        s1 = _sum_series(a, b, 1.0 - d, w, tol=1e-16, max_terms=4_000)
-        s2 = _sum_series(c - a, c - b, 1.0 + d, w, tol=1e-16, max_terms=4_000)
-        wd = math.exp(d * math.log(w)) if w > 0 else 0.0
-        part1 = coeff1 * s1.value
-        part2 = coeff2 * wd * s2.value
-        value = part1 + part2
-        bound = (
-            abs(coeff1) * s1.tail_bound
-            + abs(coeff2) * wd * s2.tail_bound
-            + (abs(part1) + abs(part2)) * 8.0 * _GAMMA_RELERR
-        )
-        if bound > tol * (1.0 + abs(value)):
-            raise ToleranceError(
-                f"tol={tol} unreachable for 2F1 near z=1 (best bound {bound:.3e}; "
-                f"c-a-b = {d} is close to an integer)" if abs(d - round(d)) < 1e-3
-                else f"tol={tol} unreachable for 2F1 near z=1 (best bound {bound:.3e})"
-            )
-        return HypResult(value, bound, s1.terms_used + s2.terms_used)
-
-    # ill-conditioned sliver: fall back to (possibly transformed) summation
-    if d <= -0.5:
-        a2, b2, c2, _, prefactor = euler_transform(a, b, c, z_eff)
-        inner = _sum_series(a2, b2, c2, z_eff, tol / max(prefactor, 1e-300), 500_000)
-        return HypResult(
-            prefactor * inner.value, prefactor * inner.tail_bound, inner.terms_used
-        )
-    return _sum_series(a, b, c, z_eff, tol, max_terms=500_000)
+    return _at_one_point(a, b, c, z, w, tol)
 
 
 _H_PARAMS = {
@@ -242,8 +353,8 @@ def h_func(i: int, z: float, k0: float, k1: float, tol: float = 1e-12) -> HypRes
         raise RegionError(f"h_func requires 0 <= z <= 1, got {z}")
     if not abs(k0) < 0.5:
         raise RegionError(f"h_func requires |k0| < 1/2, got k0 = {k0}")
-    a, b, c = _H_PARAMS[i](float(k0), float(k1))
-    return gauss_2f1(a, b, c, z, tol=tol)
+    z = float(z)
+    return _at_one_point(*_H_PARAMS[i](float(k0), float(k1)), z, 1.0 - z, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +375,6 @@ class AlphaBetaSeq:
     beta: tuple
 
 
-def _exact_param(value):
-    """A parameter kept exact: ParamPoly as is, int or Fraction as Fraction."""
-    return value if isinstance(value, ParamPoly) else _as_fraction(value)
-
-
 def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
     """Run the two-term recurrence for the sequences alpha_n, beta_n.
 
@@ -280,7 +386,8 @@ def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    k0, k1 = _exact_param(k0), _exact_param(k1)
+    # kept exact: ParamPoly as is, int or Fraction as Fraction
+    k0, k1 = (k if isinstance(k, ParamPoly) else _as_fraction(k) for k in (k0, k1))
     one_plus = 1 + 2 * k1 + 2 * k0
     one_minus = 1 + 2 * k1 - 2 * k0
     alpha = [one_plus * 0 + 1]
@@ -299,11 +406,10 @@ def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
 
 
 def _integral_scale(k0, k1):
-    """(D, D k0, D k1) for an even D that makes D k0, D k1 integral: D = 2 in
-    Q[k0, k1], D = 2 lcm(den k0, den k1) at a rational point (ints out)."""
-    if isinstance(k0, ParamPoly):
-        return 2, 2 * k0, 2 * k1
-    (p0, q0), (p1, q1) = _ratio(k0), _ratio(k1)
+    """(D, D k0, D k1) for an even D that makes D k0, D k1 integral:
+    D = 2 lcm(den k0, den k1), a symbolic K0 or K1 counting as itself over 1
+    (D = 2 in Q[k0, k1]); a rational parameter comes out as an int."""
+    (p0, q0), (p1, q1) = ((k, 1) if isinstance(k, ParamPoly) else _ratio(k) for k in (k0, k1))
     d = 2 * math.lcm(q0, q1)
     return d, p0 * (d // q0), p1 * (d // q1)
 

@@ -18,8 +18,9 @@ The order n of a pairing enters only through an explicit factor
 (1 - v)^e (1 + v)^(-e-2); the rule's exponents a = +/-(k1 + 1/2) and b0 (-2 k0
 for p12, 0 for p14) do not depend on n.  So every n of both kinds at one point
 draws on four rule families, and a bounded memo keeps each rule with the
-products of h-values at its nodes: the series are summed once per node, not
-once per node and n.
+products of h-values at its nodes.  The series are summed per rule, all its
+nodes in one batch, not once per node and n; mode "direct" sums the series
+of L's entries per tanh-sinh batch (levels 0 to 3, then each later level).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RegionError, ToleranceError
-from .hyper import _EPS, _GAMMA_RELERR, gamma_fn, h_func
+from .hyper import _EPS, _GAMMA_RELERR, _H_PARAMS, _gauss_2f1_rows, gamma_fn
 from .weight import ParamPoint, _eval_L_bounded, d_consts
 
 _SECTOR = math.pi / 4
@@ -107,59 +108,87 @@ def _gauss_jacobi_01(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.
     return v, mu0 * vecs[0, :] ** 2
 
 
+def _tanh_sinh_nodes(level: int) -> np.ndarray:
+    """The nodes tanh-sinh level ``level`` adds, as rows (dist0, dist1, dv/dt).
+
+    Level 0 takes every node, later levels the odd-indexed ones; nodes whose
+    weight or distance to the nearer endpoint underflows are left out.
+    """
+    h = 1.0 / 2**level
+    count = int(math.floor(_TS_T_MAX / h))
+    step = 1 if level == 0 else 2
+    first = -count if level == 0 or count % 2 else 1 - count
+    rows = []
+    for j in range(first, count + 1, step):
+        t = j * h
+        two_phi = math.pi * math.sinh(t)
+        # overflow-safe sigmoid pieces: em = exp(-|2 phi|) in (0, 1]
+        em = math.exp(-abs(two_phi))
+        near = em / (1.0 + em)   # distance to the closer endpoint
+        far = 1.0 / (1.0 + em)
+        dist0, dist1 = (near, far) if two_phi >= 0 else (far, near)
+        sech_sq = 4.0 * em / (1.0 + em) ** 2  # 1 / cosh(phi)^2
+        dvdt = 0.25 * math.pi * math.cosh(t) * sech_sq
+        if dvdt != 0.0 and near != 0.0:
+            rows.append((dist0, dist1, dvdt))
+    return np.array(rows).reshape(-1, 3)
+
+
 def tanh_sinh(
-    f: Callable[[float, float, float], tuple[float, float]], tol: float = 1e-10
+    f: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    tol: float = 1e-10,
 ) -> QuadResult:
     """Double-exponential rule on (0, 1) for endpoint-singular integrands.
 
-    The integrand is called as f(v, v, 1 - v) with the distances to both
-    endpoints supplied exactly, so algebraic endpoint factors can be formed
-    from them without catastrophic cancellation.  It returns its value and a
-    bound on the error of that value (0.0 for a value exact up to rounding).
+    The integrand receives arrays of nodes, as ``singular_integral``'s
+    ``smooth`` does: it is called as f(v, v, 1 - v) with the distances to
+    both endpoints supplied exactly, so algebraic endpoint factors can be
+    formed from them without catastrophic cancellation.  It returns an array
+    of values and an array (or a scalar) of bounds on the error of each
+    value (0.0 for a value exact up to rounding).
 
     Level L has step 2^-L and floor(6.2 * 2^L) nodes on each side, for L up
     to 9; its even-indexed nodes are exactly the nodes of level L - 1, so
-    each level adds only its odd-indexed nodes to the running sum.  ``nodes``
-    counts the integrand evaluations over all levels.  ``error_estimate`` is
-    the difference of the last two levels, plus the integrand's bounds
-    integrated by the same rule, plus the rounding of the sum.
+    each level adds only its odd-indexed nodes to the running sum.  The rule
+    cannot stop before level 3, so f is called once for the nodes of levels
+    0 to 3 and once for each later level.  ``nodes`` counts the integrand
+    evaluations over all levels.  ``error_estimate`` is the difference of the
+    last two levels, plus the integrand's bounds integrated by the same rule,
+    plus the rounding of the sum.
     """
     previous = None
     total = total_bound = total_abs = 0.0
     nodes = 0
-    for level in range(_TS_LEVELS + 1):
-        h = 1.0 / 2**level
-        count = int(math.floor(_TS_T_MAX / h))
-        # level 0 takes every node, later levels the odd-indexed ones
-        step = 1 if level == 0 else 2
-        first = -count if level == 0 or count % 2 else 1 - count
-        for j in range(first, count + 1, step):
-            t = j * h
-            two_phi = math.pi * math.sinh(t)
-            # overflow-safe sigmoid pieces: em = exp(-|2 phi|) in (0, 1]
-            em = math.exp(-abs(two_phi))
-            near = em / (1.0 + em)   # distance to the closer endpoint
-            far = 1.0 / (1.0 + em)
-            dist0, dist1 = (near, far) if two_phi >= 0 else (far, near)
-            sech_sq = 4.0 * em / (1.0 + em) ** 2  # 1 / cosh(phi)^2
-            dvdt = 0.25 * math.pi * math.cosh(t) * sech_sq
-            if dvdt == 0.0 or near == 0.0:
-                continue
-            value, bound = f(dist0, dist0, dist1)
-            term = value * dvdt
-            total += term
-            total_abs += abs(term)
-            total_bound += bound * dvdt
-            nodes += 1
-        value = total * h
-        if previous is not None:
-            err = abs(value - previous)
-            if err <= tol * (1.0 + abs(value)) and level >= 3:
-                # the sum of `nodes` terms rounds at most once per term
-                rounding = (nodes + 2) * _EPS * total_abs * h
-                return QuadResult(value, err + total_bound * h + rounding, nodes)
-        previous = value
+    for levels in [range(4)] + [[level] for level in range(4, _TS_LEVELS + 1)]:
+        added = [_tanh_sinh_nodes(level) for level in levels]
+        dist0, dist1, dvdt = np.concatenate(added).T
+        values, bounds = f(dist0, dist0, dist1)
+        terms = values * dvdt
+        bound_terms = np.broadcast_to(bounds * dvdt, terms.shape)
+        edge = 0
+        for level, rows in zip(levels, added):
+            h = 1.0 / 2**level
+            part = slice(edge, edge + len(rows))
+            edge = part.stop
+            # running sums in node order, as one term at a time
+            total = _running_sum(total, terms[part])
+            total_abs = _running_sum(total_abs, np.abs(terms[part]))
+            total_bound = _running_sum(total_bound, bound_terms[part])
+            nodes += len(rows)
+            value = total * h
+            if previous is not None:
+                err = abs(value - previous)
+                if err <= tol * (1.0 + abs(value)) and level >= 3:
+                    # the sum of `nodes` terms rounds at most once per term
+                    rounding = (nodes + 2) * _EPS * total_abs * h
+                    return QuadResult(value, err + total_bound * h + rounding, nodes)
+            previous = value
     raise ToleranceError(f"double-exponential rule did not reach tol={tol}")
+
+
+def _running_sum(start: float, terms: np.ndarray) -> float:
+    """start + terms[0] + terms[1] + ..., added in order."""
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
 def _gauss_jacobi_doubling(
@@ -261,10 +290,9 @@ def _h_rule(
     built from the certified tail bounds of the two series.
     """
     v, w = _gauss_jacobi_01(size, a, b0)
-    hi = [h_func(i, float(z), k0, k1, tol=htol) for z in v]
-    hj = hi if j == i else [h_func(j, float(z), k0, k1, tol=htol) for z in v]
-    vi, ti = np.array([r.value for r in hi]), np.array([r.tail_bound for r in hi])
-    vj, tj = np.array([r.value for r in hj]), np.array([r.tail_bound for r in hj])
+    indices = (i,) if j == i else (i, j)
+    series = _gauss_2f1_rows([_H_PARAMS[k](k0, k1) for k in indices], v, 1.0 - v, htol)
+    (vi, ti, _), (vj, tj, _) = series[0], series[-1]
     arrays = (v, w, vi * vj, np.abs(vi) * tj + np.abs(vj) * ti + ti * tj)
     for array in arrays:
         array.flags.writeable = False
@@ -332,34 +360,42 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
     # and its power and the final products a few times more
     rho = 4.0 * _GAMMA_RELERR + (3 * phi_power + 8) * _EPS
 
-    def integrand(frac: float, dist0: float, dist1: float) -> tuple[float, float]:
+    def integrand(
+        frac: np.ndarray, dist0: np.ndarray, dist1: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         theta = _SECTOR * frac
         delta = _SECTOR * dist1
-        if theta == 0.0 or delta == 0.0:
-            return 0.0, 0.0
-        # slope and its complement without cancellation at either edge
-        if dist1 < 0.5:
-            td = math.tan(delta)
-            u = (1.0 - td) / (1.0 + td)
-        else:
-            u = math.tan(theta)
-        complement = math.sin(2.0 * delta) / math.cos(theta) ** 2
-        ell, ell_err = _eval_L_bounded(u, p, 1e-11, complement)
-        sin_t, cos_t = math.sin(theta), math.cos(theta)
+        value, bound = np.zeros(len(frac)), np.zeros(len(frac))
+        inside = np.flatnonzero((theta != 0.0) & (delta != 0.0))
+        # per node with math: the slope and its complement without
+        # cancellation at either edge, sin and cos of theta, and the power of
+        # phi = sin(2 delta), which equals cos(2 theta)
+        trig = []
+        nodes = zip(theta[inside].tolist(), delta[inside].tolist(), dist1[inside].tolist())
+        for t, dl, far in nodes:
+            if far < 0.5:
+                td = math.tan(dl)
+                u = (1.0 - td) / (1.0 + td)
+            else:
+                u = math.tan(t)
+            phi = math.sin(2.0 * dl)
+            trig.append((u, phi / math.cos(t) ** 2, math.sin(t), math.cos(t), phi**phi_power))
+        u, complement, sin_t, cos_t, scale = np.array(trig).reshape(-1, 5).T
+        ell, ell_err = _eval_L_bounded(u, complement, p, 1e-11)
         # left^T L^T diag(d) L right = sum_r d_r y_r z_r with y = L left,
         # z = L right, left = (-sin, +-cos) and right = (-sin, cos)
-        value = bound = 0.0
-        for (l0, l1), (e0, e1), d in zip(ell.tolist(), ell_err, (d1, d2)):
+        total = total_bound = 0.0
+        for (l0, l1), (e0, e1), d in zip(ell, ell_err, (d1, d2)):
             y = -l0 * sin_t + left_sign * l1 * cos_t
             z = -l0 * sin_t + l1 * cos_t
             # error of y and of z: the entries' bounds, and three roundings
             # of each product and of the sum
-            dev = (e0 + 3.0 * _EPS * abs(l0)) * sin_t + (e1 + 3.0 * _EPS * abs(l1)) * cos_t
-            value += d * y * z
-            bound += abs(d) * (dev * (abs(y) + abs(z) + dev) + rho * abs(y * z))
-        phi = math.sin(2.0 * delta)  # equals cos(2 theta)
-        scale = phi**phi_power
-        return scale * value, abs(scale) * bound
+            dev = (e0 + 3.0 * _EPS * np.abs(l0)) * sin_t + (e1 + 3.0 * _EPS * np.abs(l1)) * cos_t
+            total = total + d * y * z
+            spread = dev * (np.abs(y) + np.abs(z) + dev) + rho * np.abs(y * z)
+            total_bound = total_bound + abs(d) * spread
+        value[inside], bound[inside] = scale * total, np.abs(scale) * total_bound
+        return value, bound
 
     de = tanh_sinh(integrand, tol=tol)
     value = 8.0 * _SECTOR * de.value

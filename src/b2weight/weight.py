@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegionError
-from .hyper import _EPS, gamma_fn, gauss_2f1, h_func
+from .hyper import _EPS, _gauss_2f1_rows, gamma_fn, h_func
 
 _HALF_SECTOR = math.pi / 4
 
@@ -93,61 +93,60 @@ def eval_L(
     ``u_sq_complement`` may pass 1 - u^2 computed to better accuracy than the
     subtraction (useful when u is extremely close to 1).
     """
-    return _eval_L_bounded(u, p, tol, u_sq_complement)[0]
+    if u_sq_complement is None:
+        if not 0.0 < u < 1.0:
+            raise RegionError(f"eval_L requires 0 < u < 1, got u = {u}")
+        u_sq_complement = 1.0 - u * u
+    ell, _ = _eval_L_bounded(np.array([float(u)]), np.array([float(u_sq_complement)]), p, tol)
+    return ell[:, :, 0].copy()
 
 
 def _eval_L_bounded(
-    u: float, p: ParamPoint, tol: float, u_sq_complement: float | None
-) -> tuple[np.ndarray, list[list[float]]]:
-    """``eval_L`` with a bound on the error of each entry.
+    u: np.ndarray, w: np.ndarray, p: ParamPoint, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_L`` at every slope of an array, with a bound on the error of each entry.
+
+    ``w`` holds 1 - u^2 and is authoritative: u itself may have rounded to 1.0
+    when the slope is within machine epsilon of the sector edge.  Returns the
+    entries and their bounds, both of shape (2, 2, len(u)).  All entries' 2F1
+    series are summed in one batch.
 
     Each bound is the certified tail bound of the entry's 2F1 value times its
     prefactor, plus a rounding term for the prefactors: exp(+-k1 log u) and
     exp(-k0 log(1 - u^2)) lose about 2 |k1 log u| and 2 |k0 log(1 - u^2)|
-    ulps, and forming each entry a few more.
+    ulps, and forming each entry a few more.  The logarithms and exponentials
+    are taken per slope with ``math``, whose accuracy that term assumes.
     """
-    if u_sq_complement is None:
-        if not 0.0 < u < 1.0:
-            raise RegionError(f"eval_L requires 0 < u < 1, got u = {u}")
-        w = 1.0 - u * u
-    else:
-        # the supplied complement is authoritative; u itself may have rounded
-        # to 1.0 when the slope is within machine epsilon of the sector edge
-        w = u_sq_complement
-        if not (0.0 < u <= 1.0 and 0.0 < w <= 1.0):
-            raise RegionError("eval_L requires 0 < u <= 1 with 0 < 1-u^2 <= 1")
+    if not (np.all((0.0 < u) & (u <= 1.0)) and np.all((0.0 < w) & (w <= 1.0))):
+        raise RegionError("eval_L requires 0 < u <= 1 with 0 < 1-u^2 <= 1")
     if not p.integrable:
         raise RegionError(f"eval_L needs the integrable region; got {p}")
     k0, k1 = p.k0, p.k1
-    z = u * u if w >= 0.5 else 1.0 - w
-    log_u = math.log(u) if w >= 0.5 else 0.5 * math.log1p(-w)
-    log_w = math.log(w)
-    up = math.exp(k1 * log_u)
-    um = math.exp(-k1 * log_u)
-    pref = math.exp(-k0 * log_w)
-    rel = (2.0 * abs(k1 * log_u) + 2.0 * abs(k0 * log_w) + 16.0) * _EPS
+    z = np.where(w >= 0.5, u * u, 1.0 - w)
+    log_u = np.array([
+        math.log(x) if y >= 0.5 else 0.5 * math.log1p(-y) for x, y in zip(u.tolist(), w.tolist())
+    ])
+    log_w = np.array([math.log(y) for y in w.tolist()])
+    up = np.array([math.exp(k1 * x) for x in log_u.tolist()])
+    um = np.array([math.exp(-k1 * x) for x in log_u.tolist()])
+    pref = np.array([math.exp(-k0 * y) for y in log_w.tolist()])
+    rel = (2.0 * np.abs(k1 * log_u) + 2.0 * np.abs(k0 * log_w) + 16.0) * _EPS
 
-    f11 = gauss_2f1(-k0, 0.5 - k0 + k1, k1 + 0.5, z, tol, z_complement=w)
-    f22 = gauss_2f1(-k0, 0.5 - k0 - k1, 0.5 - k1, z, tol, z_complement=w)
-    ell = np.empty((2, 2))
-    ell[0, 0] = up * pref * f11.value
-    ell[1, 1] = um * pref * f22.value
-    err = [[up * pref * f11.tail_bound, 0.0], [0.0, um * pref * f22.tail_bound]]
-    if k0 == 0.0:
-        ell[0, 1] = 0.0
-        ell[1, 0] = 0.0
-    else:
-        f12 = gauss_2f1(1 - k0, 0.5 - k0 + k1, k1 + 1.5, z, tol, z_complement=w)
-        f21 = gauss_2f1(1 - k0, 0.5 - k0 - k1, 1.5 - k1, z, tol, z_complement=w)
+    params = [(-k0, 0.5 - k0 + k1, k1 + 0.5), (-k0, 0.5 - k0 - k1, 0.5 - k1)]
+    if k0 != 0.0:
+        params += [(1 - k0, 0.5 - k0 + k1, k1 + 1.5), (1 - k0, 0.5 - k0 - k1, 1.5 - k1)]
+    series = _gauss_2f1_rows(params, z, w, tol)
+    ell, err = np.zeros((2, 2, len(u))), np.zeros((2, 2, len(u)))
+    (f11, t11, _), (f22, t22, _) = series[:2]
+    ell[0, 0], err[0, 0] = up * pref * f11, up * pref * t11
+    ell[1, 1], err[1, 1] = um * pref * f22, um * pref * t22
+    if k0 != 0.0:
+        (f12, t12, _), (f21, t21, _) = series[2:]
         pref12 = -(k0 / (k1 + 0.5)) * up * pref * u
         pref21 = -(k0 / (0.5 - k1)) * um * pref * u
-        ell[0, 1] = pref12 * f12.value
-        ell[1, 0] = pref21 * f21.value
-        err[0][1] = abs(pref12) * f12.tail_bound
-        err[1][0] = abs(pref21) * f21.tail_bound
-    for r in range(2):
-        for c in range(2):
-            err[r][c] += rel * abs(ell[r, c])
+        ell[0, 1], err[0, 1] = pref12 * f12, np.abs(pref12) * t12
+        ell[1, 0], err[1, 0] = pref21 * f21, np.abs(pref21) * t21
+    err += rel * np.abs(ell)
     return ell, err
 
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import b2weight
-from b2weight.cli import main, parse_rational
+from b2weight.cli import build_parser, main, parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +175,26 @@ def test_options_a_command_does_not_read_are_usage_errors():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_back_to_back_main_calls_do_not_share_state(capsys):
+    # main parses with one parser built once; no option of a call may reach
+    # the next, so each call prints the same whatever ran before it
+    calls = [
+        ("table", "--k0=-7/20", "--k1=2/25", "--nmax", "2", "--format", "csv"),
+        ("eval-k", "--k0", "1/5", "--theta", "0.3"),
+        ("table", "--nmax", "1"),
+        ("verify", "exact", "--nmax", "1", "--k1", "1/7", "--format", "text"),
+        ("table",),
+    ]
+    forward = {argv: run_cli(capsys, *argv) for argv in calls}
+    backward = {argv: run_cli(capsys, *argv) for argv in reversed(calls)}
+    assert forward == backward
+    assert all(code == 0 for code, _, _ in forward.values())
+    symbolic = json.loads(forward["table", "--nmax", "1"][1])
+    assert len(symbolic) == 2 and "k0" in symbolic[1]["alpha"]  # no point left over
+    assert len(json.loads(forward["table",][1])) == 9  # the default nmax, 8
+    assert build_parser() is build_parser()
 
 
 def test_eval_k_payload(capsys):

@@ -6,14 +6,20 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from b2weight.errors import DegenerateParameterError, RegionError, ToleranceError
 from b2weight.hyper import (
+    _EPS,
+    _FIRST_BLOCK,
     _GAMMA_RELERR,
     _H_PARAMS,
+    _connection_coeffs,
+    _gauss_2f1_rows,
+    _recip_gamma,
     alpha_beta_recurrence,
     alpha_closed,
     asym_f_check,
@@ -22,6 +28,7 @@ from b2weight.hyper import (
     euler_transform,
     f_values,
     gamma_fn,
+    HypResult,
     gauss_2f1,
     h_func,
     s_inner_closed,
@@ -140,6 +147,190 @@ def test_contiguous_identities():
         assert abs(
             f.value - (a / c) * f_up.value - ((c - a) / c) * f_cp.value
         ) <= slack + abs((c - a) / c) * f_cp.tail_bound
+
+
+# ---------------------------------------------------------------------------
+# the batched series against a one-term-at-a-time reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_sum_series(a, b, c, z, tol, max_terms):
+    """The forward summation one term at a time, as it stood before the
+    batched ``_sum_series``."""
+    if z == 0.0:
+        return HypResult(1.0, 0.0, 1)
+    m_pos = int(max(0.0, math.ceil(-a), math.ceil(-b), math.ceil(-c))) + 1
+    total = 0.0
+    abs_sum = 0.0
+    term = 1.0
+    m = 0
+    while m <= max_terms:
+        if term == 0.0:
+            # terminating series: truncation error is exactly zero
+            return HypResult(total, _EPS * abs_sum * max(m, 1), max(m, 1))
+        if m >= m_pos:
+            r = z * max((a + m) / (1.0 + m), 1.0) * max((b + m) / (c + m), 1.0)
+            if 0.0 <= r < 1.0:
+                tail = abs(term) / (1.0 - r)
+                if tail <= tol:
+                    return HypResult(total, tail + _EPS * abs_sum * m, m)
+        total += term
+        abs_sum += abs(term)
+        term *= (a + m) * (b + m) / ((c + m) * (1.0 + m)) * z
+        m += 1
+    raise ToleranceError(
+        f"2F1 series did not certify tol={tol} within {max_terms} terms "
+        f"(a={a}, b={b}, c={c}, z={z})"
+    )
+
+
+def _reference_gauss_2f1(a, b, c, z, tol=1e-12, z_complement=None):
+    """The scalar body of gauss_2f1 as it stood before the batched entry."""
+    a, b, c, z = float(a), float(b), float(c), float(z)
+    if not 0.0 <= z <= 1.0:
+        raise RegionError(f"gauss_2f1 requires 0 <= z <= 1, got z = {z}")
+    if c <= 0.5 and c == round(c):
+        raise RegionError(f"gauss_2f1 parameter c = {c} is a non-positive integer")
+    w = z_complement if z_complement is not None else 1.0 - z
+    if not 0.0 <= w <= 1.0:
+        raise RegionError(f"z_complement must lie in [0, 1], got {w}")
+    z_eff = z if w >= 0.5 else 1.0 - w
+    d = c - a - b
+
+    terminating = (a <= 0 and a == round(a)) or (b <= 0 and b == round(b))
+    if terminating:
+        return _reference_sum_series(a, b, c, z_eff, tol=0.0 if z == 0 else tol, max_terms=10**6)
+
+    if w == 0.0:
+        if d <= 0:
+            raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {d} is not positive")
+        value = gamma_fn(c) * gamma_fn(d) * _recip_gamma(c - a) * _recip_gamma(c - b)
+        bound = 5.0 * _GAMMA_RELERR * abs(value)
+        if bound > tol * (1.0 + abs(value)):
+            raise ToleranceError(f"tol={tol} unreachable for 2F1 at z=1 (best bound {bound:.3e})")
+        return HypResult(value, bound, 1)
+
+    if z_eff <= 0.75:
+        return _reference_sum_series(a, b, c, z_eff, tol, max_terms=2_000)
+
+    if abs(d - round(d)) >= 1e-5:
+        coeff1, coeff2 = _connection_coeffs(a, b, c)
+        s1 = _reference_sum_series(a, b, 1.0 - d, w, tol=1e-16, max_terms=4_000)
+        s2 = _reference_sum_series(c - a, c - b, 1.0 + d, w, tol=1e-16, max_terms=4_000)
+        wd = math.exp(d * math.log(w)) if w > 0 else 0.0
+        part1 = coeff1 * s1.value
+        part2 = coeff2 * wd * s2.value
+        value = part1 + part2
+        bound = (
+            abs(coeff1) * s1.tail_bound
+            + abs(coeff2) * wd * s2.tail_bound
+            + (abs(part1) + abs(part2)) * 8.0 * _GAMMA_RELERR
+        )
+        if bound > tol * (1.0 + abs(value)):
+            raise ToleranceError(f"tol={tol} unreachable for 2F1 near z=1 (best bound {bound:.3e})")
+        return HypResult(value, bound, s1.terms_used + s2.terms_used)
+
+    if d <= -0.5:
+        a2, b2, c2, _, prefactor = euler_transform(a, b, c, z_eff)
+        inner = _reference_sum_series(a2, b2, c2, z_eff, tol / max(prefactor, 1e-300), 500_000)
+        return HypResult(
+            prefactor * inner.value, prefactor * inner.tail_bound, inner.terms_used
+        )
+    return _reference_sum_series(a, b, c, z_eff, tol, max_terms=500_000)
+
+
+def _bits(result):
+    return result.value.hex(), result.tail_bound.hex(), result.terms_used
+
+
+def _assert_rows_match_reference(params, zs, ws, tol):
+    """``_gauss_2f1_rows`` at (zs, ws) against the reference at each pair:
+    equal bits, or an error of a type the reference raises too."""
+    expected, raised = [], set()
+    for a, b, c in params:
+        for z, w in zip(zs, ws):
+            try:
+                expected.append(_bits(_reference_gauss_2f1(a, b, c, z, tol, z_complement=w)))
+            except (RegionError, ToleranceError) as exc:
+                raised.add(type(exc))
+    try:
+        rows = _gauss_2f1_rows(params, np.array(zs), np.array(ws), tol)
+    except (RegionError, ToleranceError) as exc:
+        assert type(exc) in raised, exc
+        return
+    assert not raised, raised
+    got = [
+        (v.hex(), t.hex(), n)
+        for value, bound, terms in rows
+        for v, t, n in zip(value.tolist(), bound.tolist(), terms.tolist())
+    ]
+    assert got == expected
+
+
+_PARAM = st.floats(-2.5, 2.5)
+
+
+@st.composite
+def _series_cases(draw):
+    """Parameter triples sharing arguments: a mix of terminating triples,
+    triples with c - a - b within 1e-5 of an integer (the sliver, with and
+    without the Euler transform) and generic ones; arguments include 0, 1,
+    values up to 0.75 (forward sums stopping in different blocks) and values
+    near 1 given with an accurate complement."""
+    triples = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(_PARAM), draw(_PARAM)
+        kind = draw(st.sampled_from(["generic", "terminating", "sliver"]))
+        if kind == "terminating":
+            a = float(-draw(st.integers(0, 6)))
+            c = draw(st.floats(0.1, 3.0))
+        elif kind == "sliver":
+            d = draw(st.integers(-2, 2)) + draw(st.floats(-9e-6, 9e-6))
+            c = a + b + d
+        else:
+            c = draw(st.floats(0.1, 3.0))
+        triples.append((a, b, c))
+    zs, ws = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        where = draw(st.sampled_from(["zero", "one", "forward", "near", "complement"]))
+        if where == "complement":
+            w = draw(st.floats(1e-3, 0.25))
+            zs.append(1.0 - w)
+            ws.append(w)
+            continue
+        z = {
+            "zero": 0.0,
+            "one": 1.0,
+            "forward": draw(st.floats(0.0, 0.75)),
+            "near": draw(st.floats(0.75, 0.99)),
+        }[where]
+        zs.append(z)
+        ws.append(1.0 - z)
+    return triples, zs, ws, draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_series_cases())
+@example(case=([(1.9, 1.3, 0.6)], [0.001, 0.2, 0.5, 0.7, 0.75], [0.999, 0.8, 0.5, 0.3, 0.25], 1e-12))
+@example(case=([(-3.0, 0.4, 1.3), (0.5, 0.25, 1.5)], [0.0, 0.5, 0.9], [1.0, 0.5, 0.1], 1e-12))
+@example(case=([(0.7, 0.2, 0.9 - 1 + 2e-6), (0.1, 0.6, 0.7 + 3e-6)], [0.8, 0.95], [0.2, 0.05], 1e-9))
+def test_batched_series_equal_the_one_term_reference(case):
+    _assert_rows_match_reference(*case)
+
+
+def test_batched_series_cover_every_branch():
+    # the rows of one call stop in different blocks of the forward sum, and
+    # the connection, Euler and plain sliver branches and z = 0, 1 all occur
+    zs = [0.0, 0.001, 0.2, 0.5, 0.7, 0.75, 0.8, 0.95, 1.0]
+    ws = [1.0 - z for z in zs]
+    params = [(1.9, 1.3, 0.6), (-2.0, 0.5, 1.1), (0.5, 0.25, 1.5)]
+    _assert_rows_match_reference(params, zs, ws, 1e-12)
+    _, _, terms = _gauss_2f1_rows(params[:1], np.array(zs[1:6]), np.array(ws[1:6]), 1e-12)[0]
+    # blocks of _FIRST_BLOCK, then twice that: indices below 32, 96 and above
+    blocks = {int(np.searchsorted([_FIRST_BLOCK, 3 * _FIRST_BLOCK], m, side="right")) for m in terms}
+    assert blocks == {0, 1, 2}
+    # c - a - b = -1 + 2e-6 (Euler) and 3e-6 (plain) in the sliver
+    _assert_rows_match_reference([(0.7, 0.2, -0.1 + 2e-6), (0.1, 0.6, 0.7 + 3e-6)], zs[6:8], ws[6:8], 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +574,19 @@ def test_point_closed_forms_equal_substituted_symbolic_forms(point):
         for got, poly in zip(_closed_forms(n, k0, k1), symbolic):
             assert isinstance(got, Fraction)
             assert got == poly_eval(poly, k0, k1), f"n={n} at ({k0}, {k1})"
+
+
+def test_mixed_symbolic_and_point_arguments_in_either_order():
+    # one parameter rational, the other the symbol: a polynomial in that
+    # symbol, equal to the recurrence run with the same arguments
+    for point in ((Fraction(1, 3), K1), (K0, Fraction(1, 3)), (Fraction(-2, 7), K1), (K0, 2)):
+        one_plus = 1 + 2 * point[0] + 2 * point[1]
+        seq = alpha_beta_recurrence(6, *point)
+        for n in range(7):
+            assert alpha_closed(n, *point) == seq.alpha[n], (n, point)
+            assert beta_closed(n, *point) == seq.beta[n], (n, point)
+            assert s_inner_closed(n, "p12", *point) == one_plus * seq.alpha[n]
+            assert s_inner_closed(n, "p14", *point) == one_plus * seq.beta[n]
 
 
 def test_point_values_take_exact_parameters_only():

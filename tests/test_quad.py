@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from b2weight.errors import RegionError, ToleranceError
-from b2weight.hyper import gamma_fn, s_inner_closed
+from b2weight.hyper import gamma_fn, h_func, s_inner_closed
 from b2weight.quad import (
     QuadResult,
     _h_rule,
@@ -68,11 +68,35 @@ def test_singular_integral_needs_declared_endpoint_powers():
 def test_tanh_sinh_handles_endpoint_singularities():
     # int_0^1 v^(-1/2) (1-v)^(-1/2) dv = pi via the distance arguments
     def f(_v, d0, d1):
-        return 1.0 / math.sqrt(d0 * d1), 0.0
+        return 1.0 / np.sqrt(d0 * d1), 0.0
 
     res = tanh_sinh(f, tol=1e-12)
     assert abs(res.value - math.pi) <= 1e-11
     assert isinstance(res, QuadResult)
+
+
+def test_tanh_sinh_calls_the_integrand_once_per_batch_of_levels():
+    # one call for levels 0 to 3, where the rule cannot stop yet, then one
+    # call per level
+    def counted(integrand):
+        sizes = []
+
+        def f(v, d0, d1):
+            sizes.append(len(v))
+            return integrand(v), np.zeros_like(v)
+
+        return f, sizes
+
+    f, sizes = counted(np.ones_like)
+    res = tanh_sinh(f, tol=1e-12)
+    assert abs(res.value - 1.0) <= 1e-12
+    assert sizes == [res.nodes]
+    # a jump at an irrational point never converges: all ten levels run
+    f, sizes = counted(lambda v: (v < 1 / math.sqrt(2)).astype(float))
+    with pytest.raises(ToleranceError):
+        tanh_sinh(f, tol=1e-14)
+    assert len(sizes) == 1 + 6
+    assert all(later > earlier for earlier, later in zip(sizes[1:], sizes[2:]))
 
 
 ACCEPTANCE_POINTS = [(0.3, 0.1), (-0.2, 0.25), (0.1, -0.3), (0.45, 0.0), (0.0, 0.45)]
@@ -213,6 +237,20 @@ def test_shared_rule_results_do_not_depend_on_cache_state():
     _h_rule.cache_clear()
     reverse = sweep(PAIRINGS_TO_20[::-1])
     assert cold == warm == reverse
+
+
+def test_h_rule_values_equal_per_node_h_func():
+    # one batched call per rule gives the bits of one h_func call per node
+    for k0, k1 in ((-0.35, 0.08), (0.3, 0.1), (0.0, 0.45)):
+        for i, j, b0 in ((1, 1, -2.0 * k0), (2, 2, -2.0 * k0), (1, 3, 0.0), (2, 4, 0.0)):
+            a = k1 + 0.5 if i == 1 else -k1 - 0.5
+            v, _, hprod, hprod_bound = _h_rule(k0, k1, i, j, a, b0, 96, 1e-11)
+            hi = [h_func(i, z, k0, k1, tol=1e-11) for z in v.tolist()]
+            hj = [h_func(j, z, k0, k1, tol=1e-11) for z in v.tolist()]
+            vi, ti = np.array([r.value for r in hi]), np.array([r.tail_bound for r in hi])
+            vj, tj = np.array([r.value for r in hj]), np.array([r.tail_bound for r in hj])
+            assert hprod.tobytes() == (vi * vj).tobytes()
+            assert hprod_bound.tobytes() == (np.abs(vi) * tj + np.abs(vj) * ti + ti * tj).tobytes()
 
 
 def test_shared_rule_cache_stays_bounded():
