@@ -177,7 +177,7 @@ def _suite_exact(report: Report, cfg: RunConfig) -> None:
             f"exact/pairing_consistency/p14/n{n:02d}",
             hyper.s_inner_closed(n, "p14") == seq.beta[n] * anchor,
         )
-    for n in range(min(cfg.nmax, 8) + 1):
+    for n in range(min(cfg.nmax, vpoly.OPERATOR_NMAX) + 1):
         alpha_scaled, beta_scaled = vpoly.alpha_beta_via_laplacian(n)
         report.add_exact(
             f"exact/operator_route/alpha/n{n:02d}",

@@ -242,7 +242,7 @@ def _gauss_2f1_rows(
                 queue(c - a, c - b, 1.0 + d, w[near], 1e-16, 4_000),
             )
         elif near.any() and d <= -0.5:
-            prefactor = np.array([euler_transform(a, b, c, x)[4] for x in z_eff[near].tolist()])
+            prefactor = np.array([(1.0 - x) ** (c - a - b) for x in z_eff[near].tolist()])
             inner_tol = tol / np.maximum(prefactor, 1e-300)
             near_rows = queue(c - a, c - b, c, z_eff[near], inner_tol, 500_000)
         else:

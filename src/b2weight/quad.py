@@ -108,11 +108,13 @@ def _gauss_jacobi_01(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.
     return v, mu0 * vecs[0, :] ** 2
 
 
+@functools.cache
 def _tanh_sinh_nodes(level: int) -> np.ndarray:
     """The nodes tanh-sinh level ``level`` adds, as rows (dist0, dist1, dv/dt).
 
     Level 0 takes every node, later levels the odd-indexed ones; nodes whose
-    weight or distance to the nearer endpoint underflows are left out.
+    weight or distance to the nearer endpoint underflows are left out.  Built
+    once per level (at most _TS_LEVELS + 1 tables) and returned read-only.
     """
     h = 1.0 / 2**level
     count = int(math.floor(_TS_T_MAX / h))
@@ -131,7 +133,9 @@ def _tanh_sinh_nodes(level: int) -> np.ndarray:
         dvdt = 0.25 * math.pi * math.cosh(t) * sech_sq
         if dvdt != 0.0 and near != 0.0:
             rows.append((dist0, dist1, dvdt))
-    return np.array(rows).reshape(-1, 3)
+    table = np.array(rows).reshape(-1, 3)
+    table.flags.writeable = False
+    return table
 
 
 def tanh_sinh(

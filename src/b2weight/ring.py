@@ -1,23 +1,31 @@
-"""Exact arithmetic in the polynomial ring Q[k0, k1].
+"""Exact sparse polynomials over Q[k0, k1]: one integer kernel for every type.
 
-A polynomial is stored sparsely as integer numerators over one shared denominator:
+Every exact polynomial is stored as integer numerators over one shared
+denominator, keyed by a tuple of exponents whose last two entries are the
+powers of k0 and k1.  The rest of the key is the term's *head*:
 
-    ParamPoly:  {(e0, e1): int} over den   meaning  sum of (c / den) * k0^e0 * k1^e1
+    ParamPoly  {(e0, e1): c}           head ()
+    XPoly      {(a, b, e0, e1): c}     head (a, b)      x1^a x2^b      (vpoly)
+    VPoly      {(a, b, s, e0, e1): c}  head (a, b, s)   x1^a x2^b t_s  (vpoly)
 
-The form is canonical: no numerator is zero, den > 0, and the gcd of den and all
-numerators is 1 (zero is the empty map over 1), so equality and hashing are
-structural.  Each operation does integer arithmetic and one gcd on its result,
-not one gcd per term.  Coefficients go in and come out (``terms``, iteration,
-``coefficient``) as exact ``fractions.Fraction``, so every identity stated over
-the rationals can be tested with zero tolerance.  Instances are immutable: all
-operations return new polynomials, so values can be shared or cached freely.
+The form is canonical: no numerator is zero, den > 0, and the gcd of den and
+all numerators is 1 (zero is the empty map over 1), so equality and hashing
+are structural, and each operation ends with one gcd, not one per term.
+``SparsePoly`` holds all that does not depend on the key shape: construction
+from exact coefficients, ``+``, ``-``, negation, ``==``/``hash``, products
+with a key combiner, maps of the heads with integer factors (``_rekey``, and
+``_rekey_shifted`` where they also multiply by k0 or k1) and the split into
+one ParamPoly per head.  Only this module reads numerators and denominators.
+Coefficients go in and come out as exact ``fractions.Fraction`` (or
+ParamPoly), so identities over the rationals are tested with zero tolerance.
+Instances are immutable, so values can be shared or cached freely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Monomial = tuple[int, int]
 Scalar = Union[int, Fraction]
@@ -36,29 +44,159 @@ def _ratio(value: Scalar) -> tuple[int, int]:
     return (value, 1) if isinstance(value, int) else _as_fraction(value).as_integer_ratio()
 
 
-def _make(num: dict[Monomial, int], den: int) -> "ParamPoly":
-    """The canonical ParamPoly of num/den, for den > 0 and no zero in num."""
+def _make(cls: type, num: dict[tuple, int], den: int):
+    """The canonical ``cls`` of num/den, for den > 0 and no zero in num."""
     g = gcd(den, *num.values())
     if g != 1:
-        num = {mono: c // g for mono, c in num.items()}
+        num = {key: c // g for key, c in num.items()}
         den //= g
-    result = ParamPoly.__new__(ParamPoly)
+    result = cls.__new__(cls)
     result._num = num
     result._den = den
     return result
 
 
-class ParamPoly:
-    """A polynomial in the two parameters k0, k1 with rational coefficients."""
+def _power(base, n: int, one):
+    """base ** n by repeated squaring, for an integer n >= 0."""
+    if n < 0:
+        raise ValueError("negative powers of a polynomial are not defined")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+class SparsePoly:
+    """Integer numerators over one shared denominator, keyed by exponent tuples.
+
+    The base of ``ParamPoly``, ``XPoly`` and ``VPoly``; a subclass fixes the
+    key shape and adds what is its own.
+    """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        fracs = {mono: _as_fraction(c) for mono, c in (terms or {}).items()}
-        fracs = {mono: f for mono, f in fracs.items() if f}
+    def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
+        fracs = {key: _as_fraction(c) for key, c in (terms or {}).items()}
+        fracs = {key: f for key, f in fracs.items() if f}
         # over the lcm of reduced denominators the form is already canonical
         self._den = lcm(*(f.denominator for f in fracs.values()))
-        self._num = {mono: f.numerator * (self._den // f.denominator) for mono, f in fracs.items()}
+        self._num = {key: f.numerator * (self._den // f.denominator) for key, f in fracs.items()}
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __bool__(self) -> bool:
+        return bool(self._num)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        return hash((self._den, frozenset(self._num.items())))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = {key: c * fa for key, c in self._num.items()} if fa != 1 else dict(self._num)
+        for key, c in other._num.items():
+            new = out.get(key, 0) + c * fb
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+        return _make(type(self), out, da * fa)
+
+    def __neg__(self):
+        return _make(type(self), {key: -c for key, c in self._num.items()}, self._den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def _product(self, other: "SparsePoly", combine: Callable[[tuple, tuple], tuple], cls: type):
+        """The product whose term ka * kb has the key combine(ka, kb), as a ``cls``."""
+        out: dict[tuple, int] = {}
+        get = out.get
+        for ka, ca in self._num.items():
+            for kb, cb in other._num.items():
+                key = combine(ka, kb)
+                out[key] = get(key, 0) + ca * cb
+        return _make(cls, {key: c for key, c in out.items() if c}, self._den * other._den)
+
+    def _rekey(self, image: Callable[[tuple], Iterable], cls: type | None = None):
+        """The image of self under a map of the heads with integer factors, as a ``cls``.
+
+        ``image(head)`` lists pairs (new head, k): the term c head k0^e0 k1^e1
+        goes to the sum of k c new k0^e0 k1^e1.
+        """
+        out: dict[tuple, int] = {}
+        get = out.get
+        for key, c in self._num.items():
+            mono = key[-2:]
+            for new, k in image(key[:-2]):
+                new += mono
+                out[new] = get(new, 0) + k * c
+        return _make(cls or type(self), {key: c for key, c in out.items() if c}, self._den)
+
+    def _rekey_shifted(self, image: Callable[[tuple], Iterable]):
+        """``_rekey`` with factors k k0^d0 k1^d1, summed densely: the hot loop of
+        the operator route.
+
+        ``image(head)`` lists entries (new head, (d0, d1), k), d0, d1 >= 0: the
+        term c head k0^e0 k1^e1 goes to the sum of k c new k0^(e0+d0) k1^(e1+d1).
+        The terms are grouped by head; each new head sums its numerators in
+        integers over self's denominator, in a dense list indexed by
+        e0 * width + e1, and the result is made canonical once.
+        """
+        num = self._num
+        groups: dict[tuple, list[tuple[int, int, int]]] = {}
+        for key, c in num.items():
+            groups.setdefault(key[:-2], []).append((key[-2], key[-1], c))
+        images = {head: tuple(image(head)) for head in groups}
+        shifts = [shift for entries in images.values() for _, shift, _ in entries]
+        if not shifts:
+            return _make(type(self), {}, 1)
+        width = max(key[-1] for key in num) + max(d1 for _, d1 in shifts) + 1
+        size = (max(key[-2] for key in num) + max(d0 for d0, _ in shifts) + 1) * width
+        out: dict[tuple, list[int]] = {}
+        for head, params in groups.items():
+            params = [(e0 * width + e1, c) for e0, e1, c in params]
+            for new, (d0, d1), k in images[head]:
+                acc = out.get(new)
+                if acc is None:
+                    acc = out[new] = [0] * size
+                step = d0 * width + d1
+                for i, c in params:
+                    acc[i + step] += k * c
+        return _make(
+            type(self),
+            {new + divmod(i, width): c for new, acc in out.items() for i, c in enumerate(acc) if c},
+            self._den,
+        )
+
+    def _by_head(self) -> dict[tuple, "ParamPoly"]:
+        """The ParamPoly coefficient of each head present."""
+        groups: dict[tuple, dict[Monomial, int]] = {}
+        for key, c in self._num.items():
+            groups.setdefault(key[:-2], {})[key[-2:]] = c
+        return {head: _make(ParamPoly, num, self._den) for head, num in groups.items()}
+
+
+class ParamPoly(SparsePoly):
+    """A polynomial in the two parameters k0, k1 with rational coefficients."""
+
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------------
 
@@ -69,7 +207,7 @@ class ParamPoly:
     @classmethod
     def const(cls, value: Scalar) -> "ParamPoly":
         p, q = _ratio(value)
-        return _make({(0, 0): p} if p else {}, q)
+        return _make(ParamPoly, {(0, 0): p} if p else {}, q)
 
     @staticmethod
     def coerce(value: "ParamPoly | Scalar") -> "ParamPoly":
@@ -87,9 +225,6 @@ class ParamPoly:
     def coefficient(self, mono: Monomial) -> Fraction:
         return Fraction(self._num.get(mono, 0), self._den)
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def constant_value(self) -> Fraction:
         if any(mono != (0, 0) for mono in self._num):
             raise ValueError(f"{self} is not a constant polynomial")
@@ -103,33 +238,16 @@ class ParamPoly:
         den = self._den
         return ((mono, Fraction(c, den)) for mono, c in self._num.items())
 
-    def __bool__(self) -> bool:
-        return bool(self._num)
-
-    # -- ring operations -----------------------------------------------------
+    # -- ring operations: the kernel's, with scalars coerced; its own product --
 
     def __add__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
-        other = ParamPoly.coerce(other)
-        if not other._num:
-            return self
-        if not self._num:
-            return other
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        out = {mono: c * fa for mono, c in self._num.items()} if fa != 1 else dict(self._num)
-        for mono, c in other._num.items():
-            new = out.get(mono, 0) + c * fb
-            if new:
-                out[mono] = new
-            else:
-                del out[mono]
-        return _make(out, da * fa)
+        if not isinstance(other, ParamPoly):
+            other = ParamPoly.const(other)
+        return SparsePoly.__add__(self, other)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "ParamPoly":
-        return _make({mono: -c for mono, c in self._num.items()}, self._den)
+    __neg__ = SparsePoly.__neg__
 
     def __sub__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
         return self + (-ParamPoly.coerce(other))
@@ -140,14 +258,15 @@ class ParamPoly:
     def __mul__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
         if not isinstance(other, ParamPoly):
             p, q = _ratio(other)
-            return _make({mono: c * p for mono, c in self._num.items()} if p else {}, self._den * q)
+            num = {mono: c * p for mono, c in self._num.items()} if p else {}
+            return _make(ParamPoly, num, self._den * q)
         out: dict[Monomial, int] = {}
         get = out.get
         for (a0, a1), ca in self._num.items():
             for (b0, b1), cb in other._num.items():
                 mono = (a0 + b0, a1 + b1)
                 out[mono] = get(mono, 0) + ca * cb
-        return _make({mono: c for mono, c in out.items() if c}, self._den * other._den)
+        return _make(ParamPoly, {mono: c for mono, c in out.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -158,26 +277,14 @@ class ParamPoly:
         return self * (1 / frac)
 
     def __pow__(self, n: int) -> "ParamPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined in Q[k0, k1]")
-        result = ParamPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ONE)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ParamPoly.const(other)
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
+        return SparsePoly.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._num.items())))
+    __hash__ = SparsePoly.__hash__
 
     # -- printing ------------------------------------------------------------
 
@@ -208,24 +315,7 @@ class ParamPoly:
 K0 = ParamPoly({(1, 0): 1})
 K1 = ParamPoly({(0, 1): 1})
 ONE = ParamPoly.const(1)
-ZERO = _make({}, 1)
-
-
-def shifted_sum(parts: Iterable[tuple[int, Monomial, ParamPoly]]) -> ParamPoly:
-    """sum of k * k0^e0 k1^e1 * p over the parts (k, (e0, e1), p), k an int.
-
-    The numerators are accumulated over the lcm of the denominators, and the
-    result is made canonical once (one gcd), whatever the number of parts."""
-    parts = list(parts)
-    den = lcm(*(p._den for _, _, p in parts))
-    out: dict[Monomial, int] = {}
-    get = out.get
-    for k, (s0, s1), p in parts:
-        factor = k * (den // p._den)
-        for (e0, e1), c in p._num.items():
-            mono = (e0 + s0, e1 + s1)
-            out[mono] = get(mono, 0) + factor * c
-    return _make({mono: c for mono, c in out.items() if c}, den)
+ZERO = _make(ParamPoly, {}, 1)
 
 
 def poch(a, n: int):

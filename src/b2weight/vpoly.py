@@ -6,15 +6,16 @@ spanned by t1, t2 by the matching signed permutation:
 
     (w f)(x) = f(x.M) . M^{-1}
 
-A scalar polynomial (``XPoly``) is stored sparsely as {(a, b): ParamPoly},
-meaning the sum of c * x1^a x2^b, and a vector polynomial is the pair of its
-components,
-
-    VPoly (f1, f2)   meaning   f1(x) t1 + f2(x) t2,   f1, f2 XPoly,
-
-so all of its arithmetic is XPoly arithmetic.  All coefficients live in
-Q[k0, k1], so the operator identities in this module are checked as exact
-polynomial statements, never numerically.
+A scalar polynomial ``XPoly`` (sum of c x1^a x2^b) and a vector polynomial
+``VPoly`` (sum of c x1^a x2^b t_s) are stored in ``ring``'s one integer form,
+with keys (a, b, e0, e1) and (a, b, s, e0, e1) for the term
+c k0^e0 k1^e1 x1^a x2^b (t_s).  Sums, negation and equality are the
+kernel's.  Products here combine keys (a constant factor counts as a
+constant XPoly), and ``derivative``, ``compose``, ``t_substitute``,
+``group_act`` and ``laplacian`` are linear maps of the heads x1^a x2^b (t_s)
+with integer factors.  All coefficients live in Q[k0, k1], so the operator
+identities in this module are checked as exact polynomial statements, never
+numerically.
 
 The modified first-order operators act as a plain derivative plus, for each
 of the four positive roots v (the two coordinate directions with weight k1,
@@ -27,8 +28,8 @@ The modified Laplacian, the sum of the squares of the two first-order
 operators, is applied through its closed second-order form instead: it is
 linear with coefficients affine in (k0, k1), so the image of each basis
 monomial x1^a x2^b t_s is a short list of integer entries, computed once on
-first use and cached.  ``laplacian`` sums those images in integers and builds
-each output coefficient once.  ``dunkl_d``, ``divide_by_linear`` and the
+first use and cached.  ``laplacian`` is one integer accumulation of those
+images over f's denominator.  ``dunkl_d``, ``divide_by_linear`` and the
 hand-written right-hand side of ``product_rule_residual`` stay as independent
 references for it.
 """
@@ -39,22 +40,17 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import InexactDivisionError, InvarianceError, NotProportionalError
-from .ring import K0, K1, ParamPoly, shifted_sum
+from .ring import K0, K1, ParamPoly, SparsePoly, _power
 
 XKey = tuple[int, int]
 VKey = tuple[int, int, int]
 Coeff = Union[ParamPoly, Fraction, int]
 
-
-def _clean(terms: dict, key, delta) -> None:
-    new = terms.get(key, ParamPoly.zero()) + delta
-    if new.is_zero():
-        terms.pop(key, None)
-    else:
-        terms[key] = new
+# the operator route is checked for n up to this order (tests, ``verify exact``)
+OPERATOR_NMAX = 8
 
 
 # ---------------------------------------------------------------------------
@@ -141,93 +137,56 @@ _ROOT_DATA = (
 # ---------------------------------------------------------------------------
 
 
-class XPoly:
-    """Scalar polynomial in x1, x2 with ParamPoly coefficients."""
+def _times_x(xkey: tuple, key: tuple) -> tuple:
+    """The key of a term times the XPoly term x1^a x2^b k0^e0 k1^e1."""
+    a, b, e0, e1 = xkey
+    return (key[0] + a, key[1] + b) + key[2:-2] + (key[-2] + e0, key[-1] + e1)
 
-    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[XKey, Coeff] | None = None):
-        clean: dict[XKey, ParamPoly] = {}
-        if terms:
-            for key, coeff in terms.items():
-                poly = ParamPoly.coerce(coeff)
-                if not poly.is_zero():
-                    clean[key] = poly
-        self._terms = clean
+class _XForm(SparsePoly):
+    """What XPoly and VPoly share: keys (a, b[, s], e0, e1), ParamPoly coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[tuple, Coeff] | None = None):
+        pairs = ((head, ParamPoly.coerce(coeff)) for head, coeff in (terms or {}).items())
+        super().__init__({head + mono: c for head, coeff in pairs for mono, c in coeff})
 
     @property
-    def terms(self) -> dict[XKey, ParamPoly]:
-        return dict(self._terms)
+    def terms(self) -> dict[tuple, ParamPoly]:
+        """{head: ParamPoly coefficient} for the heads present (a fresh dict)."""
+        return self._by_head()
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __iter__(self) -> Iterable[tuple[XKey, ParamPoly]]:
-        return iter(self._terms.items())
-
-    def __eq__(self, other: object) -> bool:
+    def __mul__(self, other: "XPoly | Coeff"):
+        """The product by a scalar polynomial in x or by a constant (as one)."""
         if not isinstance(other, XPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: "XPoly") -> "XPoly":
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _clean(out, key, coeff)
-        result = XPoly.__new__(XPoly)
-        result._terms = out
-        return result
-
-    def __neg__(self) -> "XPoly":
-        result = XPoly.__new__(XPoly)
-        result._terms = {k: -c for k, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "XPoly | Coeff") -> "XPoly":
-        if not isinstance(other, XPoly):
-            scalar = ParamPoly.coerce(other)
-            result = XPoly.__new__(XPoly)
-            result._terms = (
-                {}
-                if scalar.is_zero()
-                else {k: c * scalar for k, c in self._terms.items()}
-            )
-            return result
-        out: dict[XKey, ParamPoly] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                _clean(out, (a1 + a2, b1 + b2), c1 * c2)
-        result = XPoly.__new__(XPoly)
-        result._terms = out
-        return result
+            other = XPoly({(0, 0): other})
+        return self.scale_x(other)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "XPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = XPoly({(0, 0): 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def scale_x(self, p: "XPoly"):
+        """Multiply by a scalar polynomial in x."""
+        return p._product(self, _times_x, type(self))
 
-    def derivative(self, i: int) -> "XPoly":
-        out: dict[XKey, ParamPoly] = {}
-        for (a, b), coeff in self._terms.items():
-            if i == 1 and a:
-                _clean(out, (a - 1, b), coeff * a)
-            elif i == 2 and b:
-                _clean(out, (a, b - 1), coeff * b)
-        result = XPoly.__new__(XPoly)
-        result._terms = out
-        return result
+    def derivative(self, i: int):
+        def image(head):
+            e = head[i - 1]
+            return ((head[: i - 1] + (e - 1,) + head[i:], e),) if e else ()
+
+        return self._rekey(image)
+
+
+class XPoly(_XForm):
+    """Scalar polynomial in x1, x2 with ParamPoly coefficients."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[XKey, ParamPoly]]:
+        return iter(self.terms.items())
+
+    def __pow__(self, n: int) -> "XPoly":
+        return _power(self, n, XPoly({(0, 0): 1}))
 
     def laplace(self) -> "XPoly":
         """Classical Laplacian (second derivatives only)."""
@@ -235,70 +194,48 @@ class XPoly:
 
     def compose(self, w: GroupElement) -> "XPoly":
         """p(x.M) as a polynomial in x."""
-        out: dict[XKey, ParamPoly] = {}
-        for (a, b), coeff in self._terms.items():
-            key, sign = w.point_image(a, b)
-            _clean(out, key, coeff if sign > 0 else -coeff)
-        result = XPoly.__new__(XPoly)
-        result._terms = out
-        return result
+        return self._rekey(lambda head: (w.point_image(*head),))
 
     def is_w_invariant(self) -> bool:
         return all(self.compose(w) == self for w in ALL_ELEMENTS)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if self.is_zero():
             return "XPoly(0)"
-        bits = [f"({coeff})*x1^{a}*x2^{b}" for (a, b), coeff in sorted(self._terms.items())]
+        bits = [f"({coeff})*x1^{a}*x2^{b}" for (a, b), coeff in sorted(self.terms.items())]
         return "XPoly(" + " + ".join(bits) + ")"
 
 
 def divide_by_linear(p: XPoly, root: tuple[int, int]) -> XPoly:
     """Exact division of p by v1*x1 + v2*x2 for the four root directions.
 
-    Raises InexactDivisionError when the remainder is nonzero.
+    Written as u + v w, with u the variable of coefficient 1, each monomial
+    splits as u^a w^b = (u + v w) sum_(j<a) u^(a-1-j) (-v w)^j w^b
+    + (-v)^a w^(a+b): the first part goes to the quotient, the second to the
+    remainder p(u = -v w).  Raises InexactDivisionError when the remainder is
+    nonzero.
     """
-    v1, v2 = root
-    if (v1, v2) == (1, 0) or (v1, v2) == (0, 1):
-        pos = 0 if v1 else 1
-        out: dict[XKey, ParamPoly] = {}
-        for (a, b), coeff in p:
-            e = (a, b)[pos]
-            if e == 0:
-                raise InexactDivisionError(f"{p!r} is not divisible by x{pos + 1}")
-            out[(a - 1, b) if pos == 0 else (a, b - 1)] = coeff
-        result = XPoly.__new__(XPoly)
-        result._terms = out
-        return result
-    if v1 != 1 or v2 not in (1, -1):
+    if root not in ((1, 0), (0, 1), (1, 1), (1, -1)):
         raise ValueError(f"unsupported linear form {root}")
-    # synthetic division by x1 + v2*x2, i.e. substitute x1 -> -v2*x2
-    by_a: dict[int, dict[int, ParamPoly]] = {}
-    for (a, b), coeff in p:
-        by_a.setdefault(a, {})[b] = coeff
-    if not by_a:
-        return XPoly()
-    quotient: dict[XKey, ParamPoly] = {}
-    carry: dict[int, ParamPoly] = {}
-    for a in range(max(by_a), 0, -1):
-        level = dict(by_a.get(a, {}))
-        for b, coeff in carry.items():
-            _clean(level, b, coeff)
-        for b, coeff in level.items():
-            quotient[(a - 1, b)] = coeff
-        # subtract (x1 + v2*x2) * level from the remainder: the x1-part
-        # cancels, the x2-part propagates one x1-degree down
-        carry = {b + 1: -v2 * coeff for b, coeff in level.items()}
-    remainder = dict(by_a.get(0, {}))
-    for b, coeff in carry.items():
-        _clean(remainder, b, coeff)
-    if remainder:
-        raise InexactDivisionError(
-            f"division by x1 {'+' if v2 > 0 else '-'} x2 left remainder {remainder}"
-        )
-    result = XPoly.__new__(XPoly)
-    result._terms = {k: c for k, c in quotient.items() if not c.is_zero()}
-    return result
+    # u = x1, w = x2 and v = v2, except for the form x2 alone: u = x2, w = x1, v = 0
+    swap = root == (0, 1)
+    v = 0 if swap else root[1]
+
+    def uw(e1: int, e2: int) -> tuple[int, int]:
+        """Exponents of (x1, x2) as exponents of (u, w); its own inverse."""
+        return (e2, e1) if swap else (e1, e2)
+
+    def quotient(head):
+        eu, ew = uw(*head)
+        return [(uw(eu - 1 - j, ew + j), (-v) ** j) for j in range(eu) if v or not j]
+
+    def remainder(head):
+        eu, ew = uw(*head)
+        return [(uw(0, eu + ew), (-v) ** eu)] if v or not eu else []
+
+    if not p._rekey(remainder).is_zero():
+        raise InexactDivisionError(f"{p!r} is not divisible by the linear form {root}")
+    return p._rekey(quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -306,85 +243,43 @@ def divide_by_linear(p: XPoly, root: tuple[int, int]) -> XPoly:
 # ---------------------------------------------------------------------------
 
 
-class VPoly:
-    """Polynomial map R^2 -> span(t1, t2), the pair (f1, f2) of f1 t1 + f2 t2.
+class VPoly(_XForm):
+    """Polynomial map R^2 -> span(t1, t2): the sum of c x1^a x2^b t_s, keys (a, b, s)."""
 
-    All arithmetic is component-wise ``XPoly`` arithmetic; the ``(a, b, s)``
-    keys of ``x1^a x2^b t_s`` appear only in the constructor, ``terms`` and
-    ``repr``.
-    """
-
-    __slots__ = ("f1", "f2")
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[VKey, Coeff] | None = None):
-        parts: tuple[dict, dict] = ({}, {})
-        for (a, b, s), coeff in (terms or {}).items():
+        for _a, _b, s in terms or {}:
             if s not in (1, 2):
                 raise ValueError(f"slot index must be 1 or 2, got {s}")
-            parts[s - 1][(a, b)] = coeff
-        self.f1, self.f2 = XPoly(parts[0]), XPoly(parts[1])
+        super().__init__(terms)
 
     @classmethod
     def from_components(cls, f1: XPoly, f2: XPoly) -> "VPoly":
-        result = cls.__new__(cls)
-        result.f1, result.f2 = f1, f2
-        return result
-
-    def _map(self, fn) -> "VPoly":
-        return VPoly.from_components(fn(self.f1), fn(self.f2))
-
-    @property
-    def terms(self) -> dict[VKey, ParamPoly]:
-        return {(a, b, s): c for s in (1, 2) for (a, b), c in self.component(s)}
+        """f1 t1 + f2 t2."""
+        return f1._rekey(lambda head: ((head + (1,), 1),), cls) + f2._rekey(
+            lambda head: ((head + (2,), 1),), cls
+        )
 
     def component(self, s: int) -> XPoly:
-        return (self.f1, self.f2)[s - 1]
-
-    def is_zero(self) -> bool:
-        return self.f1.is_zero() and self.f2.is_zero()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VPoly):
-            return NotImplemented
-        return self.f1 == other.f1 and self.f2 == other.f2
-
-    def __add__(self, other: "VPoly") -> "VPoly":
-        return VPoly.from_components(self.f1 + other.f1, self.f2 + other.f2)
-
-    def __neg__(self) -> "VPoly":
-        return self._map(XPoly.__neg__)
-
-    def __sub__(self, other: "VPoly") -> "VPoly":
-        return VPoly.from_components(self.f1 - other.f1, self.f2 - other.f2)
-
-    def __mul__(self, other: Coeff) -> "VPoly":
-        scalar = ParamPoly.coerce(other)
-        return self._map(lambda f: f * scalar)
-
-    __rmul__ = __mul__
-
-    def scale_x(self, p: XPoly) -> "VPoly":
-        """Multiply by a scalar polynomial in x."""
-        return self._map(p.__mul__)
-
-    def derivative(self, i: int) -> "VPoly":
-        return self._map(lambda f: f.derivative(i))
+        return self._rekey(lambda head: ((head[:2], 1),) if head[2] == s else (), XPoly)
 
     def t_substitute(self, images: Mapping[int, tuple[int, int]]) -> "VPoly":
         """Replace each slot t_s by sign * t_slot per ``images[s] = (sign, slot)``."""
-        parts = [XPoly(), XPoly()]
-        for s in (1, 2):
+
+        def image(head):
+            a, b, s = head
             sign, slot = images[s]
-            f = self.component(s)
-            parts[slot - 1] = parts[slot - 1] + (f if sign > 0 else -f)
-        return VPoly.from_components(*parts)
+            return (((a, b, slot), sign),)
+
+        return self._rekey(image)
 
     def homogeneous_degree(self) -> int | None:
         """Common total x-degree, None for the zero polynomial.
 
         Raises ValueError when terms of different degrees are mixed.
         """
-        degrees = {a + b for f in (self.f1, self.f2) for (a, b), _c in f}
+        degrees = {a + b for a, b, _s in self.terms}
         if not degrees:
             return None
         if len(degrees) > 1:
@@ -412,7 +307,14 @@ P14 = VPoly({(0, 1, 1): -1, (1, 0, 2): -1})
 
 def group_act(w: GroupElement, f: VPoly) -> VPoly:
     """(w f)(x) = f(x.M) . M^{-1}."""
-    return f.t_substitute({s: w.t_image(s) for s in (1, 2)})._map(lambda p: p.compose(w))
+
+    def image(head):
+        a, b, s = head
+        (a_img, b_img), x_sign = w.point_image(a, b)
+        t_sign, slot = w.t_image(s)
+        return (((a_img, b_img, slot), x_sign * t_sign),)
+
+    return f._rekey(image)
 
 
 def dunkl_d(i: int, f: VPoly) -> VPoly:
@@ -420,7 +322,7 @@ def dunkl_d(i: int, f: VPoly) -> VPoly:
     if i not in (1, 2):
         raise ValueError(f"direction must be 1 or 2, got {i}")
     d = f.derivative(i)
-    parts = [d.f1, d.f2]
+    parts = [d.component(1), d.component(2)]
     for root, refl, weight in _ROOT_DATA:
         v_i = root[i - 1]
         if v_i == 0:
@@ -460,8 +362,8 @@ def _divide_homogeneous(p: list[int], root: tuple[int, int]) -> list[int]:
 
 
 @functools.cache
-def _monomial_image(a: int, b: int, s: int) -> tuple[tuple[VKey, XKey, int], ...]:
-    """Laplacian of x1^a x2^b t_s as integer entries (target key, weight, k).
+def _monomial_image(head: VKey) -> tuple[tuple[VKey, XKey, int], ...]:
+    """Laplacian of x1^a x2^b t_s, head = (a, b, s), as integer entries.
 
     Each entry ((a', b', s'), (e0, e1), k) stands for k k0^e0 k1^e1 x1^a' x2^b'
     t_s'.  The closed second-order form gives them directly:
@@ -473,6 +375,7 @@ def _monomial_image(a: int, b: int, s: int) -> tuple[tuple[VKey, XKey, int], ...
     slot maps tau(sigma_v).  Filled on first use and kept: up to degree d
     the cache holds at most (d + 1)(d + 2) immutable entries.
     """
+    a, b, s = head
     d = a + b
     if d < 2:
         return ()
@@ -506,19 +409,11 @@ def _monomial_image(a: int, b: int, s: int) -> tuple[tuple[VKey, XKey, int], ...
 def laplacian(f: VPoly) -> VPoly:
     """Sum of the squares of the two modified derivatives.
 
-    Applied as a sparse linear map: every term c x1^a x2^b t_s of f adds
-    k c k0^e0 k1^e1 to the coefficient of each entry of its cached image,
-    and each output coefficient is summed once in integers.
+    Applied as a sparse linear map: every term c k0^e0 k1^e1 x1^a x2^b t_s of
+    f adds k c k0^(e0+d0) k1^(e1+d1) to each entry of the cached image of
+    x1^a x2^b t_s, summed in integers over f's denominator.
     """
-    parts: dict[VKey, list] = {}
-    for s in (1, 2):
-        for (a, b), coeff in f.component(s):
-            for key, kappa, k in _monomial_image(a, b, s):
-                parts.setdefault(key, []).append((k, kappa, coeff))
-    components: tuple[dict, dict] = ({}, {})
-    for (a, b, s), terms in parts.items():
-        components[s - 1][(a, b)] = shifted_sum(terms)
-    return VPoly.from_components(XPoly(components[0]), XPoly(components[1]))
+    return f._rekey_shifted(_monomial_image)
 
 
 def laplacian_power(f: VPoly, m: int) -> VPoly:
@@ -569,7 +464,7 @@ def product_rule_residual(f: XPoly, g: VPoly) -> VPoly:
 
 def _extract_multiple_of_p12(f: VPoly) -> ParamPoly:
     """The scalar c with f = c * p_{1,2}, or raise NotProportionalError."""
-    c = f.f2.terms.get((1, 0), ParamPoly.zero())
+    c = f.terms.get((1, 0, 2), ParamPoly.zero())
     if f != P12 * c:
         raise NotProportionalError(f"{f!r} is not a multiple of the degree-1 carrier")
     return c
@@ -608,13 +503,15 @@ def inner_product_S_exact(n: int, kind: str) -> ParamPoly:
     """Exact sphere-pairing value as an element of Q[k0, k1], by the operator route.
 
     kind "p12" returns alpha_n * (1 + 2k1 + 2k0), kind "p14" the beta variant,
-    both recomputed from iterated Laplacians (supported n <= 8).  The same
-    values at any n come from ``hyper.s_inner_closed``.
+    both recomputed from iterated Laplacians (supported n <= OPERATOR_NMAX).
+    The same values at any n come from ``hyper.s_inner_closed``.
     """
     if kind not in ("p12", "p14"):
         raise ValueError(f"kind must be 'p12' or 'p14', got {kind!r}")
-    if n > 8:
-        raise ValueError("the operator route supports n <= 8; use hyper.s_inner_closed")
+    if n > OPERATOR_NMAX:
+        raise ValueError(
+            f"the operator route supports n <= {OPERATOR_NMAX}; use hyper.s_inner_closed"
+        )
     anchor = 1 + 2 * K1 + 2 * K0
     alpha_scaled, beta_scaled = alpha_beta_via_laplacian(n)
     if kind == "p12":

@@ -12,6 +12,7 @@ from b2weight.hyper import gamma_fn, h_func, s_inner_closed
 from b2weight.quad import (
     QuadResult,
     _h_rule,
+    _tanh_sinh_nodes,
     asym_integral_check,
     sector_inner_numeric,
     singular_integral,
@@ -97,6 +98,25 @@ def test_tanh_sinh_calls_the_integrand_once_per_batch_of_levels():
         tanh_sinh(f, tol=1e-14)
     assert len(sizes) == 1 + 6
     assert all(later > earlier for earlier, later in zip(sizes[1:], sizes[2:]))
+
+
+def test_tanh_sinh_node_tables_are_built_once_and_read_only():
+    table = _tanh_sinh_nodes(4)
+    assert _tanh_sinh_nodes(4) is table and not table.flags.writeable
+
+    # an integrand that overwrites its node arrays leaves later calls unchanged
+    def scribble(v, d0, d1):
+        values = np.sqrt(d0 * d1)
+        v[:] = d1[:] = 0.5
+        return values, 0.0
+
+    first, second = tanh_sinh(scribble), tanh_sinh(scribble)
+    assert abs(first.value - math.pi / 8) <= 1e-10
+    assert (second.value.hex(), second.error_estimate.hex(), second.nodes) == (
+        first.value.hex(),
+        first.error_estimate.hex(),
+        first.nodes,
+    )
 
 
 ACCEPTANCE_POINTS = [(0.3, 0.1), (-0.2, 0.25), (0.1, -0.3), (0.45, 0.0), (0.0, 0.45)]

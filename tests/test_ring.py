@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b2weight.hyper import alpha_beta_recurrence, alpha_closed, beta_closed, s_inner_closed
-from b2weight.ring import K0, K1, ONE, ParamPoly, poch, poly_eval, shifted_sum
+from b2weight.ring import K0, K1, ONE, ParamPoly, poch, poly_eval
+from b2weight.vpoly import VPoly, XPoly
 
 
 def random_poly(rng: random.Random, max_deg: int = 3, max_terms: int = 5) -> ParamPoly:
@@ -125,7 +126,7 @@ def test_poly_eval_matches_termwise_fraction_sum():
 
 
 # ---------------------------------------------------------------------------
-# the integer kernel against a plain {monomial: Fraction} reference
+# the integer kernel against a plain {key: Fraction} reference
 # ---------------------------------------------------------------------------
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -133,38 +134,76 @@ scalars = st.one_of(st.integers(-30, 30), fractions)
 term_maps = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), fractions, max_size=6
 )
+# XPoly keys (a, b, e0, e1) and VPoly keys (a, b, s, e0, e1)
+exps = st.integers(0, 3)
+x_term_maps = st.dictionaries(st.tuples(exps, exps, exps, exps), fractions, max_size=6)
+v_term_maps = st.dictionaries(
+    st.tuples(exps, exps, st.sampled_from([1, 2]), exps, exps), fractions, max_size=6
+)
 
 
 def ref(terms) -> dict:
-    return {mono: Fraction(c) for mono, c in terms.items() if c}
+    return {key: Fraction(c) for key, c in terms.items() if c}
 
 
 def ref_add(p: dict, q: dict) -> dict:
     out = dict(p)
-    for mono, c in q.items():
-        out[mono] = out.get(mono, 0) + c
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + c
     return ref(out)
 
 
-def ref_mul(p: dict, q: dict) -> dict:
+def add_exponents(ka: tuple, kb: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(ka, kb))
+
+
+def times_param(key: tuple, mono: tuple) -> tuple:
+    return key[:-2] + add_exponents(key[-2:], mono)
+
+
+def times_x(xkey: tuple, key: tuple) -> tuple:
+    """x1^a x2^b k0^e0 k1^e1 times a VPoly term."""
+    return add_exponents(xkey[:2], key[:2]) + key[2:-2] + add_exponents(xkey[2:], key[-2:])
+
+
+def ref_mul(p: dict, q: dict, combine=add_exponents) -> dict:
     out: dict = {}
-    for (a0, a1), ca in p.items():
-        for (b0, b1), cb in q.items():
-            out[(a0 + b0, a1 + b1)] = out.get((a0 + b0, a1 + b1), 0) + ca * cb
+    for ka, ca in p.items():
+        for kb, cb in q.items():
+            key = combine(ka, kb)
+            out[key] = out.get(key, 0) + ca * cb
     return ref(out)
 
 
 def ref_scale(p: dict, s) -> dict:
-    return ref({mono: c * s for mono, c in p.items()})
+    return ref({key: c * s for key, c in p.items()})
 
 
-def assert_matches(poly: ParamPoly, want: dict) -> None:
+def build(cls, flat: dict):
+    """An XPoly or VPoly from {(head..., e0, e1): coefficient}, one ParamPoly per head."""
+    heads: dict = {}
+    for key, c in flat.items():
+        heads.setdefault(key[:-2], {})[key[-2:]] = c
+    return cls({head: ParamPoly(terms) for head, terms in heads.items()})
+
+
+def flat_terms(poly) -> dict:
+    """{(head..., e0, e1): Fraction} of any of the three types, read through ``terms``."""
+    if isinstance(poly, ParamPoly):
+        return poly.terms
+    return {head + mono: c for head, coeff in poly.terms.items() for mono, c in coeff}
+
+
+def assert_matches(poly, want: dict) -> None:
     """Same terms through every read path, and the canonical form."""
-    assert poly.terms == want
-    assert dict(iter(poly)) == want
-    assert all(type(c) is Fraction for _, c in poly)
-    for mono in list(want) + [(9, 9)]:
-        assert poly.coefficient(mono) == want.get(mono, 0)
+    assert flat_terms(poly) == want
+    if isinstance(poly, ParamPoly):
+        assert dict(iter(poly)) == want
+        assert all(type(c) is Fraction for _, c in poly)
+        for mono in list(want) + [(9, 9)]:
+            assert poly.coefficient(mono) == want.get(mono, 0)
+    else:
+        assert all(type(coeff) is ParamPoly and coeff for coeff in poly.terms.values())
     assert poly.is_zero() == (not want)
     num, den = poly._num, poly._den
     assert type(den) is int and den > 0
@@ -199,18 +238,22 @@ def test_kernel_matches_fraction_reference(p, q, s, e):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    parts=st.lists(
-        st.tuples(st.integers(-9, 9), st.sampled_from([(0, 0), (1, 0), (0, 1)]), term_maps),
-        max_size=6,
-    )
-)
-def test_shifted_sum_matches_fraction_reference(parts):
-    want: dict = {}
-    for k, (s0, s1), terms in parts:
-        shifted = {(e0 + s0, e1 + s1): c * k for (e0, e1), c in ref(terms).items()}
-        want = ref_add(want, shifted)
-    assert_matches(shifted_sum((k, shift, ParamPoly(t)) for k, shift, t in parts), want)
+@given(x=x_term_maps, y=x_term_maps, v=v_term_maps, w=v_term_maps, p=term_maps, s=scalars)
+def test_x_and_v_kernels_match_fraction_reference(x, y, v, w, p, s):
+    rx, ry, rv, rw, rp = ref(x), ref(y), ref(v), ref(w), ref(p)
+    X, Y, V, W, P = build(XPoly, x), build(XPoly, y), build(VPoly, v), build(VPoly, w), ParamPoly(p)
+    for A, B, ra, rb in ((X, Y, rx, ry), (V, W, rv, rw)):
+        assert_matches(A, ra)
+        assert_matches(A + B, ref_add(ra, rb))
+        assert_matches(A - B, ref_add(ra, ref_scale(rb, -1)))
+        assert_matches(-A, ref_scale(ra, -1))
+        assert_matches(A * s, ref_scale(ra, s))
+        assert_matches(s * A, ref_scale(ra, s))
+        assert_matches(A * P, ref_mul(ra, rp, times_param))
+        for a, b in [(A + B - B, A), (A * 2 - A, A), (A - A, type(A)())]:
+            assert a == b and hash(a) == hash(b)
+    assert_matches(X * Y, ref_mul(rx, ry))
+    assert_matches(V.scale_x(X), ref_mul(rx, rv, times_x))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

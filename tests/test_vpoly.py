@@ -383,7 +383,7 @@ def test_inner_product_backends_agree():
 
 def test_inner_product_unsupported_cases():
     with pytest.raises(ValueError):
-        inner_product_S_exact(9, "p12")
+        inner_product_S_exact(vpoly.OPERATOR_NMAX + 1, "p12")
     with pytest.raises(ValueError):
         inner_product_S_exact(1, "p15")
 
