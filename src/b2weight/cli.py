@@ -22,9 +22,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from io import StringIO
 
 from . import hyper, quad, vpoly
 from .errors import RegionError, ToleranceError
@@ -32,100 +30,26 @@ from .ring import K0, K1
 from .weight import ParamPoint, det_k_closed_form, eval_K
 
 _EXACT_TOKEN = "identical"
+_DEFAULTS = {"k0": "3/10", "k1": "1/10"}
+_CHECK_FIELDS = ("name", "expected", "got", "tolerance", "pass")
+_TABLE_FIELDS = ("n", "alpha", "beta", "s_p12", "s_p14")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command configuration; raw strings are kept for lossless echo.
-
-    ``tol`` is None outside ``verify``; ``eval-k`` gets nmax 0 and fmt json."""
-
-    suite: str
-    k0_raw: str
-    k1_raw: str
-    k0: Fraction
-    k1: Fraction
-    nmax: int
-    tol: float | None
-    theta: float | None
-    fmt: str
-    out: str | None
+def _check(name: str, expected: str, got: str, tolerance: float, passed: bool) -> dict:
+    """One report row, keyed by ``_CHECK_FIELDS``."""
+    return dict(zip(_CHECK_FIELDS, (name, expected, got, tolerance, passed)))
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    expected: str
-    got: str
-    tolerance: float
-    passed: bool
+def _exact_check(name: str, matched: bool, got: str = "") -> dict:
+    got = _EXACT_TOKEN if matched else (got or "mismatch")
+    return _check(name, _EXACT_TOKEN, got, 0.0, matched)
 
 
-@dataclass
-class Report:
-    suite: str
-    config: RunConfig
-    checks: list[CheckRecord] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name: str, expected: str, got: str, tolerance: float, passed: bool):
-        self.checks.append(CheckRecord(name, expected, got, tolerance, passed))
-
-    def add_exact(self, name: str, matched: bool, got: str = ""):
-        self.add(
-            name,
-            _EXACT_TOKEN,
-            _EXACT_TOKEN if matched else (got or "mismatch"),
-            0.0,
-            matched,
-        )
-
-    def finish(self) -> "Report":
-        self.checks.sort(key=lambda c: c.name)
-        return self
-
-    def to_payload(self) -> dict:
-        return {
-            "suite": self.suite,
-            "k0": self.config.k0_raw,
-            "k1": self.config.k1_raw,
-            "nmax": self.config.nmax,
-            "tol": self.config.tol,
-            "checks": [
-                {
-                    "name": c.name,
-                    "expected": c.expected,
-                    "got": c.got,
-                    "tolerance": c.tolerance,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
-            "overall_pass": self.overall_pass,
-            "elapsed_s": self.elapsed_s,
-        }
-
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return json.dumps(self.to_payload(), indent=2) + "\n"
-        if fmt == "csv":
-            buf = StringIO()
-            buf.write("name,expected,got,tolerance,pass\n")
-            for c in self.checks:
-                expected = c.expected.replace(",", ";")
-                got = c.got.replace(",", ";")
-                buf.write(f"{c.name},{expected},{got},{c.tolerance:g},{c.passed}\n")
-            return buf.getvalue()
-        lines = [f"suite: {self.suite}  (k0={self.config.k0_raw}, k1={self.config.k1_raw})"]
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"  [{status}] {c.name}: expected {c.expected}, got {c.got}")
-        lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
-        return "\n".join(lines) + "\n"
+def _csv(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
+    """A header line and one line per row of cells; a ',' in a cell is written as ';'."""
+    lines = [",".join(header)]
+    lines += [",".join(cell.replace(",", ";") for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -153,37 +77,37 @@ def _rational_str(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each yields one row per check
 # ---------------------------------------------------------------------------
 
 
-def _suite_exact(report: Report, cfg: RunConfig) -> None:
+def _suite_exact(args: argparse.Namespace):
     anchor = 1 + 2 * K1 + 2 * K0
-    seq = hyper.alpha_beta_recurrence(cfg.nmax)
-    for n in range(cfg.nmax + 1):
-        report.add_exact(
+    seq = hyper.alpha_beta_recurrence(args.nmax)
+    for n in range(args.nmax + 1):
+        yield _exact_check(
             f"exact/recurrence_vs_closed/alpha/n{n:02d}",
             seq.alpha[n] == hyper.alpha_closed(n),
         )
-        report.add_exact(
+        yield _exact_check(
             f"exact/recurrence_vs_closed/beta/n{n:02d}",
             seq.beta[n] == hyper.beta_closed(n),
         )
-        report.add_exact(
+        yield _exact_check(
             f"exact/pairing_consistency/p12/n{n:02d}",
             hyper.s_inner_closed(n, "p12") == seq.alpha[n] * anchor,
         )
-        report.add_exact(
+        yield _exact_check(
             f"exact/pairing_consistency/p14/n{n:02d}",
             hyper.s_inner_closed(n, "p14") == seq.beta[n] * anchor,
         )
-    for n in range(min(cfg.nmax, vpoly.OPERATOR_NMAX) + 1):
+    for n in range(min(args.nmax, vpoly.OPERATOR_NMAX) + 1):
         alpha_scaled, beta_scaled = vpoly.alpha_beta_via_laplacian(n)
-        report.add_exact(
+        yield _exact_check(
             f"exact/operator_route/alpha/n{n:02d}",
             alpha_scaled == seq.alpha[n] * vpoly.alpha_prime_scale(n),
         )
-        report.add_exact(
+        yield _exact_check(
             f"exact/operator_route/beta/n{n:02d}",
             beta_scaled == seq.beta[n] * vpoly.beta_prime_scale(n),
         )
@@ -195,35 +119,31 @@ def _suite_exact(report: Report, cfg: RunConfig) -> None:
     ]
     for f_name, f, g_name, g in pairs:
         residual = vpoly.product_rule_residual(f, g)
-        report.add_exact(f"exact/product_rule/{f_name}*{g_name}", residual.is_zero())
+        yield _exact_check(f"exact/product_rule/{f_name}*{g_name}", residual.is_zero())
 
 
-def _suite_quad(report: Report, cfg: RunConfig) -> None:
-    point = ParamPoint(float(cfg.k0), float(cfg.k1))
+def _suite_quad(args: argparse.Namespace):
+    k0, k1 = parse_rational(args.k0), parse_rational(args.k1)
+    point = ParamPoint(float(k0), float(k1))
     if not point.positive_definite:
-        report.add(
-            "quad/region",
-            "positive-definite parameters",
-            f"({cfg.k0_raw}, {cfg.k1_raw})",
-            0.0,
-            False,
-        )
+        region = f"({args.k0}, {args.k1})"
+        yield _check("quad/region", "positive-definite parameters", region, 0.0, False)
         return
-    for n in range(cfg.nmax + 1):
+    for n in range(args.nmax + 1):
         for kind in ("p12", "p14"):
-            exact = float(hyper.s_inner_closed(n, kind, cfg.k0, cfg.k1))
+            exact = float(hyper.s_inner_closed(n, kind, k0, k1))
             name = f"quad/pairing_vs_closed/{kind}/n{n:02d}"
             try:
-                got = quad.sector_inner_numeric(n, kind, point, tol=cfg.tol * 0.1)
+                got = quad.sector_inner_numeric(n, kind, point, tol=args.tol * 0.1)
             except (RegionError, ToleranceError) as exc:
-                report.add(name, f"{exact:.15g}", f"error: {exc}", cfg.tol, False)
+                yield _check(name, f"{exact:.15g}", f"error: {exc}", args.tol, False)
                 continue
             rel = abs(got.value - exact) / max(abs(exact), 1e-300)
-            report.add(name, f"{exact:.15g}", f"{got.value:.15g}", cfg.tol, rel <= cfg.tol)
+            yield _check(name, f"{exact:.15g}", f"{got.value:.15g}", args.tol, rel <= args.tol)
     for theta in (0.2, 0.5, 0.7):
         ev = eval_K(theta, point)
         expected = det_k_closed_form(point)
-        report.add(
+        yield _check(
             f"quad/det_weight/theta{theta:.1f}",
             f"{expected:.15g}",
             f"{ev.det_k:.15g}",
@@ -232,22 +152,22 @@ def _suite_quad(report: Report, cfg: RunConfig) -> None:
         )
 
 
-def _suite_asym(report: Report, cfg: RunConfig) -> None:
-    k0f, k1f = float(cfg.k0), float(cfg.k1)
+def _suite_asym(args: argparse.Namespace):
+    k0, k1 = parse_rational(args.k0), parse_rational(args.k1)
     small, large = 200, 800
     deviations = {}
     for n in (small, large):
-        v1, v2 = hyper.asym_f_check(n, k0f, k1f)
+        v1, v2 = hyper.asym_f_check(n, float(k0), float(k1))
         deviations[n] = (abs(v1 - 1.0), abs(v2 - 1.0))
         for label, value in (("f1", v1), ("f2", v2)):
-            report.add(
+            yield _check(
                 f"asym/normalized_{label}/n{n}",
                 "within [0.9, 1.1]",
                 f"{value:.12g}",
                 0.1,
                 0.9 <= value <= 1.1,
             )
-    report.add_exact(
+    yield _exact_check(
         "asym/normalized_f_improves",
         deviations[large][0] < deviations[small][0]
         and deviations[large][1] < deviations[small][1],
@@ -257,27 +177,27 @@ def _suite_asym(report: Report, cfg: RunConfig) -> None:
     for n in (small, large):
         num, asym = quad.asym_integral_check(0.25, -0.3, 0.2, n)
         ratios[n] = num / asym
-        report.add(
+        yield _check(
             f"asym/integral_ratio/n{n}",
             "1 within 10%",
             f"{ratios[n]:.12g}",
             0.1,
             abs(ratios[n] - 1.0) <= 0.1,
         )
-    report.add_exact(
+    yield _exact_check(
         "asym/integral_ratio_improves",
         abs(ratios[large] - 1.0) < abs(ratios[small] - 1.0),
         got=f"{ratios[small]:.6g} -> {ratios[large]:.6g}",
     )
-    a, b, c = Fraction(1, 2) + cfg.k1 + cfg.k0, Fraction(-1, 2) + cfg.k1 - cfg.k0, -cfg.k1
+    a, b, c = Fraction(1, 2) + k1 + k0, Fraction(-1, 2) + k1 - k0, -k1
     if 0 < a < 1 and -1 < b < 0 and c > -1:
         holds = all(hyper.squeeze_check(n, a, b, c).chain_holds for n in (5, 20, 50))
-        report.add_exact("asym/squeeze_orderings", holds)
+        yield _exact_check("asym/squeeze_orderings", holds)
     ok = True
     for n in (10, 30, 50):
         lhs, rhs = hyper.chu_vandermonde(n, Fraction(1, 3))
         ok = ok and lhs == rhs
-    report.add_exact("asym/terminating_sum_identity", ok)
+    yield _exact_check("asym/terminating_sum_identity", ok)
 
 
 _SUITES = {
@@ -288,61 +208,79 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[Report, int]:
+# ---------------------------------------------------------------------------
+# commands: each returns its output and exit code
+# ---------------------------------------------------------------------------
+
+
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     start = time.perf_counter()
-    report = Report(suite=cfg.suite, config=cfg)
-    for suite_fn in _SUITES[cfg.suite]:
-        suite_fn(report, cfg)
-    report.elapsed_s = time.perf_counter() - start
-    report.finish()
-    return report, 0 if report.overall_pass else 1
+    checks = [row for suite in _SUITES[args.suite] for row in suite(args)]
+    elapsed_s = time.perf_counter() - start
+    checks.sort(key=lambda row: row["name"])
+    passed = all(row["pass"] for row in checks)
+    if args.fmt == "json":
+        payload = {
+            "suite": args.suite,
+            "k0": args.k0,
+            "k1": args.k1,
+            "nmax": args.nmax,
+            "tol": args.tol,
+            "checks": checks,
+            "overall_pass": passed,
+            "elapsed_s": elapsed_s,
+        }
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.fmt == "csv":
+        rows = [
+            (row["name"], row["expected"], row["got"], f"{row['tolerance']:g}", str(row["pass"]))
+            for row in checks
+        ]
+        text = _csv(_CHECK_FIELDS, rows)
+    else:
+        lines = [f"suite: {args.suite}  (k0={args.k0}, k1={args.k1})"]
+        for row in checks:
+            status = "PASS" if row["pass"] else "FAIL"
+            detail = f"expected {row['expected']}, got {row['got']}"
+            lines.append(f"  [{status}] {row['name']}: {detail}")
+        lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
+        text = "\n".join(lines) + "\n"
+    return text, 0 if passed else 1
 
 
-# ---------------------------------------------------------------------------
-# table
-# ---------------------------------------------------------------------------
-
-
-def cmd_table(cfg: RunConfig, symbolic: bool) -> str:
-    params = (K0, K1) if symbolic else (cfg.k0, cfg.k1)
-    seq = hyper.alpha_beta_recurrence(cfg.nmax, *params)
+def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
+    if args.k0 is None and args.k1 is None:
+        params = (K0, K1)
+    else:
+        params = tuple(parse_rational(getattr(args, k) or _DEFAULTS[k]) for k in ("k0", "k1"))
+    seq = hyper.alpha_beta_recurrence(args.nmax, *params)
     rows = []
-    for n in range(cfg.nmax + 1):
+    for n in range(args.nmax + 1):
         cells = (
+            n,
             seq.alpha[n],
             seq.beta[n],
             hyper.s_inner_closed(n, "p12", *params),
             hyper.s_inner_closed(n, "p14", *params),
         )
-        rows.append([str(n)] + [str(cell) for cell in cells])
-    header = ["n", "alpha", "beta", "s_p12", "s_p14"]
-    if cfg.fmt == "csv":
-        out = [",".join(header)]
-        for row in rows:
-            out.append(",".join(cell.replace(",", ";") for cell in row))
-        return "\n".join(out) + "\n"
-    if cfg.fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
-    widths = [max(len(r[i]) for r in [header] + rows) for i in range(5)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines) + "\n"
+        rows.append(tuple(str(cell) for cell in cells))
+    if args.fmt == "csv":
+        return _csv(_TABLE_FIELDS, rows), 0
+    if args.fmt == "json":
+        return json.dumps([dict(zip(_TABLE_FIELDS, row)) for row in rows], indent=2) + "\n", 0
+    grid = [_TABLE_FIELDS, *rows]
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)) for line in grid]
+    return "\n".join(lines) + "\n", 0
 
 
-# ---------------------------------------------------------------------------
-# eval-k
-# ---------------------------------------------------------------------------
-
-
-def cmd_eval_k(cfg: RunConfig) -> str:
-    point = ParamPoint(float(cfg.k0), float(cfg.k1))
-    ev = eval_K(cfg.theta, point)
+def cmd_eval_k(args: argparse.Namespace) -> tuple[str, int]:
+    k0, k1 = float(parse_rational(args.k0)), float(parse_rational(args.k1))
+    ev = eval_K(args.theta, ParamPoint(k0, k1))
     payload = {
-        "k0": float(cfg.k0),
-        "k1": float(cfg.k1),
-        "theta": cfg.theta,
+        "k0": k0,
+        "k1": k1,
+        "theta": args.theta,
         "u": ev.u,
         "L": [float(x) for x in ev.L.flatten()],
         "K": [float(ev.K[0, 0]), float(ev.K[0, 1]), float(ev.K[1, 1])],
@@ -350,7 +288,7 @@ def cmd_eval_k(cfg: RunConfig) -> str:
         "d2": ev.d2,
         "detK": ev.det_k,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2) + "\n", 0
 
 
 # ---------------------------------------------------------------------------
@@ -367,55 +305,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, nmax_default: int | None = None):
+    def common(p: argparse.ArgumentParser, run, nmax_default: int | None = None):
         for name in ("k0", "k1"):
             p.add_argument(
-                f"--{name}", type=_rational_str, default=None,
+                f"--{name}", type=_rational_str, default=_DEFAULTS[name],
                 help=f"parameter {name} (rational or decimal)",
             )
         if nmax_default is not None:
             p.add_argument("--nmax", type=_nonneg_int, default=nmax_default)
             p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, help="write output to this path")
+        p.set_defaults(run=run)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=("exact", "quad", "asym", "all"))
-    common(p_verify, nmax_default=6)
+    common(p_verify, cmd_verify, nmax_default=6)
     p_verify.add_argument("--tol", type=float, default=1e-8)
 
     p_table = sub.add_parser("table", help="tabulate the coefficient sequences")
-    common(p_table, nmax_default=8)
+    common(p_table, cmd_table, nmax_default=8)
+    # symbolic unless a parameter is given
+    p_table.set_defaults(k0=None, k1=None)
 
     p_eval = sub.add_parser("eval-k", help="evaluate the weight matrix at one angle")
-    common(p_eval)
+    common(p_eval, cmd_eval_k)
     p_eval.add_argument("--theta", type=float, required=True)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace, suite: str) -> RunConfig:
-    k0_raw = args.k0 if args.k0 is not None else "3/10"
-    k1_raw = args.k1 if args.k1 is not None else "1/10"
-    return RunConfig(
-        suite=suite,
-        k0_raw=k0_raw,
-        k1_raw=k1_raw,
-        k0=parse_rational(k0_raw),
-        k1=parse_rational(k1_raw),
-        nmax=getattr(args, "nmax", 0),
-        tol=getattr(args, "tol", None),
-        theta=getattr(args, "theta", None),
-        fmt=getattr(args, "fmt", "json"),
-        out=args.out,
-    )
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -426,22 +342,16 @@ def main(argv: list[str] | None = None) -> int:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            cfg = _config_from_args(args, args.suite)
-            report, code = cmd_verify(cfg)
-            _emit(report.render(cfg.fmt), cfg.out)
-            return code
-        if args.command == "table":
-            symbolic = args.k0 is None and args.k1 is None
-            cfg = _config_from_args(args, "table")
-            _emit(cmd_table(cfg, symbolic), cfg.out)
-            return 0
-        cfg = _config_from_args(args, "eval-k")
-        _emit(cmd_eval_k(cfg), cfg.out)
-        return 0
+        text, code = args.run(args)
     except (RegionError, ToleranceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ argument.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,18 +174,15 @@ def euler_transform(
     return (c - a, c - b, c, z, prefactor)
 
 
-# h_func and eval_L use six parameter triples at one point
-@functools.lru_cache(maxsize=64)
-def _connection_coeffs(a: float, b: float, c: float) -> tuple[float, float]:
-    """Gamma quotients of the two series in 1 - z of the near-1 branch.
+def _gauss_sum(a: float, b: float, c: float) -> float:
+    """F(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), for c - a - b > 0."""
+    return gamma_fn(c) * gamma_fn(c - a - b) * _recip_gamma(c - a) * _recip_gamma(c - b)
 
-    They depend on the parameters only, and one h_func index at one point
-    asks for the same ones at every z.
-    """
+
+def _connection_coeffs(a: float, b: float, c: float) -> tuple[float, float]:
+    """Gamma quotients of the two series in 1 - z of the near-1 branch."""
     d = c - a - b
-    coeff1 = gamma_fn(c) * gamma_fn(d) * _recip_gamma(c - a) * _recip_gamma(c - b)
-    coeff2 = gamma_fn(c) * gamma_fn(-d) * _recip_gamma(a) * _recip_gamma(b)
-    return coeff1, coeff2
+    return _gauss_sum(a, b, c), gamma_fn(c) * gamma_fn(-d) * _recip_gamma(a) * _recip_gamma(b)
 
 
 def _gauss_2f1_rows(
@@ -224,7 +220,7 @@ def _gauss_2f1_rows(
                 raise RegionError(
                     f"2F1 diverges at z = 1 when c - a - b = {d} is not positive"
                 )
-            unit_value = gamma_fn(c) * gamma_fn(d) * _recip_gamma(c - a) * _recip_gamma(c - b)
+            unit_value = _gauss_sum(a, b, c)
             unit_bound = 5.0 * _GAMMA_RELERR * abs(unit_value)
             if unit_bound > tol * (1.0 + abs(unit_value)):
                 raise ToleranceError(
@@ -308,15 +304,12 @@ def gauss_2f1(
     c: float,
     z: float,
     tol: float = 1e-12,
-    z_complement: float | None = None,
 ) -> HypResult:
     """F(a, b; c; z) on 0 <= z <= 1 with a certified error bound.
 
     The certified ``tail_bound`` satisfies tail_bound <= tol * (1 + |value|),
     i.e. ``tol`` acts absolutely for moderate values and relatively for large
     ones (the series can legitimately blow up like (1-z)^(c-a-b) near z = 1).
-    ``z_complement`` may supply 1 - z to higher accuracy than the subtraction
-    would give; it matters only when z is extremely close to 1.
 
     Strategy: terminating series are summed exactly; z = 1 uses the
     gamma-quotient value (valid for c - a - b > 0); moderate z uses forward
@@ -327,10 +320,7 @@ def gauss_2f1(
     a, b, c, z = float(a), float(b), float(c), float(z)
     if not 0.0 <= z <= 1.0:
         raise RegionError(f"gauss_2f1 requires 0 <= z <= 1, got z = {z}")
-    w = float(z_complement) if z_complement is not None else 1.0 - z
-    if not 0.0 <= w <= 1.0:
-        raise RegionError(f"z_complement must lie in [0, 1], got {w}")
-    return _at_one_point(a, b, c, z, w, tol)
+    return _at_one_point(a, b, c, z, 1.0 - z, tol)
 
 
 _H_PARAMS = {

@@ -158,7 +158,8 @@ def tanh_sinh(
     0 to 3 and once for each later level.  ``nodes`` counts the integrand
     evaluations over all levels.  ``error_estimate`` is the difference of the
     last two levels, plus the integrand's bounds integrated by the same rule,
-    plus the rounding of the sum.
+    plus the rounding of the sum.  A level whose value is not finite raises
+    ToleranceError.
     """
     previous = None
     total = total_bound = total_abs = 0.0
@@ -180,6 +181,8 @@ def tanh_sinh(
             total_bound = _running_sum(total_bound, bound_terms[part])
             nodes += len(rows)
             value = total * h
+            if not math.isfinite(value):
+                raise ToleranceError(f"double-exponential rule gave {value} at level {level}")
             if previous is not None:
                 err = abs(value - previous)
                 if err <= tol * (1.0 + abs(value)) and level >= 3:
@@ -203,7 +206,7 @@ def _gauss_jacobi_doubling(
     ``level(n)`` returns the weights of the n-node rule, the smooth factor at
     its nodes, and an error term of those values; the term of the accepted
     level is added to the refinement difference.  Raises ToleranceError when
-    no two successive levels agree to ``tol``.
+    a level's value is not finite or no two successive levels agree to ``tol``.
     """
     previous = None
     total_nodes = 0
@@ -211,6 +214,8 @@ def _gauss_jacobi_doubling(
     while n <= _GJ_MAX:
         w, values, value_err = level(n)
         value = float(np.dot(w, values))
+        if not math.isfinite(value):
+            raise ToleranceError(f"Gauss-Jacobi rule of {n} nodes gave {value}")
         total_nodes += n
         if previous is not None:
             err = abs(value - previous)

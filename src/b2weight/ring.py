@@ -24,6 +24,7 @@ Instances are immutable, so values can be shared or cached freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -157,18 +158,25 @@ class SparsePoly:
         term c head k0^e0 k1^e1 goes to the sum of k c new k0^(e0+d0) k1^(e1+d1).
         The terms are grouped by head; each new head sums its numerators in
         integers over self's denominator, in a dense list indexed by
-        e0 * width + e1, and the result is made canonical once.
+        e0 * width + e1, read back at its nonzero slots only; the result is
+        made canonical once.
         """
         num = self._num
         groups: dict[tuple, list[tuple[int, int, int]]] = {}
+        top0 = top1 = 0  # the largest exponents of k0 and k1 in self
         for key, c in num.items():
-            groups.setdefault(key[:-2], []).append((key[-2], key[-1], c))
+            e0, e1 = key[-2:]
+            if e0 > top0:
+                top0 = e0
+            if e1 > top1:
+                top1 = e1
+            groups.setdefault(key[:-2], []).append((e0, e1, c))
         images = {head: tuple(image(head)) for head in groups}
         shifts = [shift for entries in images.values() for _, shift, _ in entries]
         if not shifts:
             return _make(type(self), {}, 1)
-        width = max(key[-1] for key in num) + max(d1 for _, d1 in shifts) + 1
-        size = (max(key[-2] for key in num) + max(d0 for d0, _ in shifts) + 1) * width
+        width = top1 + max(d1 for _, d1 in shifts) + 1
+        size = (top0 + max(d0 for d0, _ in shifts) + 1) * width
         out: dict[tuple, list[int]] = {}
         for head, params in groups.items():
             params = [(e0 * width + e1, c) for e0, e1, c in params]
@@ -179,9 +187,14 @@ class SparsePoly:
                 step = d0 * width + d1
                 for i, c in params:
                     acc[i + step] += k * c
+        slots = range(size)
         return _make(
             type(self),
-            {new + divmod(i, width): c for new, acc in out.items() for i, c in enumerate(acc) if c},
+            {
+                new + divmod(i, width): acc[i]
+                for new, acc in out.items()
+                for i in compress(slots, acc)  # the nonzero slots
+            },
             self._den,
         )
 

@@ -113,6 +113,83 @@ def test_verify_csv_and_text_formats(capsys):
     assert "overall: PASS" in out
 
 
+_EXACT_N00_NAMES = [
+    "exact/operator_route/alpha/n00",
+    "exact/operator_route/beta/n00",
+    "exact/pairing_consistency/p12/n00",
+    "exact/pairing_consistency/p14/n00",
+    "exact/product_rule/phi_sq*p12",
+    "exact/product_rule/phi_sq*phi_p14",
+    "exact/product_rule/radius_4*phi_p14",
+    "exact/product_rule/radius_sq*p12",
+    "exact/recurrence_vs_closed/alpha/n00",
+    "exact/recurrence_vs_closed/beta/n00",
+]
+
+
+def test_verify_csv_and_text_reports_are_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "exact", "--nmax", "0", "--format", "csv")
+    assert code == 0
+    assert out == "name,expected,got,tolerance,pass\n" + "".join(
+        f"{name},identical,identical,0,True\n" for name in _EXACT_N00_NAMES
+    )
+    code, out, _ = run_cli(capsys, "verify", "exact", "--nmax", "0", "--format", "text")
+    assert code == 0
+    assert out == (
+        "suite: exact  (k0=3/10, k1=1/10)\n"
+        + "".join(
+            f"  [PASS] {name}: expected identical, got identical\n" for name in _EXACT_N00_NAMES
+        )
+        + "overall: PASS\n"
+    )
+
+
+def test_verify_json_key_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "exact", "--nmax", "0", "--k0=-7/20")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == [
+        "suite", "k0", "k1", "nmax", "tol", "checks", "overall_pass", "elapsed_s",
+    ]
+    assert [payload[key] for key in ("suite", "k0", "k1", "nmax", "tol")] == [
+        "exact", "-7/20", "1/10", 0, 1e-8,
+    ]
+    assert [list(check) for check in payload["checks"]] == [
+        ["name", "expected", "got", "tolerance", "pass"]
+    ] * len(_EXACT_N00_NAMES)
+    assert payload["checks"][0] == {
+        "name": _EXACT_N00_NAMES[0],
+        "expected": "identical",
+        "got": "identical",
+        "tolerance": 0.0,
+        "pass": True,
+    }
+
+
+def test_verify_csv_error_and_region_rows(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "quad", "--k0", "4999/10000", "--k1", "0", "--nmax", "0",
+        "--format", "csv",
+    )
+    assert code == 1
+    rows = out.splitlines()
+    assert rows[-1] == (
+        "quad/pairing_vs_closed/p14/n00,-0.00019998,error: tol=1e-11 unreachable for"
+        " 2F1 near z=1 (best bound 1.436e-10; c-a-b = 0.00019999999999997797 is close"
+        " to an integer),1e-08,False"
+    )
+    assert all(len(row.split(",")) == 5 for row in rows)
+    # a comma inside a cell is written as ';'
+    code, out, _ = run_cli(
+        capsys, "verify", "quad", "--k0", "0.3", "--k1", "0.3", "--format", "csv"
+    )
+    assert code == 1
+    assert out == (
+        "name,expected,got,tolerance,pass\n"
+        "quad/region,positive-definite parameters,(0.3; 0.3),0,False\n"
+    )
+
+
 def test_table_symbolic_defaults(capsys):
     code, out, _ = run_cli(capsys, "table", "--nmax", "2", "--format", "csv")
     assert code == 0

@@ -66,6 +66,23 @@ def test_singular_integral_needs_declared_endpoint_powers():
     assert abs(res.value - 2.0 / 3.0) <= 1e-12
 
 
+def test_singular_integral_never_accepts_a_non_finite_value():
+    # the 24-node level is finite and the 48-node level infinite; inf - 1 is
+    # within any tolerance relative to |inf|, so the stop test alone passes it
+    with pytest.raises(ToleranceError):
+        singular_integral(0.0, 0.0, lambda v: np.where(v > 0.999, np.inf, 1.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_direct_mode_never_accepts_a_non_finite_value():
+    # inside the positive-definite region; the integrand overflows near the
+    # end of the tanh-sinh range there
+    p = ParamPoint(0.0, 0.489)
+    assert p.positive_definite
+    with pytest.raises(ToleranceError):
+        sector_inner_numeric(0, "p12", p, mode="direct")
+
+
 def test_tanh_sinh_handles_endpoint_singularities():
     # int_0^1 v^(-1/2) (1-v)^(-1/2) dv = pi via the distance arguments
     def f(_v, d0, d1):
