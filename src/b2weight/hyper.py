@@ -193,109 +193,91 @@ def _gauss_2f1_rows(
     ``w`` holds 1 - z, possibly to better accuracy than the subtraction; both
     lie in [0, 1].  Returns one (value, tail_bound, terms_used) triple of
     arrays per parameter triple.  The branches are those ``gauss_2f1``
-    documents, chosen per triple and argument, and the series of all of them
-    are summed in one ``_sum_series`` call.
+    documents, chosen per triple and argument.  Each branch declares its
+    series as rows (triple, argument indices, factor, series parameters); all
+    rows are summed in one ``_sum_series`` call, and every value is then the
+    sum of factor * series over its rows, every bound the sum of
+    |factor| * tail, and every term count the sum of the rows' counts.
     """
     # the better-conditioned representation of the argument wins
     z_eff = np.where(w >= 0.5, z, 1.0 - w)
-    unit = w == 0.0
-    forward = ~unit & (z_eff <= 0.75)
-    near = ~unit & ~forward
-    groups = []  # (a, b, c, arguments, tol, max_terms) per group of series
-
-    def queue(a, b, c, x, row_tol, max_terms) -> int:
-        groups.append((a, b, c, x, row_tol, max_terms))
-        return len(groups) - 1
-
-    def plan(a: float, b: float, c: float):
-        """Queue the series of one triple; return what assembles its values."""
+    unit = np.flatnonzero(w == 0.0)
+    forward = np.flatnonzero((w != 0.0) & (z_eff <= 0.75))
+    near = np.flatnonzero((w != 0.0) & ~(z_eff <= 0.75))
+    z_forward, z_near, w_near = z_eff[forward], z_eff[near], w[near]
+    rows = []  # (triple index, argument indices, factor, (a, b, c, argument, tol, max_terms))
+    connected = {}  # triple index -> c - a - b, for the connection branch
+    # sums per triple and argument, ``mass`` of |factor * series|; they start
+    # at -0.0, the exact identity of float addition, so one row adds exactly
+    value, bound, mass = np.full((3, len(params), len(z)), -0.0)
+    terms = np.zeros((len(params), len(z)), dtype=np.int64)
+    for k, (a, b, c) in enumerate(params):
+        a, b, c = float(a), float(b), float(c)
         if _is_nonpositive_integer(c, tol=0.0):
             raise RegionError(f"gauss_2f1 parameter c = {c} is a non-positive integer")
         if (a <= 0 and a == round(a)) or (b <= 0 and b == round(b)):
-            terminating = queue(a, b, c, z_eff, tol, 10**6)
-            return lambda sums: sums[terminating]
+            rows.append((k, np.arange(len(z)), 1.0, (a, b, c, z_eff, tol, 10**6)))
+            continue
         d = c - a - b
-        if unit.any():
+        if unit.size:
             if d <= 0:
-                raise RegionError(
-                    f"2F1 diverges at z = 1 when c - a - b = {d} is not positive"
-                )
+                raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {d} is not positive")
             unit_value = _gauss_sum(a, b, c)
             unit_bound = 5.0 * _GAMMA_RELERR * abs(unit_value)
             if unit_bound > tol * (1.0 + abs(unit_value)):
                 raise ToleranceError(
                     f"tol={tol} unreachable for 2F1 at z=1 (best bound {unit_bound:.3e})"
                 )
-        forward_rows = queue(a, b, c, z_eff[forward], tol, 2_000)
+            value[k, unit], bound[k, unit], terms[k, unit] = unit_value, unit_bound, 1
+        rows.append((k, forward, 1.0, (a, b, c, z_forward, tol, 2_000)))
         # argument close to 1: a pair of series in w where that map is well
         # conditioned, else, in a thin sliver where c - a - b is nearly an
         # integer, capped forward summation after an Euler transform or without
-        connection = near.any() and abs(d - round(d)) >= 1e-5
-        if connection:
+        if near.size and abs(d - round(d)) >= 1e-5:
             coeff1, coeff2 = _connection_coeffs(a, b, c)
-            near_rows = (
-                queue(a, b, 1.0 - d, w[near], 1e-16, 4_000),
-                queue(c - a, c - b, 1.0 + d, w[near], 1e-16, 4_000),
-            )
-        elif near.any() and d <= -0.5:
-            prefactor = np.array([(1.0 - x) ** (c - a - b) for x in z_eff[near].tolist()])
+            wd = np.array([math.exp(d * math.log(x)) for x in w_near.tolist()])
+            rows.append((k, near, coeff1, (a, b, 1.0 - d, w_near, 1e-16, 4_000)))
+            rows.append((k, near, coeff2 * wd, (c - a, c - b, 1.0 + d, w_near, 1e-16, 4_000)))
+            connected[k] = d
+        elif d <= -0.5:
+            # the prefactor (1 - z)^(c-a-b) as rounded is taken as exact
+            prefactor = np.array([(1.0 - x) ** d for x in z_near.tolist()])
             inner_tol = tol / np.maximum(prefactor, 1e-300)
-            near_rows = queue(c - a, c - b, c, z_eff[near], inner_tol, 500_000)
+            rows.append((k, near, prefactor, (c - a, c - b, c, z_near, inner_tol, 500_000)))
         else:
-            prefactor = 1.0
-            near_rows = queue(a, b, c, z_eff[near], tol, 500_000)
+            rows.append((k, near, 1.0, (a, b, c, z_near, tol, 500_000)))
 
-        def assemble(sums):
-            value, bound = np.empty(len(z)), np.empty(len(z))
-            terms = np.ones(len(z), dtype=np.int64)
-            if unit.any():
-                value[unit], bound[unit] = unit_value, unit_bound
-            value[forward], bound[forward], terms[forward] = sums[forward_rows]
-            if not connection:
-                inner, inner_bound, terms[near] = sums[near_rows]
-                value[near], bound[near] = prefactor * inner, prefactor * inner_bound
-                return value, bound, terms
-            (s1, t1, n1), (s2, t2, n2) = (sums[k] for k in near_rows)
-            wd = np.array([math.exp(d * math.log(x)) if x > 0 else 0.0 for x in w[near].tolist()])
-            part1 = coeff1 * s1
-            part2 = coeff2 * wd * s2
-            near_value = part1 + part2
-            near_bound = (
-                abs(coeff1) * t1
-                + abs(coeff2) * wd * t2
-                + (np.abs(part1) + np.abs(part2)) * 8.0 * _GAMMA_RELERR
-            )
-            unreachable = np.flatnonzero(near_bound > tol * (1.0 + np.abs(near_value)))
-            if unreachable.size:
-                best = near_bound[unreachable[0]]
-                raise ToleranceError(
-                    f"tol={tol} unreachable for 2F1 near z=1 (best bound {best:.3e}; "
-                    f"c-a-b = {d} is close to an integer)" if abs(d - round(d)) < 1e-3
-                    else f"tol={tol} unreachable for 2F1 near z=1 (best bound {best:.3e})"
-                )
-            value[near], bound[near], terms[near] = near_value, near_bound, n1 + n2
-            return value, bound, terms
-
-        return assemble
-
-    assemblers = [plan(float(a), float(b), float(c)) for a, b, c in params]
-    sizes = [len(group[3]) for group in groups]
-    a, b, c, x, row_tol, max_terms = zip(*groups)
-    summed = _sum_series(
+    owners, indices, factors, series = zip(*rows)
+    a, b, c, x, row_tol, max_terms = zip(*series)
+    sizes = [len(arguments) for arguments in x]
+    summed, tail, count = _sum_series(
         *(np.repeat(np.array(p, dtype=float), sizes) for p in (a, b, c)),
         np.concatenate(x),
         np.concatenate([np.full(size, t, dtype=float) for t, size in zip(row_tol, sizes)]),
         np.repeat(np.array(max_terms, dtype=float), sizes),
     )
-    edges = np.cumsum([0] + sizes)
-    sums = [tuple(x[lo:hi] for x in summed) for lo, hi in zip(edges[:-1], edges[1:])]
-    return [assemble(sums) for assemble in assemblers]
-
-
-def _at_one_point(a: float, b: float, c: float, z: float, w: float, tol: float) -> HypResult:
-    """``_gauss_2f1_rows`` for one triple at one argument."""
-    ((value, bound, terms),) = _gauss_2f1_rows([(a, b, c)], np.array([z]), np.array([w]), tol)
-    return HypResult(float(value[0]), float(bound[0]), int(terms[0]))
+    # every row at once into its triple's arguments; np.add.at adds in the
+    # order of ``where``, so a connection value is its first row plus its second
+    factor = np.concatenate([np.full(size, f, dtype=float) for f, size in zip(factors, sizes)])
+    where = np.concatenate([k * len(z) + at for k, at in zip(owners, indices)])
+    part = factor * summed
+    sums = ((value, part), (bound, np.abs(factor) * tail), (terms, count), (mass, np.abs(part)))
+    for total, add in sums:
+        np.add.at(total.reshape(-1), where, add)
+    if connected:
+        at = np.ix_(list(connected), near)
+        # the gamma quotients' rounding; that of the final sum is not bounded yet
+        bound[at] += mass[at] * 8.0 * _GAMMA_RELERR
+        unreachable = np.argwhere(bound[at] > tol * (1.0 + np.abs(value[at])))
+        if unreachable.size:
+            row, column = unreachable[0]
+            d, best = list(connected.values())[row], bound[at][row, column]
+            raise ToleranceError(
+                f"tol={tol} unreachable for 2F1 near z=1 (best bound {best:.3e}; "
+                f"c-a-b = {d} is close to an integer)" if abs(d - round(d)) < 1e-3
+                else f"tol={tol} unreachable for 2F1 near z=1 (best bound {best:.3e})"
+            )
+    return list(zip(value, bound, terms))
 
 
 def gauss_2f1(
@@ -320,7 +302,8 @@ def gauss_2f1(
     a, b, c, z = float(a), float(b), float(c), float(z)
     if not 0.0 <= z <= 1.0:
         raise RegionError(f"gauss_2f1 requires 0 <= z <= 1, got z = {z}")
-    return _at_one_point(a, b, c, z, 1.0 - z, tol)
+    ((value, bound, terms),) = _gauss_2f1_rows([(a, b, c)], np.array([z]), np.array([1.0 - z]), tol)
+    return HypResult(float(value[0]), float(bound[0]), int(terms[0]))
 
 
 _H_PARAMS = {
@@ -344,7 +327,9 @@ def h_func(i: int, z: float, k0: float, k1: float, tol: float = 1e-12) -> HypRes
     if not abs(k0) < 0.5:
         raise RegionError(f"h_func requires |k0| < 1/2, got k0 = {k0}")
     z = float(z)
-    return _at_one_point(*_H_PARAMS[i](float(k0), float(k1)), z, 1.0 - z, tol)
+    triple = _H_PARAMS[i](float(k0), float(k1))
+    ((value, bound, terms),) = _gauss_2f1_rows([triple], np.array([z]), np.array([1.0 - z]), tol)
+    return HypResult(float(value[0]), float(bound[0]), int(terms[0]))
 
 
 # ---------------------------------------------------------------------------

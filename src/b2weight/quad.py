@@ -368,6 +368,7 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
     # d1 and d2 each carry four gamma values; phi rounds about three times,
     # and its power and the final products a few times more
     rho = 4.0 * _GAMMA_RELERR + (3 * phi_power + 8) * _EPS
+    outermost = [_SECTOR, _SECTOR]  # the smallest theta and delta summed
 
     def integrand(
         frac: np.ndarray, dist0: np.ndarray, dist1: np.ndarray
@@ -376,6 +377,8 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
         delta = _SECTOR * dist1
         value, bound = np.zeros(len(frac)), np.zeros(len(frac))
         inside = np.flatnonzero((theta != 0.0) & (delta != 0.0))
+        for i, edge in enumerate((theta, delta)):
+            outermost[i] = min(outermost[i], float(edge[inside].min(initial=_SECTOR)))
         # per node with math: the slope and its complement without
         # cancellation at either edge, sin and cos of theta, and the power of
         # phi = sin(2 delta), which equals cos(2 theta)
@@ -408,7 +411,47 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
 
     de = tanh_sinh(integrand, tol=tol)
     value = 8.0 * _SECTOR * de.value
-    return QuadResult(value, 8.0 * _SECTOR * de.error_estimate + 2.0 * _EPS * abs(value), de.nodes)
+    err = 8.0 * _SECTOR * de.error_estimate + 2.0 * _EPS * abs(value)
+    edges = _edge_mass(p, d1, d2, phi_power, *outermost)
+    return QuadResult(value, err + 8.0 * edges, de.nodes)
+
+
+def _edge_mass(
+    p: ParamPoint, d1: float, d2: float, phi_power: int, theta_c: float, delta_c: float
+) -> float:
+    """A bound on the integral of |integrand| of mode "direct" over (0, theta_c)
+    and over (pi/4 - delta_c, pi/4), beyond the outermost nodes summed.
+
+    The integrand is phi^p (d1 y_1 z_1 + d2 y_2 z_2) with p = ``phi_power``,
+    phi = cos(2 theta) <= 1 and |y_r|, |z_r| <= |L_r1| sin(theta) + |L_r2| cos(theta).
+
+    Near theta = 0, u = tan(theta): each 2F1 of L is 1 + O(u^2) and the
+    powers of u are those of theta, so |y_1|, |z_1| <= (1 + |k0| / (1/2 + k1))
+    theta^(1+k1) and |y_2|, |z_2| <= theta^(-k1), and the integral of
+    |d1| (1 + |k0| / (1/2 + k1))^2 theta^(2+2k1) + |d2| theta^(-2k1) is taken.
+
+    Near theta = pi/4, delta = pi/4 - theta and s = 1 - u^2 >= phi = sin(2 delta):
+    in the positive-definite region each 2F1 of L, or its Euler transform,
+    is a series whose terms after the first share one sign, so it lies
+    between 0 and 1 or below its value at 1 (Gauss's sum).  That gives
+    |L_11|, |L_22| <= s^(-|k0|) and |L_12| <= g_+ s^(-|k0|), |L_21| <= g_- s^(-|k0|),
+    g_+- = Gamma(1 + 2|k0|) Gamma(1/2 +- k1) / (2 Gamma(1 + |k0|) Gamma(1/2 +- k1 + |k0|)),
+    and the integral of (|d1| (1 + g_+)^2 + |d2| (1 + g_-)^2) (2 delta)^(p - 2|k0|)
+    is taken.
+
+    The outermost nodes lie within 1e-290 of the endpoints, where every
+    factor these bounds drop (the 2F1 values' distance from 1, tan(theta) /
+    theta, sin(2 delta) / (2 delta), u^-|k1|) is 1 to within 1e-500.
+    """
+    k0, k1 = abs(p.k0), p.k1
+    row1 = abs(d1) * (1.0 + k0 / (0.5 + k1)) ** 2 * theta_c ** (3.0 + 2.0 * k1) / (3.0 + 2.0 * k1)
+    row2 = abs(d2) * theta_c ** (1.0 - 2.0 * k1) / (1.0 - 2.0 * k1)
+    ratio = gamma_fn(1.0 + 2.0 * k0) / (2.0 * gamma_fn(1.0 + k0))
+    g_plus = ratio * gamma_fn(0.5 + k1) / gamma_fn(0.5 + k1 + k0)
+    g_minus = ratio * gamma_fn(0.5 - k1) / gamma_fn(0.5 - k1 + k0)
+    power = phi_power - 2.0 * k0
+    near_delta = (abs(d1) * (1.0 + g_plus) ** 2 + abs(d2) * (1.0 + g_minus) ** 2) * 2.0**power
+    return row1 + row2 + near_delta * delta_c ** (power + 1.0) / (power + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegionError
-from .hyper import _EPS, _gauss_2f1_rows, gamma_fn, h_func
+from .hyper import _EPS, _H_PARAMS, _gauss_2f1_rows, gamma_fn
 
 _HALF_SECTOR = math.pi / 4
 
@@ -197,13 +197,15 @@ def combo_forms(u: float, p: ParamPoint, tol: float = 1e-11) -> ComboForms:
 
     minus = w**-k0 / norm
     plus = w**k0 / norm
+    triples = [_H_PARAMS[i](float(k0), float(k1)) for i in (1, 2, 3, 4)]
+    h1, h2, h3, h4 = (
+        float(h[0]) for h, _, _ in _gauss_2f1_rows(triples, np.array([z]), np.array([w]), tol)
+    )
     factored = (
-        u ** (k1 + 1) * minus * (1 + 2 * k0 + 2 * k1) / (1 + 2 * k1)
-        * h_func(1, z, k0, k1, tol).value,
-        u**-k1 * minus * h_func(2, z, k0, k1, tol).value,
-        -(u ** (k1 + 1)) * plus * (1 - 2 * k0 + 2 * k1) / (1 + 2 * k1)
-        * h_func(3, z, k0, k1, tol).value,
-        -(u**-k1) * plus * h_func(4, z, k0, k1, tol).value,
+        u ** (k1 + 1) * minus * (1 + 2 * k0 + 2 * k1) / (1 + 2 * k1) * h1,
+        u**-k1 * minus * h2,
+        -(u ** (k1 + 1)) * plus * (1 - 2 * k0 + 2 * k1) / (1 + 2 * k1) * h3,
+        -(u**-k1) * plus * h4,
     )
     return ComboForms(from_entries=from_entries, factored=factored)
 

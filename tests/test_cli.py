@@ -55,6 +55,37 @@ def test_verify_quad_fails_outside_region(capsys):
     assert payload["overall_pass"] is False
 
 
+@pytest.mark.parametrize("k0, k1", [("0.3", "0.3"), ("1/4", "0.24999999999999999999")])
+def test_verify_all_outside_region_keeps_its_report(capsys, k0, k1):
+    # the second point is inside the region as rationals, outside as floats
+    code, out, _ = run_cli(capsys, "verify", "all", "--k0", k0, "--k1", k1, "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    exact = [c for c in checks if c["name"].startswith("exact/")]
+    assert exact and all(c["pass"] is True for c in exact)
+    rest = [c for c in checks if not c["name"].startswith("exact/")]
+    assert rest == [
+        {
+            "name": f"{suite}/region",
+            "expected": "positive-definite parameters",
+            "got": f"({k0}, {k1})",
+            "tolerance": 0.0,
+            "pass": False,
+        }
+        for suite in ("asym", "quad")
+    ]
+
+
+def test_verify_tol_must_lie_between_0_and_1(capsys):
+    for tol in ("inf", "nan", "0", "-1", "1", "1e300"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "quad", "--nmax", "0", "--tol", tol])
+        assert exc.value.code == 2, tol
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "verify", "quad", "--nmax", "0", "--tol", "1e-8")
+    assert code == 0 and json.loads(out)["tol"] == 1e-8
+
+
 def test_verify_quad_reports_a_pairing_error_in_its_row(capsys):
     # the p14 pairing needs 2F1 near z = 1 with c - a - b = 2e-4 there
     code, out, _ = run_cli(

@@ -106,6 +106,20 @@ def test_2f1_at_unit_argument():
         gauss_2f1(0.8, 0.9, 1.2, 1.0)  # c - a - b < 0 diverges
 
 
+def test_2f1_error_messages():
+    # the z = 1 divergence, the z = 1 and near-1 tolerance refusals; the
+    # near-1 one carries no "close to an integer" suffix when c - a - b = 1/2
+    d = 1.2 - 0.8 - 0.9
+    with pytest.raises(RegionError) as exc:
+        gauss_2f1(0.8, 0.9, 1.2, 1.0)
+    assert str(exc.value) == f"2F1 diverges at z = 1 when c - a - b = {d} is not positive"
+    best = r"\(best bound \d\.\d{3}e-\d\d\)$"
+    with pytest.raises(ToleranceError, match=r"^tol=1e-16 unreachable for 2F1 at z=1 " + best):
+        gauss_2f1(-0.3, 0.45, 1.2, 1.0, tol=1e-16)
+    with pytest.raises(ToleranceError, match=r"^tol=1e-17 unreachable for 2F1 near z=1 " + best):
+        gauss_2f1(0.3, 0.4, 1.2, 0.9, tol=1e-17)
+
+
 def test_2f1_rejects_bad_arguments():
     with pytest.raises(RegionError):
         gauss_2f1(0.5, 0.5, 1.5, 1.2)
