@@ -6,7 +6,14 @@ iterated modified-Laplacian calculus in exact rational arithmetic, exact
 closed-form sums and recurrences, and high-accuracy quadrature with the
 assembled weight matrix.  Their agreement pins the weight's normalization
 constant cos(pi k0) cos(pi k1) / (2 pi).
+
+The float modules ``quad`` and ``weight`` import numpy (and ``quad`` scipy on
+its first rule), so their names are looked up on first use, through the
+module ``__getattr__`` below: ``import b2weight`` and the exact routes load
+neither library.
 """
+
+import importlib
 
 from .errors import (
     DegenerateParameterError,
@@ -34,7 +41,6 @@ from .hyper import (
     squeeze_check,
     stirling_ratio,
 )
-from .quad import QuadResult, asym_integral_check, sector_inner_numeric, singular_integral
 from .ring import ParamPoly, poch, poly_eval
 from .vpoly import (
     GroupElement,
@@ -51,7 +57,23 @@ from .vpoly import (
     laplacian_power,
     product_rule_residual,
 )
-from .weight import ParamPoint, WeightEval, c_norm, combo_forms, d_consts, eval_K, eval_L
+
+# name -> the float module that defines it
+_FLOAT_NAMES = dict.fromkeys(
+    ("QuadResult", "asym_integral_check", "sector_inner_numeric", "singular_integral"), "quad"
+) | dict.fromkeys(
+    ("ParamPoint", "WeightEval", "c_norm", "combo_forms", "d_consts", "eval_K", "eval_L"), "weight"
+)
+
+
+def __getattr__(name: str):
+    # looked up in the submodule on every access and never stored here, so
+    # a wrapper that bench/tracer.py installs in the submodule is seen here
+    # while it is installed, and not after it is removed
+    if name not in _FLOAT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_FLOAT_NAMES[name]}", __name__), name)
+
 
 __version__ = "0.1.0"
 

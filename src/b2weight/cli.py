@@ -11,7 +11,9 @@ Verbs:
 Parameters are accepted as exact rationals ("3/10") or decimal strings
 ("0.3"); decimals are converted to exact rationals for the exact suites and
 used as floats in the numeric ones.  Reports are deterministic for a fixed
-configuration except for the ``elapsed_s`` field.
+configuration except for the ``elapsed_s`` field.  The float modules ``quad``
+and ``weight`` are imported by the commands that use them, so ``table`` and
+``verify exact`` never load numpy.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ import sys
 import time
 from fractions import Fraction
 
-from . import hyper, quad, vpoly
+from . import hyper, vpoly
 from .errors import RegionError, ToleranceError
 from .ring import K0, K1
-from .weight import ParamPoint, det_k_closed_form, eval_K
 
 _EXACT_TOKEN = "identical"
 _DEFAULTS = {"k0": "3/10", "k1": "1/10"}
@@ -139,6 +140,8 @@ def _in_region(name: str, suite):
     elsewhere one failing ``<name>/region`` row in its place."""
 
     def gated(args: argparse.Namespace):
+        from .weight import ParamPoint
+
         k0, k1 = parse_rational(args.k0), parse_rational(args.k1)
         half = Fraction(1, 2)
         if abs(k0 + k1) < half and abs(k0 - k1) < half:
@@ -151,6 +154,9 @@ def _in_region(name: str, suite):
 
 
 def _suite_quad(args: argparse.Namespace):
+    from . import quad
+    from .weight import ParamPoint, det_k_closed_form, eval_K
+
     k0, k1 = parse_rational(args.k0), parse_rational(args.k1)
     point = ParamPoint(float(k0), float(k1))
     for n in range(args.nmax + 1):
@@ -177,6 +183,8 @@ def _suite_quad(args: argparse.Namespace):
 
 
 def _suite_asym(args: argparse.Namespace):
+    from . import quad
+
     k0, k1 = parse_rational(args.k0), parse_rational(args.k1)
     small, large = 200, 800
     deviations = {}
@@ -299,6 +307,8 @@ def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_eval_k(args: argparse.Namespace) -> tuple[str, int]:
+    from .weight import ParamPoint, eval_K
+
     k0, k1 = float(parse_rational(args.k0)), float(parse_rational(args.k1))
     ev = eval_K(args.theta, ParamPoint(k0, k1))
     payload = {

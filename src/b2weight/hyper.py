@@ -21,7 +21,8 @@ The float path works on arrays: ``_gauss_2f1_rows`` takes several parameter
 triples at a whole array of arguments and sums all their series in one
 ``_sum_series`` call, which runs every row in the order of a
 one-term-at-a-time loop.  ``gauss_2f1`` and ``h_func`` call it with one
-argument.
+argument.  ``_gauss_2f1_rows`` and ``_sum_series`` import numpy when they
+run, so the exact paths never load it.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 from .errors import DegenerateParameterError, RegionError, ToleranceError
-from .ring import K0, K1, ParamPoly, _as_fraction, _ratio, poch
+from .ring import K0, K1, ParamPoly, _ratio, poch
 
 HALF = Fraction(1, 2)
 Exact = Union[int, Fraction]
@@ -110,6 +109,8 @@ def _sum_series(
     indices by ``multiply.accumulate`` and ``add.accumulate``, which run in
     sequence, so every row rounds exactly as a one-term-at-a-time loop would.
     """
+    import numpy as np
+
     rows = len(a)
     value, bound = np.ones(rows), np.zeros(rows)
     terms = np.ones(rows, dtype=np.int64)
@@ -190,15 +191,21 @@ def _gauss_2f1_rows(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """F(a, b; c; z) for every triple (a, b, c) of ``params`` at every z of an array.
 
-    ``w`` holds 1 - z, possibly to better accuracy than the subtraction; both
+    ``z`` and ``w`` are float arrays or sequences; ``w`` holds 1 - z, possibly to better accuracy than the subtraction; both
     lie in [0, 1].  Returns one (value, tail_bound, terms_used) triple of
     arrays per parameter triple.  The branches are those ``gauss_2f1``
     documents, chosen per triple and argument.  Each branch declares its
     series as rows (triple, argument indices, factor, series parameters); all
     rows are summed in one ``_sum_series`` call, and every value is then the
     sum of factor * series over its rows, every bound the sum of
-    |factor| * tail, and every term count the sum of the rows' counts.
+    |factor| * tail (plus |factor * series| times the factor's relative
+    rounding where the factor is not exact: the gamma quotients of the
+    connection branch and the sliver-Euler prefactor), and every term count
+    the sum of the rows' counts.
     """
+    import numpy as np
+
+    z, w = np.asarray(z, dtype=float), np.asarray(w, dtype=float)
     # the better-conditioned representation of the argument wins
     z_eff = np.where(w >= 0.5, z, 1.0 - w)
     unit = np.flatnonzero(w == 0.0)
@@ -207,6 +214,7 @@ def _gauss_2f1_rows(
     z_forward, z_near, w_near = z_eff[forward], z_eff[near], w[near]
     rows = []  # (triple index, argument indices, factor, (a, b, c, argument, tol, max_terms))
     connected = {}  # triple index -> c - a - b, for the connection branch
+    euler = {}  # triple index -> relative error of the sliver-Euler prefactor
     # sums per triple and argument, ``mass`` of |factor * series|; they start
     # at -0.0, the exact identity of float addition, so one row adds exactly
     value, bound, mass = np.full((3, len(params), len(z)), -0.0)
@@ -240,10 +248,15 @@ def _gauss_2f1_rows(
             rows.append((k, near, coeff2 * wd, (c - a, c - b, 1.0 + d, w_near, 1e-16, 4_000)))
             connected[k] = d
         elif d <= -0.5:
-            # the prefactor (1 - z)^(c-a-b) as rounded is taken as exact
             prefactor = np.array([(1.0 - x) ** d for x in z_near.tolist()])
             inner_tol = tol / np.maximum(prefactor, 1e-300)
             rows.append((k, near, prefactor, (c - a, c - b, c, z_near, inner_tol, 500_000)))
+            # (1 - z)^d turns the rounding of d's two subtractions into a
+            # relative error of |log(1 - z)| times it; the power and the
+            # product with the series add 2 eps
+            rounding_d = _EPS * (abs(c - a) + abs(d))
+            logs = np.array([math.log(1.0 - x) for x in z_near.tolist()])
+            euler[k] = np.abs(logs) * rounding_d + 2.0 * _EPS
         else:
             rows.append((k, near, 1.0, (a, b, c, z_near, tol, 500_000)))
 
@@ -264,6 +277,8 @@ def _gauss_2f1_rows(
     sums = ((value, part), (bound, np.abs(factor) * tail), (terms, count), (mass, np.abs(part)))
     for total, add in sums:
         np.add.at(total.reshape(-1), where, add)
+    for k, relative in euler.items():
+        bound[k, near] += mass[k, near] * relative
     if connected:
         at = np.ix_(list(connected), near)
         # the gamma quotients' rounding; that of the final sum is not bounded yet
@@ -302,7 +317,7 @@ def gauss_2f1(
     a, b, c, z = float(a), float(b), float(c), float(z)
     if not 0.0 <= z <= 1.0:
         raise RegionError(f"gauss_2f1 requires 0 <= z <= 1, got z = {z}")
-    ((value, bound, terms),) = _gauss_2f1_rows([(a, b, c)], np.array([z]), np.array([1.0 - z]), tol)
+    ((value, bound, terms),) = _gauss_2f1_rows([(a, b, c)], [z], [1.0 - z], tol)
     return HypResult(float(value[0]), float(bound[0]), int(terms[0]))
 
 
@@ -328,7 +343,7 @@ def h_func(i: int, z: float, k0: float, k1: float, tol: float = 1e-12) -> HypRes
         raise RegionError(f"h_func requires |k0| < 1/2, got k0 = {k0}")
     z = float(z)
     triple = _H_PARAMS[i](float(k0), float(k1))
-    ((value, bound, terms),) = _gauss_2f1_rows([triple], np.array([z]), np.array([1.0 - z]), tol)
+    ((value, bound, terms),) = _gauss_2f1_rows([triple], [z], [1.0 - z], tol)
     return HypResult(float(value[0]), float(bound[0]), int(terms[0]))
 
 
@@ -358,26 +373,42 @@ def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
 
     started from alpha_0 = 1.  With the default symbolic k0, k1 the values lie
     in Q[k0, k1]; with rational k0, k1 they are the Fraction values there.
+
+    It runs in integers (ints at a point, integer coefficients for the
+    symbolic K0, K1).  With H = D/2 for the even D of ``_integral_scale``, so
+    that H, 2H k0 = D k0 and 2H k1 are integral (H = 1 in Q[k0, k1]),
+    alpha_n = A_n / (H^{2n} (2n+1)!) and beta_n = B_n / (H^{2n+1} (2n+2)!) with
+
+        A_0 = 1,  B_0 = -H(1+2k1-2k0),
+        A_n = 2nH((2n-1)H - 2Hk0) A_{n-1} - H(1+2k0+2k1) B_{n-1},
+        B_n = 2nH((2n+1)H + 2Hk0) B_{n-1} - H(1+2k1-2k0) A_n,
+
+    and each entry is one division at the end.  H rather than D keeps the
+    symbolic A_n, B_n free of a common integer factor.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    # kept exact: ParamPoly as is, int or Fraction as Fraction
-    k0, k1 = (k if isinstance(k, ParamPoly) else _as_fraction(k) for k in (k0, k1))
-    one_plus = 1 + 2 * k1 + 2 * k0
-    one_minus = 1 + 2 * k1 - 2 * k0
-    alpha = [one_plus * 0 + 1]
-    beta = [(-one_minus) / 2]
-    for n in range(1, n_max + 1):
-        # one division per entry; the signs sit on the linear factors
-        a_n = (
-            ((2 * n - 1) - 2 * k0) * alpha[n - 1] + (-one_plus) * beta[n - 1]
-        ) / (2 * n + 1)
-        alpha.append(a_n)
-        b_n = (
-            (2 * n * ((2 * n + 1) + 2 * k0)) * beta[n - 1] + (-(2 * n + 1) * one_minus) * a_n
-        ) / (2 * (n + 1) * (2 * n + 1))
-        beta.append(b_n)
+    d, a0, a1 = _integral_scale(k0, k1)
+    h = d // 2
+    # the signs sit on the linear factors: -H(1+2k0+2k1), -H(1+2k1-2k0)
+    minus_plus, minus_minus = -(h + a0 + a1), a0 - a1 - h
+    a_n, b_n = minus_plus * 0 + 1, minus_minus  # one, in the arithmetic of k0 and k1
+    scale = 1  # H^{2n} (2n+1)!
+    alpha, beta = [], []
+    for n in range(n_max + 1):
+        if n:
+            a_n = (2 * n * h * ((2 * n - 1) * h - a0)) * a_n + minus_plus * b_n
+            b_n = (2 * n * h * ((2 * n + 1) * h + a0)) * b_n + minus_minus * a_n
+            scale *= h * h * 2 * n * (2 * n + 1)
+        alpha.append(_times_ratio(a_n, 1, scale))
+        beta.append(_times_ratio(b_n, 1, scale * h * (2 * n + 2)))
     return AlphaBetaSeq(n_max, tuple(alpha), tuple(beta))
+
+
+def _times_ratio(value, p: int, q: int):
+    """value * p / q, exact, for an int or ParamPoly value, an int p and an int q > 0;
+    an int value makes one Fraction, reduced once, not a product of two."""
+    return Fraction(value * p, q) if isinstance(value, int) else value * Fraction(p, q)
 
 
 def _integral_scale(k0, k1):
@@ -425,7 +456,7 @@ def _closed_sum(n: int, e: int, b: Fraction, m: int, k0, k1):
         total = total * factor
     twice_b = int(2 * b)  # 2^m (b)_m = twice_b (twice_b + 2) ... (twice_b + 2m - 2)
     scale = math.factorial(n + e) * d ** (n + m + e) * math.prod(range(twice_b, twice_b + 2 * m, 2))
-    return total * Fraction((-1) ** e * 2**m, scale)
+    return _times_ratio(total, (-1) ** e * 2**m, scale)
 
 
 def alpha_closed(n: int, k0=K0, k1=K1):

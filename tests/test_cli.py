@@ -352,16 +352,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_exact_routes_leave_scipy_unimported():
-    """scipy.linalg is imported on the first Gauss-Jacobi rule, not before."""
+    """numpy is imported on the first float computation and scipy.linalg on
+    the first Gauss-Jacobi rule; the exact routes and commands load neither."""
     script = (
         "import sys, contextlib, io, b2weight\n"
         "from b2weight import cli\n"
-        "b2weight.alpha_closed(3), b2weight.s_inner_closed(4, 'p14', 1, -1)\n"
+        "def loaded():\n"
+        "    print(*(name in sys.modules for name in ('numpy', 'scipy')))\n"
+        "b2weight.alpha_closed(3), b2weight.beta_closed(2), b2weight.s_inner_closed(4, 'p14', 1, -1)\n"
+        "b2weight.alpha_beta_recurrence(3), b2weight.alpha_beta_via_laplacian(2)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['table', '--nmax', '4'])\n"
         "    cli.main(['table', '--nmax', '4', '--k0=-7/20', '--k1=2/25'])\n"
-        "print('scipy' in sys.modules)\n"
+        "    cli.main(['verify', 'exact', '--nmax', '4'])\n"
+        "loaded()\n"
+        "b2weight.eval_K(0.3, b2weight.ParamPoint(0.2, 0.1))\n"
+        "loaded()\n"
         "b2weight.singular_integral(0.5, -0.5, lambda v: v)\n"
-        "print('scipy' in sys.modules)\n"
+        "loaded()\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(b2weight.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -369,4 +377,33 @@ def test_exact_routes_leave_scipy_unimported():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "True"]
+    assert result.stdout.splitlines() == ["False False", "True False", "True True"]
+
+
+PUBLIC_NAMES = [
+    "AlphaBetaSeq", "DegenerateParameterError", "GroupElement", "HypResult",
+    "InexactDivisionError", "InvarianceError", "NotProportionalError", "P12", "P14",
+    "PHI", "ParamPoint", "ParamPoly", "QuadResult", "RegionError", "SqueezeReport",
+    "ToleranceError", "VPoly", "WeightEval", "XPoly", "alpha_beta_recurrence",
+    "alpha_beta_via_laplacian", "alpha_closed", "asym_f_check", "asym_integral_check",
+    "beta_closed", "c_norm", "chu_vandermonde", "combo_forms", "d_consts", "dunkl_d",
+    "euler_transform", "eval_K", "eval_L", "f_values", "gamma_fn", "gauss_2f1",
+    "group_act", "h_func", "inner_product_S_exact", "laplacian", "laplacian_power",
+    "poch", "poly_eval", "product_rule_residual", "s_inner_closed",
+    "sector_inner_numeric", "singular_integral", "squeeze_check", "stirling_ratio",
+    "__version__",
+]
+
+
+def test_public_names_resolve_through_their_modules():
+    from b2weight import quad, weight
+
+    assert b2weight.__all__ == PUBLIC_NAMES
+    namespace = {}
+    exec("from b2weight import *", namespace)
+    assert all(name in namespace for name in PUBLIC_NAMES)
+    # the float modules' names are looked up on each access, never cached
+    assert b2weight.eval_K is weight.eval_K and b2weight.singular_integral is quad.singular_integral
+    assert "eval_K" not in vars(b2weight) and "QuadResult" not in vars(b2weight)
+    with pytest.raises(AttributeError):
+        b2weight.no_such_name

@@ -199,7 +199,8 @@ def _reference_sum_series(a, b, c, z, tol, max_terms):
 
 
 def _reference_gauss_2f1(a, b, c, z, tol=1e-12, z_complement=None):
-    """The scalar body of gauss_2f1 as it stood before the batched entry."""
+    """The scalar body of gauss_2f1 as it stood before the batched entry, with
+    the sliver-Euler bound covering the rounding of its prefactor."""
     a, b, c, z = float(a), float(b), float(c), float(z)
     if not 0.0 <= z <= 1.0:
         raise RegionError(f"gauss_2f1 requires 0 <= z <= 1, got z = {z}")
@@ -247,9 +248,10 @@ def _reference_gauss_2f1(a, b, c, z, tol=1e-12, z_complement=None):
     if d <= -0.5:
         a2, b2, c2, _, prefactor = euler_transform(a, b, c, z_eff)
         inner = _reference_sum_series(a2, b2, c2, z_eff, tol / max(prefactor, 1e-300), 500_000)
-        return HypResult(
-            prefactor * inner.value, prefactor * inner.tail_bound, inner.terms_used
-        )
+        # the rounding of d, amplified by |log(1 - z)|, and of the power and product
+        relative = abs(math.log(1.0 - z_eff)) * (_EPS * (abs(c - a) + abs(d))) + 2.0 * _EPS
+        bound = prefactor * inner.tail_bound + abs(prefactor * inner.value) * relative
+        return HypResult(prefactor * inner.value, bound, inner.terms_used)
     return _reference_sum_series(a, b, c, z_eff, tol, max_terms=500_000)
 
 
@@ -374,6 +376,18 @@ def test_h2_at_unit_argument_matches_gamma_quotient():
     res = h_func(2, 1.0, k0, k1, tol=1e-10)
     assert math.isfinite(res.value)
     assert abs(res.value - oracle) <= res.tail_bound + 1e-12
+
+
+def test_sliver_euler_bound_covers_the_rounding_of_its_exponent():
+    # c - a - b rounds by 5.6e-17 here and (1 - z)^(c-a-b) multiplies that
+    # by |log(1 - z)| = 19.2: an error of 113 on a value of 9.7e16
+    a, b, c = 0.9999996588553394, 1.4999996588553393, 0.4999996588553393
+    z = 0.9999999954602857
+    res = gauss_2f1(a, b, c, z, tol=1e-8)
+    with mpmath.workdps(40):
+        err = abs(res.value - mpmath.hyp2f1(a, b, c, z))
+    assert err > 100.0
+    assert err <= res.tail_bound, f"{float(err):.3e} > {res.tail_bound:.3e}"
 
 
 def _assert_h_within_bound(i, z, k0, k1):
