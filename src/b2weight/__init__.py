@@ -26,6 +26,7 @@ from .errors import (
 from .hyper import (
     AlphaBetaSeq,
     HypResult,
+    ParamPoint,
     SqueezeReport,
     alpha_beta_recurrence,
     alpha_closed,
@@ -62,7 +63,7 @@ from .vpoly import (
 _FLOAT_NAMES = dict.fromkeys(
     ("QuadResult", "asym_integral_check", "sector_inner_numeric", "singular_integral"), "quad"
 ) | dict.fromkeys(
-    ("ParamPoint", "WeightEval", "c_norm", "combo_forms", "d_consts", "eval_K", "eval_L"), "weight"
+    ("WeightEval", "c_norm", "combo_forms", "d_consts", "eval_K", "eval_L"), "weight"
 )
 
 

@@ -12,8 +12,8 @@ Parameters are accepted as exact rationals ("3/10") or decimal strings
 ("0.3"); decimals are converted to exact rationals for the exact suites and
 used as floats in the numeric ones.  Reports are deterministic for a fixed
 configuration except for the ``elapsed_s`` field.  The float modules ``quad``
-and ``weight`` are imported by the commands that use them, so ``table`` and
-``verify exact`` never load numpy.
+and ``weight`` are imported by the commands that use them, so ``table``,
+``verify exact`` and ``verify asym`` never load numpy.
 """
 
 from __future__ import annotations
@@ -140,13 +140,10 @@ def _in_region(name: str, suite):
     elsewhere one failing ``<name>/region`` row in its place."""
 
     def gated(args: argparse.Namespace):
-        from .weight import ParamPoint
-
         k0, k1 = parse_rational(args.k0), parse_rational(args.k1)
-        half = Fraction(1, 2)
-        if abs(k0 + k1) < half and abs(k0 - k1) < half:
-            if ParamPoint(float(k0), float(k1)).positive_definite:
-                return suite(args)
+        points = (hyper.ParamPoint(k0, k1), hyper.ParamPoint(float(k0), float(k1)))
+        if all(point.positive_definite for point in points):
+            return suite(args)
         region = f"({args.k0}, {args.k1})"
         return [_check(f"{name}/region", "positive-definite parameters", region, 0.0, False)]
 
@@ -155,10 +152,10 @@ def _in_region(name: str, suite):
 
 def _suite_quad(args: argparse.Namespace):
     from . import quad
-    from .weight import ParamPoint, det_k_closed_form, eval_K
+    from .weight import det_k_closed_form, eval_K
 
     k0, k1 = parse_rational(args.k0), parse_rational(args.k1)
-    point = ParamPoint(float(k0), float(k1))
+    point = hyper.ParamPoint(float(k0), float(k1))
     for n in range(args.nmax + 1):
         for kind in ("p12", "p14"):
             exact = float(hyper.s_inner_closed(n, kind, k0, k1))
@@ -183,8 +180,6 @@ def _suite_quad(args: argparse.Namespace):
 
 
 def _suite_asym(args: argparse.Namespace):
-    from . import quad
-
     k0, k1 = parse_rational(args.k0), parse_rational(args.k1)
     small, large = 200, 800
     deviations = {}
@@ -199,36 +194,21 @@ def _suite_asym(args: argparse.Namespace):
                 0.1,
                 0.9 <= value <= 1.1,
             )
+    # a value exactly at 1 counts as improved: at k1 = 0 both are 1 at every n
     yield _exact_check(
         "asym/normalized_f_improves",
-        deviations[large][0] < deviations[small][0]
-        and deviations[large][1] < deviations[small][1],
+        all(
+            dev_large < dev_small or dev_large == 0.0
+            for dev_small, dev_large in zip(deviations[small], deviations[large])
+        ),
         got=f"{deviations[small]} -> {deviations[large]}",
-    )
-    ratios = {}
-    for n in (small, large):
-        num, asym = quad.asym_integral_check(0.25, -0.3, 0.2, n)
-        ratios[n] = num / asym
-        yield _check(
-            f"asym/integral_ratio/n{n}",
-            "1 within 10%",
-            f"{ratios[n]:.12g}",
-            0.1,
-            abs(ratios[n] - 1.0) <= 0.1,
-        )
-    yield _exact_check(
-        "asym/integral_ratio_improves",
-        abs(ratios[large] - 1.0) < abs(ratios[small] - 1.0),
-        got=f"{ratios[small]:.6g} -> {ratios[large]:.6g}",
     )
     a, b, c = Fraction(1, 2) + k1 + k0, Fraction(-1, 2) + k1 - k0, -k1
     holds = all(hyper.squeeze_check(n, a, b, c).chain_holds for n in (5, 20, 50))
     yield _exact_check("asym/squeeze_orderings", holds)
-    ok = True
-    for n in (10, 30, 50):
-        lhs, rhs = hyper.chu_vandermonde(n, Fraction(1, 3))
-        ok = ok and lhs == rhs
-    yield _exact_check("asym/terminating_sum_identity", ok)
+    # |k1| < 1/2 here, so neither (-n-2k1)_j nor (1+2k1)_n vanishes
+    sums = [hyper.chu_vandermonde(n, k1) for n in (10, 30, 50)]
+    yield _exact_check("asym/terminating_sum_identity", all(lhs == rhs for lhs, rhs in sums))
 
 
 _QUAD, _ASYM = _in_region("quad", _suite_quad), _in_region("asym", _suite_asym)
@@ -307,10 +287,10 @@ def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_eval_k(args: argparse.Namespace) -> tuple[str, int]:
-    from .weight import ParamPoint, eval_K
+    from .weight import eval_K
 
     k0, k1 = float(parse_rational(args.k0)), float(parse_rational(args.k1))
-    ev = eval_K(args.theta, ParamPoint(k0, k1))
+    ev = eval_K(args.theta, hyper.ParamPoint(k0, k1))
     payload = {
         "k0": k0,
         "k1": k1,

@@ -55,6 +55,28 @@ class HypResult:
     terms_used: int
 
 
+@dataclass(frozen=True)
+class ParamPoint:
+    """A parameter pair with its region flags, computed from the point:
+
+    * integrable:         |k0| < 1/2 and |k1| < 1/2
+    * positive definite:  -1/2 < k0 + k1 < 1/2 and -1/2 < k0 - k1 < 1/2
+
+    The flags also take exact rationals: a Fraction compares with 0.5 exactly.
+    """
+
+    k0: float
+    k1: float
+
+    @property
+    def integrable(self) -> bool:
+        return abs(self.k0) < 0.5 and abs(self.k1) < 0.5
+
+    @property
+    def positive_definite(self) -> bool:
+        return abs(self.k0 + self.k1) < 0.5 and abs(self.k0 - self.k1) < 0.5
+
+
 # ---------------------------------------------------------------------------
 # gamma function
 # ---------------------------------------------------------------------------
@@ -621,7 +643,7 @@ def asym_f_check(n: int, k0: float, k1: float) -> tuple[float, float]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if not (abs(k0 + k1) < 0.5 and abs(k0 - k1) < 0.5):
+    if not ParamPoint(k0, k1).positive_definite:
         raise RegionError(
             f"asym_f_check requires -1/2 < k0 +/- k1 < 1/2; got ({k0}, {k1})"
         )

@@ -7,12 +7,8 @@ circle (equivalently, the angle theta with u = tan theta) carries all the
 information; values elsewhere in the plane follow from the group action and
 are intentionally not computed here.
 
-Two parameter regions matter:
-
-* integrable:         |k0| < 1/2 and |k1| < 1/2
-* positive definite:  -1/2 < k0 + k1 < 1/2 and -1/2 < k0 - k1 < 1/2
-
-The flags are computed from the point, never assumed.
+``eval_L`` needs the integrable region and ``d_consts`` the positive-definite
+one, both flags of ``ParamPoint`` (defined in ``hyper``, which loads no numpy).
 """
 
 from __future__ import annotations
@@ -23,25 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegionError
-from .hyper import _EPS, _H_PARAMS, _gauss_2f1_rows, gamma_fn
+from .hyper import _EPS, _H_PARAMS, ParamPoint, _gauss_2f1_rows, gamma_fn
 
 _HALF_SECTOR = math.pi / 4
-
-
-@dataclass(frozen=True)
-class ParamPoint:
-    """A parameter pair with its region flags."""
-
-    k0: float
-    k1: float
-
-    @property
-    def integrable(self) -> bool:
-        return abs(self.k0) < 0.5 and abs(self.k1) < 0.5
-
-    @property
-    def positive_definite(self) -> bool:
-        return abs(self.k0 + self.k1) < 0.5 and abs(self.k0 - self.k1) < 0.5
 
 
 @dataclass(frozen=True)

@@ -103,10 +103,36 @@ def test_verify_quad_reports_a_pairing_error_in_its_row(capsys):
     assert all(c["pass"] is True for c in checks.values())
 
 
+_ASYM_NAMES = [
+    "asym/normalized_f1/n200",
+    "asym/normalized_f1/n800",
+    "asym/normalized_f2/n200",
+    "asym/normalized_f2/n800",
+    "asym/normalized_f_improves",
+    "asym/squeeze_orderings",
+    "asym/terminating_sum_identity",
+]
+
+
 def test_verify_asym_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "asym", "--k0", "0.2", "--k1", "0.1")
-    assert code == 0
-    assert json.loads(out)["overall_pass"] is True
+    # on the line k1 = 0 both normalized values are exactly 1 at every n
+    for k0, k1 in (("0.2", "0.1"), ("0.2", "0"), ("0", "0"), ("-0.2", "0.25"), ("0.15", "0.1")):
+        code, out, _ = run_cli(capsys, "verify", "asym", "--k0", k0, "--k1", k1)
+        assert code == 0, (k0, k1)
+        payload = json.loads(out)
+        assert payload["overall_pass"] is True
+        assert [c["name"] for c in payload["checks"]] == _ASYM_NAMES
+
+
+def test_verify_asym_rows_are_about_the_given_point(capsys):
+    reports = [
+        json.loads(run_cli(capsys, "verify", "asym", "--k0", k0, "--k1", k1)[1])["checks"]
+        for k0, k1 in (("0.2", "0.1"), ("-0.2", "0.25"))
+    ]
+    assert [c["name"] for c in reports[0]] == [c["name"] for c in reports[1]] == _ASYM_NAMES
+    assert not any(c["name"].startswith("asym/integral_ratio") for c in reports[0] + reports[1])
+    # the normalized values are computed at the point the report names
+    assert reports[0][0]["got"] != reports[1][0]["got"]
 
 
 def test_verify_usage_errors_exit_2(capsys):
@@ -353,7 +379,8 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 def test_exact_routes_leave_scipy_unimported():
     """numpy is imported on the first float computation and scipy.linalg on
-    the first Gauss-Jacobi rule; the exact routes and commands load neither."""
+    the first Gauss-Jacobi rule; the exact routes and commands, ``verify asym``
+    and the region flags load neither."""
     script = (
         "import sys, contextlib, io, b2weight\n"
         "from b2weight import cli\n"
@@ -365,6 +392,8 @@ def test_exact_routes_leave_scipy_unimported():
         "    cli.main(['table', '--nmax', '4'])\n"
         "    cli.main(['table', '--nmax', '4', '--k0=-7/20', '--k1=2/25'])\n"
         "    cli.main(['verify', 'exact', '--nmax', '4'])\n"
+        "    cli.main(['verify', 'asym'])\n"
+        "b2weight.ParamPoint(0.1, 0.1).positive_definite\n"
         "loaded()\n"
         "b2weight.eval_K(0.3, b2weight.ParamPoint(0.2, 0.1))\n"
         "loaded()\n"
@@ -396,7 +425,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_resolve_through_their_modules():
-    from b2weight import quad, weight
+    from b2weight import hyper, quad, weight
 
     assert b2weight.__all__ == PUBLIC_NAMES
     namespace = {}
@@ -405,5 +434,7 @@ def test_public_names_resolve_through_their_modules():
     # the float modules' names are looked up on each access, never cached
     assert b2weight.eval_K is weight.eval_K and b2weight.singular_integral is quad.singular_integral
     assert "eval_K" not in vars(b2weight) and "QuadResult" not in vars(b2weight)
+    # the region flags live in hyper, which loads no numpy
+    assert b2weight.ParamPoint is weight.ParamPoint is hyper.ParamPoint
     with pytest.raises(AttributeError):
         b2weight.no_such_name
