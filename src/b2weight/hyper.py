@@ -217,13 +217,13 @@ def _gauss_2f1_rows(
     lie in [0, 1].  Returns one (value, tail_bound, terms_used) triple of
     arrays per parameter triple.  The branches are those ``gauss_2f1``
     documents, chosen per triple and argument.  Each branch declares its
-    series as rows (triple, argument indices, factor, series parameters); all
-    rows are summed in one ``_sum_series`` call, and every value is then the
-    sum of factor * series over its rows, every bound the sum of
-    |factor| * tail (plus |factor * series| times the factor's relative
-    rounding where the factor is not exact: the gamma quotients of the
-    connection branch and the sliver-Euler prefactor), and every term count
-    the sum of the rows' counts.
+    series as rows (triple, argument indices, factor, the factor's relative
+    rounding, series parameters); all rows are summed in one ``_sum_series``
+    call, and every value is then the sum of factor * series over its rows,
+    every bound the sum of |factor| * tail plus |factor * series| times the
+    rounding, and every term count the sum of the rows' counts.  Every
+    (value, bound) pair then meets bound <= tol * (1 + |value|), or
+    ToleranceError is raised.
     """
     import numpy as np
 
@@ -234,86 +234,84 @@ def _gauss_2f1_rows(
     forward = np.flatnonzero((w != 0.0) & (z_eff <= 0.75))
     near = np.flatnonzero((w != 0.0) & ~(z_eff <= 0.75))
     z_forward, z_near, w_near = z_eff[forward], z_eff[near], w[near]
-    rows = []  # (triple index, argument indices, factor, (a, b, c, argument, tol, max_terms))
-    connected = {}  # triple index -> c - a - b, for the connection branch
-    euler = {}  # triple index -> relative error of the sliver-Euler prefactor
-    # sums per triple and argument, ``mass`` of |factor * series|; they start
-    # at -0.0, the exact identity of float addition, so one row adds exactly
-    value, bound, mass = np.full((3, len(params), len(z)), -0.0)
-    terms = np.zeros((len(params), len(z)), dtype=np.int64)
+    # (triple index, argument indices, factor, its relative rounding,
+    # (a, b, c, argument, tol, max_terms))
+    rows = []
     for k, (a, b, c) in enumerate(params):
         a, b, c = float(a), float(b), float(c)
         if _is_nonpositive_integer(c, tol=0.0):
             raise RegionError(f"gauss_2f1 parameter c = {c} is a non-positive integer")
         if (a <= 0 and a == round(a)) or (b <= 0 and b == round(b)):
-            rows.append((k, np.arange(len(z)), 1.0, (a, b, c, z_eff, tol, 10**6)))
+            rows.append((k, np.arange(len(z)), 1.0, 0.0, (a, b, c, z_eff, tol, 10**6)))
             continue
         d = c - a - b
         if unit.size:
             if d <= 0:
                 raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {d} is not positive")
-            unit_value = _gauss_sum(a, b, c)
-            unit_bound = 5.0 * _GAMMA_RELERR * abs(unit_value)
-            if unit_bound > tol * (1.0 + abs(unit_value)):
-                raise ToleranceError(
-                    f"tol={tol} unreachable for 2F1 at z=1 (best bound {unit_bound:.3e})"
-                )
-            value[k, unit], bound[k, unit], terms[k, unit] = unit_value, unit_bound, 1
-        rows.append((k, forward, 1.0, (a, b, c, z_forward, tol, 2_000)))
+            # Gauss's sum of five rounded gamma values, times the series at
+            # w = 0, which is exactly 1
+            rows.append((k, unit, _gauss_sum(a, b, c), 5.0 * _GAMMA_RELERR, (a, b, c, w[unit], tol, 1)))
+        rows.append((k, forward, 1.0, 0.0, (a, b, c, z_forward, tol, 2_000)))
         # argument close to 1: a pair of series in w where that map is well
         # conditioned, else, in a thin sliver where c - a - b is nearly an
         # integer, capped forward summation after an Euler transform or without
         if near.size and abs(d - round(d)) >= 1e-5:
             coeff1, coeff2 = _connection_coeffs(a, b, c)
             wd = np.array([math.exp(d * math.log(x)) for x in w_near.tolist()])
-            rows.append((k, near, coeff1, (a, b, 1.0 - d, w_near, 1e-16, 4_000)))
-            rows.append((k, near, coeff2 * wd, (c - a, c - b, 1.0 + d, w_near, 1e-16, 4_000)))
-            connected[k] = d
+            # the rounding of the gamma quotients
+            rounding = 8.0 * _GAMMA_RELERR
+            rows.append((k, near, coeff1, rounding, (a, b, 1.0 - d, w_near, 1e-16, 4_000)))
+            rows.append((k, near, coeff2 * wd, rounding, (c - a, c - b, 1.0 + d, w_near, 1e-16, 4_000)))
         elif d <= -0.5:
             prefactor = np.array([(1.0 - x) ** d for x in z_near.tolist()])
             inner_tol = tol / np.maximum(prefactor, 1e-300)
-            rows.append((k, near, prefactor, (c - a, c - b, c, z_near, inner_tol, 500_000)))
             # (1 - z)^d turns the rounding of d's two subtractions into a
             # relative error of |log(1 - z)| times it; the power and the
             # product with the series add 2 eps
-            rounding_d = _EPS * (abs(c - a) + abs(d))
             logs = np.array([math.log(1.0 - x) for x in z_near.tolist()])
-            euler[k] = np.abs(logs) * rounding_d + 2.0 * _EPS
+            rounding = np.abs(logs) * (_EPS * (abs(c - a) + abs(d))) + 2.0 * _EPS
+            rows.append((k, near, prefactor, rounding, (c - a, c - b, c, z_near, inner_tol, 500_000)))
         else:
-            rows.append((k, near, 1.0, (a, b, c, z_near, tol, 500_000)))
+            rows.append((k, near, 1.0, 0.0, (a, b, c, z_near, tol, 500_000)))
 
-    owners, indices, factors, series = zip(*rows)
+    owners, indices, factors, roundings, series = zip(*rows)
     a, b, c, x, row_tol, max_terms = zip(*series)
     sizes = [len(arguments) for arguments in x]
+    # the entries given per row, as scalars or per argument, over all arguments
+    factor, rounding, row_tol = (
+        np.concatenate([np.full(size, f, dtype=float) for f, size in zip(column, sizes)])
+        for column in (factors, roundings, row_tol)
+    )
     summed, tail, count = _sum_series(
         *(np.repeat(np.array(p, dtype=float), sizes) for p in (a, b, c)),
-        np.concatenate(x),
-        np.concatenate([np.full(size, t, dtype=float) for t, size in zip(row_tol, sizes)]),
-        np.repeat(np.array(max_terms, dtype=float), sizes),
+        np.concatenate(x), row_tol, np.repeat(np.array(max_terms, dtype=float), sizes),
     )
     # every row at once into its triple's arguments; np.add.at adds in the
-    # order of ``where``, so a connection value is its first row plus its second
-    factor = np.concatenate([np.full(size, f, dtype=float) for f, size in zip(factors, sizes)])
+    # order of ``where``, so a connection value is its first row plus its
+    # second.  The sums start at -0.0, the exact identity of float addition,
+    # so one row adds exactly; ``mass`` sums |factor * series|
+    value, bound, mass, relative = np.full((4, len(params), len(z)), -0.0)
+    terms = np.zeros((len(params), len(z)), dtype=np.int64)
     where = np.concatenate([k * len(z) + at for k, at in zip(owners, indices)])
     part = factor * summed
     sums = ((value, part), (bound, np.abs(factor) * tail), (terms, count), (mass, np.abs(part)))
     for total, add in sums:
         np.add.at(total.reshape(-1), where, add)
-    for k, relative in euler.items():
-        bound[k, near] += mass[k, near] * relative
-    if connected:
-        at = np.ix_(list(connected), near)
-        # the gamma quotients' rounding; that of the final sum is not bounded yet
-        bound[at] += mass[at] * 8.0 * _GAMMA_RELERR
-        unreachable = np.argwhere(bound[at] > tol * (1.0 + np.abs(value[at])))
-        if unreachable.size:
-            row, column = unreachable[0]
-            d, best = list(connected.values())[row], bound[at][row, column]
-            raise ToleranceError(
-                f"tol={tol} unreachable for 2F1 near z=1 (best bound {best:.3e}; "
-                f"c-a-b = {d} is close to an integer)" if abs(d - round(d)) < 1e-3
-                else f"tol={tol} unreachable for 2F1 near z=1 (best bound {best:.3e})"
-            )
+    # the rows of one triple and argument share their rounding
+    relative.reshape(-1)[where] = rounding
+    inexact = relative > 0.0
+    bound[inexact] += mass[inexact] * relative[inexact]
+    over = np.argwhere(bound > tol * (1.0 + np.abs(value)))
+    if over.size:
+        k, j = over[0]
+        a, b, c = (float(p) for p in params[k])
+        d = c - a - b
+        place = "at z=1" if w[j] == 0.0 else "near z=1" if j in near else f"at z={float(z[j])}"
+        close = j in near and abs(d - round(d)) < 1e-3
+        suffix = f"; c-a-b = {d} is close to an integer" if close else ""
+        raise ToleranceError(
+            f"tol={tol} unreachable for 2F1 {place} (best bound {bound[k, j]:.3e}{suffix})"
+        )
     return list(zip(value, bound, terms))
 
 

@@ -120,6 +120,17 @@ def test_2f1_error_messages():
         gauss_2f1(0.3, 0.4, 1.2, 0.9, tol=1e-17)
 
 
+def test_2f1_near_one_refusal_names_a_near_integer_gap():
+    # c - a - b = 5e-4 is outside the sliver, so the connection branch runs,
+    # but its gamma quotients are large and cancel
+    with pytest.raises(ToleranceError) as exc:
+        gauss_2f1(0.3, 0.4, 0.7005, 0.9, tol=1e-12)
+    assert str(exc.value) == (
+        "tol=1e-12 unreachable for 2F1 near z=1 (best bound 1.833e-11; "
+        "c-a-b = 0.0005000000000000004 is close to an integer)"
+    )
+
+
 def test_2f1_rejects_bad_arguments():
     with pytest.raises(RegionError):
         gauss_2f1(0.5, 0.5, 1.5, 1.2)
@@ -199,6 +210,15 @@ def _reference_sum_series(a, b, c, z, tol, max_terms):
 
 
 def _reference_gauss_2f1(a, b, c, z, tol=1e-12, z_complement=None):
+    """``_reference_branch`` under the contract of every branch: a bound over
+    tol * (1 + |value|) raises ToleranceError."""
+    result = _reference_branch(a, b, c, z, tol, z_complement)
+    if result.tail_bound > tol * (1.0 + abs(result.value)):
+        raise ToleranceError(f"tol={tol} unreachable (best bound {result.tail_bound:.3e})")
+    return result
+
+
+def _reference_branch(a, b, c, z, tol, z_complement):
     """The scalar body of gauss_2f1 as it stood before the batched entry, with
     the sliver-Euler bound covering the rounding of its prefactor."""
     a, b, c, z = float(a), float(b), float(c), float(z)
@@ -220,10 +240,7 @@ def _reference_gauss_2f1(a, b, c, z, tol=1e-12, z_complement=None):
         if d <= 0:
             raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {d} is not positive")
         value = gamma_fn(c) * gamma_fn(d) * _recip_gamma(c - a) * _recip_gamma(c - b)
-        bound = 5.0 * _GAMMA_RELERR * abs(value)
-        if bound > tol * (1.0 + abs(value)):
-            raise ToleranceError(f"tol={tol} unreachable for 2F1 at z=1 (best bound {bound:.3e})")
-        return HypResult(value, bound, 1)
+        return HypResult(value, 5.0 * _GAMMA_RELERR * abs(value), 1)
 
     if z_eff <= 0.75:
         return _reference_sum_series(a, b, c, z_eff, tol, max_terms=2_000)
@@ -241,8 +258,6 @@ def _reference_gauss_2f1(a, b, c, z, tol=1e-12, z_complement=None):
             + abs(coeff2) * wd * s2.tail_bound
             + (abs(part1) + abs(part2)) * 8.0 * _GAMMA_RELERR
         )
-        if bound > tol * (1.0 + abs(value)):
-            raise ToleranceError(f"tol={tol} unreachable for 2F1 near z=1 (best bound {bound:.3e})")
         return HypResult(value, bound, s1.terms_used + s2.terms_used)
 
     if d <= -0.5:
@@ -347,6 +362,37 @@ def test_batched_series_cover_every_branch():
     assert blocks == {0, 1, 2}
     # c - a - b = -1 + 2e-6 (Euler) and 3e-6 (plain) in the sliver
     _assert_rows_match_reference([(0.7, 0.2, -0.1 + 2e-6), (0.1, 0.6, 0.7 + 3e-6)], zs[6:8], ws[6:8], 1e-9)
+
+
+# gauss_2f1 calls whose bound, before every branch kept the contract, exceeded
+# tol * (1 + |value|): a sliver-Euler row (bound 3.8e-9 against a limit of
+# 3.2e-9) and two sliver-forward rows (7.4e-10 against 4.7e-11, 1.67e-12
+# against 1.56e-12)
+_OVER_CONTRACT = [
+    (1.25, -1.5, -2.25, 0.984375),
+    (1.4740497991000936, -1.531950801208408, -0.05790233576796999, 0.999),
+    (0.75, -2.198155894304602, -0.4481585707164747, 0.9296261360554967),
+]
+
+
+def test_sliver_rows_refuse_a_bound_over_the_contract():
+    for a, b, c, z in _OVER_CONTRACT:
+        with pytest.raises(ToleranceError, match=r"near z=1 .*is close to an integer\)$"):
+            gauss_2f1(a, b, c, z, tol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_series_cases())
+@example(case=([(a, b, c) for a, b, c, _ in _OVER_CONTRACT], [z for *_, z in _OVER_CONTRACT],
+                [1.0 - z for *_, z in _OVER_CONTRACT], 1e-12))
+def test_every_returned_row_meets_the_contract(case):
+    params, zs, ws, tol = case
+    try:
+        rows = _gauss_2f1_rows(params, zs, ws, tol)
+    except (RegionError, ToleranceError):
+        return
+    for value, bound, _ in rows:
+        assert np.all(bound <= tol * (1.0 + np.abs(value))), (params, zs, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from b2weight.errors import RegionError
 from b2weight.weight import (
     ComboForms,
     ParamPoint,
+    _eval_L_bounded,
     c_norm,
     combo_forms,
     d_consts,
@@ -85,6 +87,25 @@ def test_eval_l_domain_errors():
         eval_L(1.0, ParamPoint(0.1, 0.1))
     with pytest.raises(RegionError):
         eval_L(0.5, ParamPoint(0.7, 0.1))
+
+
+def test_eval_l_bounds_hold_at_the_sliver_edges():
+    # c - a - b = 2 k0 of the diagonal series lies within 1e-5 of -1 (the
+    # sliver-Euler rows) or of 1 (the sliver-forward rows); near the sector
+    # edge, with the tol of mode direct's calls, nothing is refused and every
+    # entry's bound covers its error against mpmath at the exact parameters
+    for k0 in (-0.499999, 0.499999):
+        for theta in (0.75, 0.78, 0.785):
+            u = math.tan(theta)
+            w = math.cos(2.0 * theta) / math.cos(theta) ** 2
+            ell, err = _eval_L_bounded(np.array([u]), np.array([w]), ParamPoint(k0, 0.0), 1e-11)
+            with mpmath.workdps(40):
+                k, half = mpmath.mpf(k0), mpmath.mpf(0.5)
+                z, pref = 1 - mpmath.mpf(w), mpmath.mpf(w) ** -k
+                diagonal = pref * mpmath.hyp2f1(-k, half - k, half, z)
+                off = -2 * k * pref * u * mpmath.hyp2f1(1 - k, half - k, 3 * half, z)
+                for got, bound, want in zip(ell.ravel(), err.ravel(), (diagonal, off, off, diagonal)):
+                    assert abs(got - want) <= bound, (k0, theta, float(abs(got - want)), bound)
 
 
 def test_eval_k_identity_at_zero_parameters():
