@@ -213,17 +213,17 @@ def _gauss_2f1_rows(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """F(a, b; c; z) for every triple (a, b, c) of ``params`` at every z of an array.
 
-    ``z`` and ``w`` are float arrays or sequences; ``w`` holds 1 - z, possibly to better accuracy than the subtraction; both
-    lie in [0, 1].  Returns one (value, tail_bound, terms_used) triple of
-    arrays per parameter triple.  The branches are those ``gauss_2f1``
-    documents, chosen per triple and argument.  Each branch declares its
-    series as rows (triple, argument indices, factor, the factor's relative
-    rounding, series parameters); all rows are summed in one ``_sum_series``
-    call, and every value is then the sum of factor * series over its rows,
-    every bound the sum of |factor| * tail plus |factor * series| times the
-    rounding, and every term count the sum of the rows' counts.  Every
-    (value, bound) pair then meets bound <= tol * (1 + |value|), or
-    ToleranceError is raised.
+    ``z`` and ``w`` are float arrays or sequences in [0, 1]; ``w`` holds 1 - z,
+    possibly to better accuracy than the subtraction.  Returns one (value,
+    tail_bound, terms_used) triple of arrays per parameter triple.  The
+    branches are those ``gauss_2f1`` documents, chosen per triple and
+    argument.  Each branch declares its series as rows (triple, argument
+    indices, factor, the factor's relative rounding, series parameters); all
+    rows are summed in one ``_sum_series`` call, and every value is then the
+    sum of factor * series over its rows, every bound the sum of
+    |factor| * tail plus |factor * series| times the rounding, and every term
+    count the sum of the rows' counts.  A bound over tol * (1 + |value|)
+    raises ToleranceError.
     """
     import numpy as np
 
@@ -234,34 +234,32 @@ def _gauss_2f1_rows(
     forward = np.flatnonzero((w != 0.0) & (z_eff <= 0.75))
     near = np.flatnonzero((w != 0.0) & ~(z_eff <= 0.75))
     z_forward, z_near, w_near = z_eff[forward], z_eff[near], w[near]
-    # (triple index, argument indices, factor, its relative rounding,
-    # (a, b, c, argument, tol, max_terms))
-    rows = []
+    rows = []  # (triple, argument indices, factor, its relative rounding, a, b, c, x, tol, max_terms)
     for k, (a, b, c) in enumerate(params):
         a, b, c = float(a), float(b), float(c)
         if _is_nonpositive_integer(c, tol=0.0):
             raise RegionError(f"gauss_2f1 parameter c = {c} is a non-positive integer")
         if (a <= 0 and a == round(a)) or (b <= 0 and b == round(b)):
-            rows.append((k, np.arange(len(z)), 1.0, 0.0, (a, b, c, z_eff, tol, 10**6)))
+            rows.append((k, np.arange(len(z)), 1.0, 0.0, a, b, c, z_eff, tol, 10**6))
             continue
         d = c - a - b
         if unit.size:
             if d <= 0:
                 raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {d} is not positive")
-            # Gauss's sum of five rounded gamma values, times the series at
-            # w = 0, which is exactly 1
-            rows.append((k, unit, _gauss_sum(a, b, c), 5.0 * _GAMMA_RELERR, (a, b, c, w[unit], tol, 1)))
-        rows.append((k, forward, 1.0, 0.0, (a, b, c, z_forward, tol, 2_000)))
+            # Gauss's sum of five rounded gamma values; the series at w = 0 is exactly 1
+            rel = 5.0 * _GAMMA_RELERR
+            rows.append((k, unit, _gauss_sum(a, b, c), rel, a, b, c, w[unit], tol, 1))
+        rows.append((k, forward, 1.0, 0.0, a, b, c, z_forward, tol, 2_000))
         # argument close to 1: a pair of series in w where that map is well
         # conditioned, else, in a thin sliver where c - a - b is nearly an
         # integer, capped forward summation after an Euler transform or without
         if near.size and abs(d - round(d)) >= 1e-5:
             coeff1, coeff2 = _connection_coeffs(a, b, c)
             wd = np.array([math.exp(d * math.log(x)) for x in w_near.tolist()])
-            # the rounding of the gamma quotients
-            rounding = 8.0 * _GAMMA_RELERR
-            rows.append((k, near, coeff1, rounding, (a, b, 1.0 - d, w_near, 1e-16, 4_000)))
-            rows.append((k, near, coeff2 * wd, rounding, (c - a, c - b, 1.0 + d, w_near, 1e-16, 4_000)))
+            # the rounding of the gamma quotients and of the final sum
+            rel = 8.0 * _GAMMA_RELERR + _EPS
+            rows.append((k, near, coeff1, rel, a, b, 1.0 - d, w_near, 1e-16, 4_000))
+            rows.append((k, near, coeff2 * wd, rel, c - a, c - b, 1.0 + d, w_near, 1e-16, 4_000))
         elif d <= -0.5:
             prefactor = np.array([(1.0 - x) ** d for x in z_near.tolist()])
             inner_tol = tol / np.maximum(prefactor, 1e-300)
@@ -269,13 +267,12 @@ def _gauss_2f1_rows(
             # relative error of |log(1 - z)| times it; the power and the
             # product with the series add 2 eps
             logs = np.array([math.log(1.0 - x) for x in z_near.tolist()])
-            rounding = np.abs(logs) * (_EPS * (abs(c - a) + abs(d))) + 2.0 * _EPS
-            rows.append((k, near, prefactor, rounding, (c - a, c - b, c, z_near, inner_tol, 500_000)))
+            rel = np.abs(logs) * (_EPS * (abs(c - a) + abs(d))) + 2.0 * _EPS
+            rows.append((k, near, prefactor, rel, c - a, c - b, c, z_near, inner_tol, 500_000))
         else:
-            rows.append((k, near, 1.0, 0.0, (a, b, c, z_near, tol, 500_000)))
+            rows.append((k, near, 1.0, 0.0, a, b, c, z_near, tol, 500_000))
 
-    owners, indices, factors, roundings, series = zip(*rows)
-    a, b, c, x, row_tol, max_terms = zip(*series)
+    owners, indices, factors, roundings, a, b, c, x, row_tol, max_terms = zip(*rows)
     sizes = [len(arguments) for arguments in x]
     # the entries given per row, as scalars or per argument, over all arguments
     factor, rounding, row_tol = (
@@ -324,9 +321,10 @@ def gauss_2f1(
 ) -> HypResult:
     """F(a, b; c; z) on 0 <= z <= 1 with a certified error bound.
 
-    The certified ``tail_bound`` satisfies tail_bound <= tol * (1 + |value|),
-    i.e. ``tol`` acts absolutely for moderate values and relatively for large
-    ones (the series can legitimately blow up like (1-z)^(c-a-b) near z = 1).
+    On every branch the certified ``tail_bound`` satisfies tail_bound <=
+    tol * (1 + |value|), or ToleranceError is raised: ``tol`` acts absolutely
+    for moderate values and relatively for large ones (the series can blow
+    up like (1-z)^(c-a-b) near z = 1).
 
     Strategy: terminating series are summed exactly; z = 1 uses the
     gamma-quotient value (valid for c - a - b > 0); moderate z uses forward
@@ -353,7 +351,9 @@ def h_func(i: int, z: float, k0: float, k1: float, tol: float = 1e-12) -> HypRes
     """One of the four auxiliary series h_i(z); h_i(0) = 1.
 
     All four have c - a - b = 1 +/- 2*k0, so they converge absolutely on the
-    whole of [0, 1] as long as |k0| < 1/2.
+    whole of [0, 1] as long as |k0| < 1/2.  The bound keeps ``gauss_2f1``'s
+    contract, so near z = 1, with 2*k0 within 1e-5 of an integer (k0 near 0
+    or +/-1/2), a tight ``tol`` may raise ToleranceError.
     """
     if i not in _H_PARAMS:
         raise ValueError(f"h_func index must be 1..4, got {i}")
