@@ -255,9 +255,14 @@ def _gauss_2f1_rows(
         # integer, capped forward summation after an Euler transform or without
         if near.size and abs(d - round(d)) >= 1e-5:
             coeff1, coeff2 = _connection_coeffs(a, b, c)
-            wd = np.array([math.exp(d * math.log(x)) for x in w_near.tolist()])
-            # the rounding of the gamma quotients and of the final sum
-            rel = 8.0 * _GAMMA_RELERR + _EPS
+            logs = np.array([math.log(x) for x in w_near.tolist()])
+            wd = np.array([math.exp(d * x) for x in logs.tolist()])
+            # the rounding of the gamma quotients and of the final sum; w^d
+            # turns the rounding of d's two subtractions and of d log w into
+            # a relative error of |log w| times it, and exp and the product
+            # with coeff2 add 2 eps
+            rel = 8.0 * _GAMMA_RELERR + 3.0 * _EPS
+            rel = rel + np.abs(logs) * (_EPS * (abs(c - a) + 2.0 * abs(d)))
             rows.append((k, near, coeff1, rel, a, b, 1.0 - d, w_near, 1e-16, 4_000))
             rows.append((k, near, coeff2 * wd, rel, c - a, c - b, 1.0 + d, w_near, 1e-16, 4_000))
         elif d <= -0.5:

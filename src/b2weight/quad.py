@@ -10,9 +10,11 @@ exponents.  Each rule has one engine.  Gauss-Jacobi carries exactly those
 exponents and doubles its node count until two refinements agree; it serves
 mode "h" of the pairings and ``singular_integral``, and raises ToleranceError
 when doubling stalls.  Mode "direct", the independent cross-check, integrates
-the raw matrix form with a tanh-sinh rule.  The radial half of the plane integral
-is folded in analytically (a factor 2^l l! in the pairing normalization), so
-no infinite-domain quadrature appears anywhere.
+the raw matrix form over the slope u = tan(theta) in (0, 1) with a tanh-sinh
+rule, which supplies each node u with 1 - u exactly, so 1 - u^2 is formed
+without cancellation and no node needs trigonometry.  The radial half of the
+plane integral is folded in analytically (a factor 2^l l! in the pairing
+normalization), so no infinite-domain quadrature appears anywhere.
 
 The order n of a pairing enters only through an explicit factor
 (1 - v)^e (1 + v)^(-e-2); the rule's exponents a = +/-(k1 + 1/2) and b0 (-2 k0
@@ -36,7 +38,6 @@ from .errors import RegionError, ToleranceError
 from .hyper import _EPS, _GAMMA_RELERR, _H_PARAMS, _gauss_2f1_rows, gamma_fn
 from .weight import ParamPoint, _eval_L_bounded, d_consts
 
-_SECTOR = math.pi / 4
 # node counts of Gauss-Jacobi doubling; tanh-sinh levels and node range
 _GJ_START, _GJ_MAX = 24, 3072
 _TS_LEVELS, _TS_T_MAX = 9, 6.2
@@ -139,17 +140,17 @@ def _tanh_sinh_nodes(level: int) -> np.ndarray:
 
 
 def tanh_sinh(
-    f: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     tol: float = 1e-10,
 ) -> QuadResult:
     """Double-exponential rule on (0, 1) for endpoint-singular integrands.
 
     The integrand receives arrays of nodes, as ``singular_integral``'s
-    ``smooth`` does: it is called as f(v, v, 1 - v) with the distances to
-    both endpoints supplied exactly, so algebraic endpoint factors can be
-    formed from them without catastrophic cancellation.  It returns an array
-    of values and an array (or a scalar) of bounds on the error of each
-    value (0.0 for a value exact up to rounding).
+    ``smooth`` does: it is called as f(v, 1 - v), each node with its distance
+    to 1 supplied exactly, so algebraic endpoint factors can be formed from
+    the two without catastrophic cancellation.  Neither array holds 0.  It
+    returns an array of values and an array (or a scalar) of bounds on the
+    error of each value (0.0 for a value exact up to rounding).
 
     Level L has step 2^-L and floor(6.2 * 2^L) nodes on each side, for L up
     to 9; its even-indexed nodes are exactly the nodes of level L - 1, so
@@ -167,7 +168,7 @@ def tanh_sinh(
     for levels in [range(4)] + [[level] for level in range(4, _TS_LEVELS + 1)]:
         added = [_tanh_sinh_nodes(level) for level in levels]
         dist0, dist1, dvdt = np.concatenate(added).T
-        values, bounds = f(dist0, dist0, dist1)
+        values, bounds = f(dist0, dist1)
         terms = values * dvdt
         bound_terms = np.broadcast_to(bounds * dvdt, terms.shape)
         edge = 0
@@ -266,8 +267,9 @@ def sector_inner_numeric(
 
     mode "h" (default) integrates the factored single-series form in v = u^2
     with Gauss-Jacobi carrying the exact endpoint exponents; mode "direct"
-    integrates the raw matrix form over the angle with a double-exponential
-    rule and exists as an independent cross-check of the factored route.
+    integrates the raw matrix form over the slope u = tan(theta) with a
+    double-exponential rule and exists as an independent cross-check of the
+    factored route.
     Both carry the tail bounds of their series values into the error
     estimate (see ``QuadResult``).
     """
@@ -363,95 +365,78 @@ def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
 
 def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
     d1, d2 = d_consts(p)
+    d = np.array([[d1], [d2]])
     phi_power = 2 * n if kind == "p12" else 2 * n + 1
     left_sign = 1.0 if kind == "p12" else -1.0
-    # d1 and d2 each carry four gamma values; phi rounds about three times,
-    # and its power and the final products a few times more
-    rho = 4.0 * _GAMMA_RELERR + (3 * phi_power + 8) * _EPS
-    outermost = [_SECTOR, _SECTOR]  # the smallest theta and delta summed
+    # d1 and d2 each carry four gamma values; w / q rounds five times, its
+    # power p times that and once more, and dividing by q^2 and the final
+    # products a few times more
+    rho = 4.0 * _GAMMA_RELERR + (5 * phi_power + 12) * _EPS
+    outermost = [1.0, 1.0]  # the smallest u and s summed
 
-    def integrand(
-        frac: np.ndarray, dist0: np.ndarray, dist1: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        theta = _SECTOR * frac
-        delta = _SECTOR * dist1
-        value, bound = np.zeros(len(frac)), np.zeros(len(frac))
-        inside = np.flatnonzero((theta != 0.0) & (delta != 0.0))
-        for i, edge in enumerate((theta, delta)):
-            outermost[i] = min(outermost[i], float(edge[inside].min(initial=_SECTOR)))
-        # per node with math: the slope and its complement without
-        # cancellation at either edge, sin and cos of theta, and the power of
-        # phi = sin(2 delta), which equals cos(2 theta)
-        trig = []
-        nodes = zip(theta[inside].tolist(), delta[inside].tolist(), dist1[inside].tolist())
-        for t, dl, far in nodes:
-            if far < 0.5:
-                td = math.tan(dl)
-                u = (1.0 - td) / (1.0 + td)
-            else:
-                u = math.tan(t)
-            phi = math.sin(2.0 * dl)
-            trig.append((u, phi / math.cos(t) ** 2, math.sin(t), math.cos(t), phi**phi_power))
-        u, complement, sin_t, cos_t, scale = np.array(trig).reshape(-1, 5).T
-        ell, ell_err = _eval_L_bounded(u, complement, p, 1e-11)
-        # left^T L^T diag(d) L right = sum_r d_r y_r z_r with y = L left,
-        # z = L right, left = (-sin, +-cos) and right = (-sin, cos)
-        total = total_bound = 0.0
-        for (l0, l1), (e0, e1), d in zip(ell, ell_err, (d1, d2)):
-            y = -l0 * sin_t + left_sign * l1 * cos_t
-            z = -l0 * sin_t + l1 * cos_t
+    def integrand(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        outermost[0] = min(outermost[0], float(u.min()))
+        outermost[1] = min(outermost[1], float(s.min()))
+        # w = 1 - u^2 without cancellation, q = 1 + u^2 and phi = w / q
+        w, q = s * (2.0 - s), 1.0 + u * u
+        ell, ell_err = _eval_L_bounded(u, w, p, 1e-11)
+        # in theta the form is sum_r d_r y_r z_r / q with y = L (-u, +-1) and
+        # z = L (-u, 1), one row r per entry of d; d theta = du / q
+        (l0, l1), (e0, e1) = ell.swapaxes(0, 1), ell_err.swapaxes(0, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, z = left_sign * l1 - u * l0, l1 - u * l0
             # error of y and of z: the entries' bounds, and three roundings
             # of each product and of the sum
-            dev = (e0 + 3.0 * _EPS * np.abs(l0)) * sin_t + (e1 + 3.0 * _EPS * np.abs(l1)) * cos_t
-            total = total + d * y * z
+            dev = (e0 + 3.0 * _EPS * np.abs(l0)) * u + e1 + 3.0 * _EPS * np.abs(l1)
             spread = dev * (np.abs(y) + np.abs(z) + dev) + rho * np.abs(y * z)
-            total_bound = total_bound + abs(d) * spread
-        value[inside], bound[inside] = scale * total, np.abs(scale) * total_bound
+            scale = (w / q) ** phi_power / (q * q)
+            value = scale * (d * y * z).sum(axis=0)
+            bound = scale * (np.abs(d) * spread).sum(axis=0)
+        if not (np.isfinite(value).all() and np.isfinite(bound).all()):
+            raise ToleranceError(
+                f"mode 'direct': the integrand overflows near a sector edge at {p}; "
+                "mode 'h' covers this point"
+            )
         return value, bound
 
     de = tanh_sinh(integrand, tol=tol)
-    value = 8.0 * _SECTOR * de.value
-    err = 8.0 * _SECTOR * de.error_estimate + 2.0 * _EPS * abs(value)
     edges = _edge_mass(p, d1, d2, phi_power, *outermost)
-    return QuadResult(value, err + 8.0 * edges, de.nodes)
+    return QuadResult(8.0 * de.value, 8.0 * (de.error_estimate + edges), de.nodes)
 
 
 def _edge_mass(
-    p: ParamPoint, d1: float, d2: float, phi_power: int, theta_c: float, delta_c: float
+    p: ParamPoint, d1: float, d2: float, phi_power: int, u_c: float, s_c: float
 ) -> float:
-    """A bound on the integral of |integrand| of mode "direct" over (0, theta_c)
-    and over (pi/4 - delta_c, pi/4), beyond the outermost nodes summed.
+    """A bound on the integral of |integrand| of mode "direct" over (0, u_c)
+    and over (1 - s_c, 1), beyond the outermost nodes summed.
 
-    The integrand is phi^p (d1 y_1 z_1 + d2 y_2 z_2) with p = ``phi_power``,
-    phi = cos(2 theta) <= 1 and |y_r|, |z_r| <= |L_r1| sin(theta) + |L_r2| cos(theta).
+    The integrand is phi^p (d1 y_1 z_1 + d2 y_2 z_2) / q^2 with p = ``phi_power``,
+    q = 1 + u^2 >= 1, phi = w / q <= w = 1 - u^2 and |y_r|, |z_r| <= u |L_r1| + |L_r2|.
 
-    Near theta = 0, u = tan(theta): each 2F1 of L is 1 + O(u^2) and the
-    powers of u are those of theta, so |y_1|, |z_1| <= (1 + |k0| / (1/2 + k1))
-    theta^(1+k1) and |y_2|, |z_2| <= theta^(-k1), and the integral of
-    |d1| (1 + |k0| / (1/2 + k1))^2 theta^(2+2k1) + |d2| theta^(-2k1) is taken.
+    Near u = 0 each 2F1 of L is 1 + O(u^2), so |y_1|, |z_1| <= (1 + |k0| /
+    (1/2 + k1)) u^(1+k1) and |y_2|, |z_2| <= u^(-k1).
 
-    Near theta = pi/4, delta = pi/4 - theta and s = 1 - u^2 >= phi = sin(2 delta):
-    in the positive-definite region each 2F1 of L, or its Euler transform,
-    is a series whose terms after the first share one sign, so it lies
-    between 0 and 1 or below its value at 1 (Gauss's sum).  That gives
-    |L_11|, |L_22| <= s^(-|k0|) and |L_12| <= g_+ s^(-|k0|), |L_21| <= g_- s^(-|k0|),
+    Near u = 1, with s = 1 - u, s <= w = s (2 - s) <= 2s.  In the
+    positive-definite region each 2F1 of L, or its Euler transform, is a
+    series whose terms after the first share one sign, so it lies between 0
+    and 1 or below its value at 1 (Gauss's sum).  So |L_11|, |L_22| <= s^(-|k0|),
+    |L_12| <= g_+ s^(-|k0|) and |L_21| <= g_- s^(-|k0|) with
     g_+- = Gamma(1 + 2|k0|) Gamma(1/2 +- k1) / (2 Gamma(1 + |k0|) Gamma(1/2 +- k1 + |k0|)),
-    and the integral of (|d1| (1 + g_+)^2 + |d2| (1 + g_-)^2) (2 delta)^(p - 2|k0|)
-    is taken.
+    and phi^p <= 2^p s^p.
 
     The outermost nodes lie within 1e-290 of the endpoints, where every
-    factor these bounds drop (the 2F1 values' distance from 1, tan(theta) /
-    theta, sin(2 delta) / (2 delta), u^-|k1|) is 1 to within 1e-500.
+    factor these bounds drop (the 2F1 values' distance from 1, u^-|k1|) is 1
+    to within 1e-500.
     """
     k0, k1 = abs(p.k0), p.k1
-    row1 = abs(d1) * (1.0 + k0 / (0.5 + k1)) ** 2 * theta_c ** (3.0 + 2.0 * k1) / (3.0 + 2.0 * k1)
-    row2 = abs(d2) * theta_c ** (1.0 - 2.0 * k1) / (1.0 - 2.0 * k1)
+    row1 = abs(d1) * (1.0 + k0 / (0.5 + k1)) ** 2 * u_c ** (3.0 + 2.0 * k1) / (3.0 + 2.0 * k1)
+    row2 = abs(d2) * u_c ** (1.0 - 2.0 * k1) / (1.0 - 2.0 * k1)
     ratio = gamma_fn(1.0 + 2.0 * k0) / (2.0 * gamma_fn(1.0 + k0))
     g_plus = ratio * gamma_fn(0.5 + k1) / gamma_fn(0.5 + k1 + k0)
     g_minus = ratio * gamma_fn(0.5 - k1) / gamma_fn(0.5 - k1 + k0)
     power = phi_power - 2.0 * k0
-    near_delta = (abs(d1) * (1.0 + g_plus) ** 2 + abs(d2) * (1.0 + g_minus) ** 2) * 2.0**power
-    return row1 + row2 + near_delta * delta_c ** (power + 1.0) / (power + 1.0)
+    near_one = (abs(d1) * (1.0 + g_plus) ** 2 + abs(d2) * (1.0 + g_minus) ** 2) * 2.0**phi_power
+    return row1 + row2 + near_one * s_c ** (power + 1.0) / (power + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,10 @@ def _eval_L_bounded(
     exp(-k0 log(1 - u^2)) lose about 2 |k1 log u| and 2 |k0 log(1 - u^2)|
     ulps, and forming each entry a few more.  The logarithms and exponentials
     are taken per slope with ``math``, whose accuracy that term assumes.
+    Near the sector edge each entry's series carries the factor
+    (1 - u^2)^(c - a - b), and the rounding of the 2F1 parameters formed from
+    k0 and k1 moves c - a - b by less than 2 (1 + |k0| + |k1|) eps; that
+    factor turns it into a relative error |log(1 - u^2)| times as large.
     """
     if not (np.all((0.0 < u) & (u <= 1.0)) and np.all((0.0 < w) & (w <= 1.0))):
         raise RegionError("eval_L requires 0 < u <= 1 with 0 < 1-u^2 <= 1")
@@ -110,7 +114,8 @@ def _eval_L_bounded(
     up = np.array([math.exp(k1 * x) for x in log_u.tolist()])
     um = np.array([math.exp(-k1 * x) for x in log_u.tolist()])
     pref = np.array([math.exp(-k0 * y) for y in log_w.tolist()])
-    rel = (2.0 * np.abs(k1 * log_u) + 2.0 * np.abs(k0 * log_w) + 16.0) * _EPS
+    rel = 2.0 * np.abs(k1 * log_u) + 2.0 * (1.0 + 2.0 * abs(k0) + abs(k1)) * np.abs(log_w)
+    rel = (rel + 16.0) * _EPS
 
     params = [(-k0, 0.5 - k0 + k1, k1 + 0.5), (-k0, 0.5 - k0 - k1, 0.5 - k1)]
     if k0 != 0.0:

@@ -73,20 +73,21 @@ def test_singular_integral_never_accepts_a_non_finite_value():
         singular_integral(0.0, 0.0, lambda v: np.where(v > 0.999, np.inf, 1.0))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_direct_mode_never_accepts_a_non_finite_value():
     # inside the positive-definite region; the integrand overflows near the
-    # end of the tanh-sinh range there
-    p = ParamPoint(0.0, 0.489)
-    assert p.positive_definite
-    with pytest.raises(ToleranceError):
-        sector_inner_numeric(0, "p12", p, mode="direct")
+    # end of the tanh-sinh range there, at u = 0 for k1 near 1/2 and at u = 1
+    # for k0 near 1/2, and mode direct refuses without a RuntimeWarning
+    for k0, k1 in ((0.0, 0.489), (0.49, 0.0)):
+        p = ParamPoint(k0, k1)
+        assert p.positive_definite
+        with pytest.raises(ToleranceError, match="overflows near a sector edge"):
+            sector_inner_numeric(0, "p12", p, mode="direct")
 
 
 def test_tanh_sinh_handles_endpoint_singularities():
-    # int_0^1 v^(-1/2) (1-v)^(-1/2) dv = pi via the distance arguments
-    def f(_v, d0, d1):
-        return 1.0 / np.sqrt(d0 * d1), 0.0
+    # int_0^1 v^(-1/2) (1-v)^(-1/2) dv = pi, 1 - v passed exactly
+    def f(v, s):
+        return 1.0 / np.sqrt(v * s), 0.0
 
     res = tanh_sinh(f, tol=1e-12)
     assert abs(res.value - math.pi) <= 1e-11
@@ -99,7 +100,7 @@ def test_tanh_sinh_calls_the_integrand_once_per_batch_of_levels():
     def counted(integrand):
         sizes = []
 
-        def f(v, d0, d1):
+        def f(v, s):
             sizes.append(len(v))
             return integrand(v), np.zeros_like(v)
 
@@ -122,9 +123,9 @@ def test_tanh_sinh_node_tables_are_built_once_and_read_only():
     assert _tanh_sinh_nodes(4) is table and not table.flags.writeable
 
     # an integrand that overwrites its node arrays leaves later calls unchanged
-    def scribble(v, d0, d1):
-        values = np.sqrt(d0 * d1)
-        v[:] = d1[:] = 0.5
+    def scribble(v, s):
+        values = np.sqrt(v * s)
+        v[:] = s[:] = 0.5
         return values, 0.0
 
     first, second = tanh_sinh(scribble), tanh_sinh(scribble)
@@ -248,10 +249,18 @@ def test_sector_pairing_error_estimate_bounds_the_error(pairings_to_20):
 
 def test_direct_mode_error_estimate_bounds_the_error():
     # zero slack, compared in exact arithmetic; (1/60, 13/31) is where the
-    # near-1 connection branch of eval_L cancels most, and near k1 = 1/2 the
-    # integrand's mass beyond the outermost nodes dominates the error
+    # near-1 connection branch of eval_L cancels most, near k1 = 1/2 the
+    # integrand's mass beyond the outermost nodes dominates the error, and the
+    # last five points lie near the edge of the positive-definite region
     near_half = [(Fraction(0), Fraction(97, 200)), (Fraction(0), Fraction(487, 1000))]
-    for k0, k1 in SHARED_RULE_POINTS + near_half:
+    near_edge = [
+        (Fraction(-49, 100), Fraction(0)),
+        (Fraction(-9, 20), Fraction(1, 25)),
+        (Fraction(9, 20), Fraction(-1, 25)),
+        (Fraction(1, 10), Fraction(-39, 100)),
+        (Fraction(-1, 10), Fraction(-3, 10)),
+    ]
+    for k0, k1 in SHARED_RULE_POINTS + near_half + near_edge:
         p = ParamPoint(float(k0), float(k1))
         for n in range(5):
             for kind in ("p12", "p14"):

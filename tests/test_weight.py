@@ -89,6 +89,19 @@ def test_eval_l_domain_errors():
         eval_L(0.5, ParamPoint(0.7, 0.1))
 
 
+def _ell_reference(k0: float, k1: float, u: float, w: float) -> list:
+    """L11, L12, L21, L22 at slope u with 1 - u^2 = w, in mpmath at the
+    working precision."""
+    k, m, half, u, w = (mpmath.mpf(x) for x in (k0, k1, 0.5, u, w))
+    z, pref = 1 - w, w**-k
+    return [
+        u**m * pref * mpmath.hyp2f1(-k, half - k + m, half + m, z),
+        -k / (half + m) * u ** (1 + m) * pref * mpmath.hyp2f1(1 - k, half - k + m, 3 * half + m, z),
+        -k / (half - m) * u ** (1 - m) * pref * mpmath.hyp2f1(1 - k, half - k - m, 3 * half - m, z),
+        u**-m * pref * mpmath.hyp2f1(-k, half - k - m, half - m, z),
+    ]
+
+
 def test_eval_l_bounds_hold_at_the_sliver_edges():
     # c - a - b = 2 k0 of the diagonal series lies within 1e-5 of -1 (the
     # sliver-Euler rows) or of 1 (the sliver-forward rows); near the sector
@@ -100,12 +113,24 @@ def test_eval_l_bounds_hold_at_the_sliver_edges():
             w = math.cos(2.0 * theta) / math.cos(theta) ** 2
             ell, err = _eval_L_bounded(np.array([u]), np.array([w]), ParamPoint(k0, 0.0), 1e-11)
             with mpmath.workdps(40):
-                k, half = mpmath.mpf(k0), mpmath.mpf(0.5)
-                z, pref = 1 - mpmath.mpf(w), mpmath.mpf(w) ** -k
-                diagonal = pref * mpmath.hyp2f1(-k, half - k, half, z)
-                off = -2 * k * pref * u * mpmath.hyp2f1(1 - k, half - k, 3 * half, z)
-                for got, bound, want in zip(ell.ravel(), err.ravel(), (diagonal, off, off, diagonal)):
-                    assert abs(got - want) <= bound, (k0, theta, float(abs(got - want)), bound)
+                want = _ell_reference(k0, 0.0, u, w)
+                for got, bound, exact in zip(ell.ravel(), err.ravel(), want):
+                    assert abs(got - exact) <= bound, (k0, theta, float(abs(got - exact)), bound)
+
+
+def test_eval_l_bounds_hold_within_1e300_of_the_sector_edge():
+    # with k0 < 0 the connection row carrying (1 - u^2)^(2 k0) dominates, and
+    # |log(1 - u^2)| ~ 690 magnifies the rounding of its exponent; zero
+    # slack against mpmath at the float parameters (u rounds to 1 here)
+    ws = [1e-20, 1e-100, 1e-200, 1e-300]
+    for k0, k1 in ((-0.45, 0.3), (-0.2, -0.1), (-0.1, -0.3), (0.2, 0.1)):
+        ell, err = _eval_L_bounded(np.ones(len(ws)), np.array(ws), ParamPoint(k0, k1), 1e-11)
+        for j, w in enumerate(ws):
+            with mpmath.workdps(50 + round(-math.log10(w))):
+                want = _ell_reference(k0, k1, 1.0, w)
+                for got, bound, exact in zip(ell[:, :, j].ravel(), err[:, :, j].ravel(), want):
+                    error = abs(mpmath.mpf(float(got)) - exact)
+                    assert error <= bound, (k0, k1, w, float(error), float(bound))
 
 
 def test_eval_k_identity_at_zero_parameters():
