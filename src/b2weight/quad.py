@@ -6,14 +6,14 @@ one-dimensional integrals
     int_0^1 v^alpha (1 - v)^beta * smooth(v) dv,      alpha, beta > -1,
 
 with algebraic endpoint singularities carried entirely by the explicit
-exponents.  Each rule has one engine.  Gauss-Jacobi carries exactly those
-exponents and doubles its node count until two refinements agree; it serves
-mode "h" of the pairings and ``singular_integral``, and raises ToleranceError
-when doubling stalls.  Mode "direct", the independent cross-check, integrates
-the raw matrix form over the slope u = tan(theta) in (0, 1) with a tanh-sinh
-rule, which supplies each node u with 1 - u exactly, so 1 - u^2 is formed
-without cancellation and no node needs trigonometry.  The radial half of the
-plane integral is folded in analytically (a factor 2^l l! in the pairing
+exponents.  Gauss-Jacobi carries exactly those exponents and doubles its node
+count; it serves mode "h" of the pairings and ``singular_integral``.  Mode
+"direct", the independent cross-check, integrates the raw matrix form over
+the slope u = tan(theta) in (0, 1) with a tanh-sinh rule, which supplies each
+node u with 1 - u exactly, so 1 - u^2 is formed without cancellation and no
+node needs trigonometry.  Both rules stop by one test, in ``_refine``, which
+also refuses a non-finite value or estimate.  The radial half of the plane
+integral is folded in analytically (a factor 2^l l! in the pairing
 normalization), so no infinite-domain quadrature appears anywhere.
 
 The order n of a pairing enters only through an explicit factor
@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .errors import RegionError, ToleranceError
 from .hyper import _EPS, _GAMMA_RELERR, _H_PARAMS, _gauss_2f1_rows, gamma_fn
 from .weight import ParamPoint, _eval_L_bounded, d_consts
 
-# node counts of Gauss-Jacobi doubling; tanh-sinh levels and node range
-_GJ_START, _GJ_MAX = 24, 3072
+# node counts of Gauss-Jacobi doubling, 24 to 3072; tanh-sinh levels and node range
+_GJ_SIZES = tuple(24 << k for k in range(8))
 _TS_LEVELS, _TS_T_MAX = 9, 6.2
 
 
@@ -51,15 +51,15 @@ class QuadResult:
     Gauss-Jacobi level evaluates its whole rule, each tanh-sinh level after
     the first only the nodes the previous level did not have.
 
-    ``error_estimate`` starts from the difference between the last two
-    refinements, which is a heuristic for the quadrature error.  The sector
-    pairings add the error of the series values carried through the rule
-    (from their certified tail bounds) and the rounding of forming and
-    summing the terms: mode "h" for the h-values at the Gauss-Jacobi nodes,
-    mode "direct" for the entries of L at the tanh-sinh nodes.
-    ``tanh_sinh`` alone adds the integrand's own bounds and the rounding of
-    the sum, ``singular_integral`` reports the refinement difference alone;
-    the actual error can exceed those by a small factor.
+    ``error_estimate`` is the difference between the last two refinements,
+    a heuristic for the quadrature error, plus the accepted level's error
+    terms: the series error carried through the rule (from the certified
+    tail bounds) and the rounding of forming and summing the terms, for the
+    h-values at the Gauss-Jacobi nodes in mode "h" and for the entries of L
+    at the tanh-sinh nodes in mode "direct".  ``tanh_sinh`` alone adds the
+    integrand's own bounds and the rounding of the sum, ``singular_integral``
+    nothing; the actual error can exceed those by a small factor.  Value and
+    estimate are always finite.
     """
 
     value: float
@@ -139,6 +139,30 @@ def _tanh_sinh_nodes(level: int) -> np.ndarray:
     return table
 
 
+def _refine(levels: Iterable, tol: float, rule: str, first: int = 1) -> QuadResult:
+    """The stopping rule of both quadrature rules.
+
+    ``levels`` yields, per refinement level, the value, its error terms and
+    the number of nodes the level added.  Level ``first`` and every later one
+    stop as soon as |value - previous| <= tol * (1 + |value|); the estimate is
+    that difference plus the level's error terms, added in order.  Raises
+    ToleranceError at a level whose value or sum of error terms is not finite,
+    and when no two successive levels agree.
+    """
+    previous, nodes = 0.0, 0
+    for level, (value, terms, added) in enumerate(levels):
+        nodes += added
+        if not (math.isfinite(value) and math.isfinite(sum(terms))):
+            raise ToleranceError(f"{rule} rule of {nodes} nodes gave {value}, error terms {terms}")
+        error = abs(value - previous)
+        if level >= first and error <= tol * (1.0 + abs(value)):
+            for term in terms:
+                error += term
+            return QuadResult(value, error, nodes)
+        previous = value
+    raise ToleranceError(f"{rule} rule of {nodes} nodes did not reach tol={tol}")
+
+
 def tanh_sinh(
     f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     tol: float = 1e-10,
@@ -154,77 +178,35 @@ def tanh_sinh(
 
     Level L has step 2^-L and floor(6.2 * 2^L) nodes on each side, for L up
     to 9; its even-indexed nodes are exactly the nodes of level L - 1, so
-    each level adds only its odd-indexed nodes to the running sum.  The rule
+    each level adds only its odd-indexed nodes to the running sums.  The rule
     cannot stop before level 3, so f is called once for the nodes of levels
     0 to 3 and once for each later level.  ``nodes`` counts the integrand
     evaluations over all levels.  ``error_estimate`` is the difference of the
     last two levels, plus the integrand's bounds integrated by the same rule,
-    plus the rounding of the sum.  A level whose value is not finite raises
-    ToleranceError.
+    plus the rounding of the sum.  A level whose value or estimate is not
+    finite, or no two levels agreeing, raises ToleranceError.
     """
-    previous = None
-    total = total_bound = total_abs = 0.0
-    nodes = 0
-    for levels in [range(4)] + [[level] for level in range(4, _TS_LEVELS + 1)]:
-        added = [_tanh_sinh_nodes(level) for level in levels]
-        dist0, dist1, dvdt = np.concatenate(added).T
-        values, bounds = f(dist0, dist1)
-        terms = values * dvdt
-        bound_terms = np.broadcast_to(bounds * dvdt, terms.shape)
-        edge = 0
-        for level, rows in zip(levels, added):
-            h = 1.0 / 2**level
-            part = slice(edge, edge + len(rows))
-            edge = part.stop
-            # running sums in node order, as one term at a time
-            total = _running_sum(total, terms[part])
-            total_abs = _running_sum(total_abs, np.abs(terms[part]))
-            total_bound = _running_sum(total_bound, bound_terms[part])
-            nodes += len(rows)
-            value = total * h
-            if not math.isfinite(value):
-                raise ToleranceError(f"double-exponential rule gave {value} at level {level}")
-            if previous is not None:
-                err = abs(value - previous)
-                if err <= tol * (1.0 + abs(value)) and level >= 3:
-                    # the sum of `nodes` terms rounds at most once per term
-                    rounding = (nodes + 2) * _EPS * total_abs * h
-                    return QuadResult(value, err + total_bound * h + rounding, nodes)
-            previous = value
-    raise ToleranceError(f"double-exponential rule did not reach tol={tol}")
 
+    def levels():
+        sums, nodes = np.zeros(3), 0  # running sums of the terms, bounds and |terms|
+        for batch in [range(4)] + [[level] for level in range(4, _TS_LEVELS + 1)]:
+            added = [_tanh_sinh_nodes(level) for level in batch]
+            dist0, dist1, dvdt = np.concatenate(added).T
+            values, bounds = f(dist0, dist1)
+            terms = values * dvdt
+            # all three running sums in node order, as one term at a time
+            columns = np.column_stack((terms, bounds * dvdt, np.abs(terms)))
+            running = np.add.accumulate(np.vstack((sums, columns)))
+            start = nodes  # running[0] holds the sums over the nodes of earlier batches
+            for level, rows in zip(batch, added):
+                nodes += len(rows)
+                h = 1.0 / 2**level
+                total, bound, mass = running[nodes - start].tolist()
+                # the sum of `nodes` terms rounds at most once per term
+                yield total * h, (bound * h, (nodes + 2) * _EPS * mass * h), len(rows)
+            sums = running[-1]
 
-def _running_sum(start: float, terms: np.ndarray) -> float:
-    """start + terms[0] + terms[1] + ..., added in order."""
-    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
-
-
-def _gauss_jacobi_doubling(
-    level: Callable[[int], tuple[np.ndarray, np.ndarray, float]], tol: float
-) -> QuadResult:
-    """A Gauss-Jacobi integral by node doubling from 24 to 3072 nodes.
-
-    ``level(n)`` returns the weights of the n-node rule, the smooth factor at
-    its nodes, and an error term of those values; the term of the accepted
-    level is added to the refinement difference.  Raises ToleranceError when
-    a level's value is not finite or no two successive levels agree to ``tol``.
-    """
-    previous = None
-    total_nodes = 0
-    n = _GJ_START
-    while n <= _GJ_MAX:
-        w, values, value_err = level(n)
-        value = float(np.dot(w, values))
-        if not math.isfinite(value):
-            raise ToleranceError(f"Gauss-Jacobi rule of {n} nodes gave {value}")
-        total_nodes += n
-        if previous is not None:
-            err = abs(value - previous)
-            if err <= tol * (1.0 + abs(value)):
-                return QuadResult(value, err + value_err, total_nodes)
-        previous = value
-        n *= 2
-    raise ToleranceError(f"Gauss-Jacobi doubling did not reach tol={tol} by {_GJ_MAX} nodes")
+    return _refine(levels(), tol, "tanh-sinh", first=3)
 
 
 def singular_integral(
@@ -243,11 +225,12 @@ def singular_integral(
     if alpha <= -1.0 or beta <= -1.0:
         raise RegionError(f"endpoint exponents must exceed -1, got ({alpha}, {beta})")
 
-    def level(n: int):
-        v, w = _gauss_jacobi_01(n, alpha, beta)
-        return w, np.asarray(smooth(v), dtype=float), 0.0
+    def levels():
+        for size in _GJ_SIZES:
+            v, w = _gauss_jacobi_01(size, alpha, beta)
+            yield float(np.dot(w, np.asarray(smooth(v), dtype=float))), (), size
 
-    return _gauss_jacobi_doubling(level, tol)
+    return _refine(levels(), tol, "Gauss-Jacobi")
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +306,19 @@ def _h_integral(
     """
     a = k1 + 0.5 if i == 1 else -k1 - 0.5
 
-    def level(size: int):
-        v, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, a, b0, size, htol)
-        explicit = ((1.0 - v) / (1.0 + v)) ** e / (1.0 + v) ** 2
-        weighted = w * explicit
-        propagated = float(np.dot(weighted, hprod_bound))
-        # one rounding per summed term; forming a term rounds the ratio three
-        # times, raises it to the e-th power and takes a few products more
-        rounding = (size + 3 * e + 8) * _EPS * float(np.dot(weighted, np.abs(hprod)))
-        return w, explicit * hprod, propagated + rounding
+    def levels():
+        for size in _GJ_SIZES:
+            v, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, a, b0, size, htol)
+            one_plus = 1.0 + v
+            explicit = ((1.0 - v) / one_plus) ** e / one_plus**2
+            weighted = w * explicit
+            propagated = float(np.dot(weighted, hprod_bound))
+            # one rounding per summed term; forming a term rounds the ratio three
+            # times, raises it to the e-th power and takes a few products more
+            rounding = (size + 3 * e + 8) * _EPS * float(np.dot(weighted, np.abs(hprod)))
+            yield float(np.dot(w, explicit * hprod)), (propagated + rounding,), size
 
-    return _gauss_jacobi_doubling(level, tol)
+    return _refine(levels(), tol, "Gauss-Jacobi")
 
 
 def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:

@@ -106,7 +106,6 @@ def _eval_L_bounded(
     if not p.integrable:
         raise RegionError(f"eval_L needs the integrable region; got {p}")
     k0, k1 = p.k0, p.k1
-    z = np.where(w >= 0.5, u * u, 1.0 - w)
     log_u = np.array([
         math.log(x) if y >= 0.5 else 0.5 * math.log1p(-y) for x, y in zip(u.tolist(), w.tolist())
     ])
@@ -120,7 +119,8 @@ def _eval_L_bounded(
     params = [(-k0, 0.5 - k0 + k1, k1 + 0.5), (-k0, 0.5 - k0 - k1, 0.5 - k1)]
     if k0 != 0.0:
         params += [(1 - k0, 0.5 - k0 + k1, k1 + 1.5), (1 - k0, 0.5 - k0 - k1, 1.5 - k1)]
-    series = _gauss_2f1_rows(params, z, w, tol)
+    # _gauss_2f1_rows takes 1 - w for u^2 where w < 1/2
+    series = _gauss_2f1_rows(params, u * u, w, tol)
     ell, err = np.zeros((2, 2, len(u))), np.zeros((2, 2, len(u)))
     (f11, t11, _), (f22, t22, _) = series[:2]
     ell[0, 0], err[0, 0] = up * pref * f11, up * pref * t11

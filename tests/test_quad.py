@@ -2,11 +2,13 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from b2weight import hyper, quad
 from b2weight.errors import RegionError, ToleranceError
 from b2weight.hyper import gamma_fn, h_func, s_inner_closed
 from b2weight.quad import (
@@ -19,7 +21,7 @@ from b2weight.quad import (
     tanh_sinh,
 )
 from b2weight.ring import poly_eval
-from b2weight.weight import ParamPoint
+from b2weight.weight import ParamPoint, eval_K
 
 
 def const_one(v):
@@ -137,6 +139,36 @@ def test_tanh_sinh_node_tables_are_built_once_and_read_only():
     )
 
 
+def test_tanh_sinh_refuses_a_non_finite_value_or_estimate():
+    # a bound that is NaN, everywhere or only at the outermost nodes, or
+    # infinite must not come back as the error estimate; a value that is not
+    # finite is refused by the rule itself, whatever the integrand checks
+    integrands = [
+        lambda v, s: (np.ones_like(v), np.full_like(v, np.nan)),
+        lambda v, s: (np.ones_like(v), np.where(v < 1e-200, np.nan, 0.0)),
+        lambda v, s: (np.ones_like(v), np.inf),
+        lambda v, s: (np.where(v < 1e-200, np.inf, 1.0), 0.0),
+        lambda v, s: (np.where(s < 1e-3, np.nan, 1.0), 0.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for f in integrands:
+            with pytest.raises(ToleranceError, match="tanh-sinh rule of [0-9]+ nodes gave"):
+                tanh_sinh(f)
+
+
+def test_mode_h_refuses_a_non_finite_error_term(monkeypatch):
+    rule = quad._h_rule
+
+    def unbounded(*args):
+        v, w, hprod, hprod_bound = rule(*args)
+        return v, w, hprod, np.full_like(hprod_bound, np.inf)
+
+    monkeypatch.setattr(quad, "_h_rule", unbounded)
+    with pytest.raises(ToleranceError, match="Gauss-Jacobi rule of 24 nodes gave"):
+        sector_inner_numeric(0, "p12", ParamPoint(0.3, 0.1))
+
+
 ACCEPTANCE_POINTS = [(0.3, 0.1), (-0.2, 0.25), (0.1, -0.3), (0.45, 0.0), (0.0, 0.45)]
 
 
@@ -205,6 +237,36 @@ def test_sector_pairing_direct_mode_near_the_sector_edge():
             exact = float(s_inner_closed(n, kind, k0, k1))
             got = sector_inner_numeric(n, kind, p, mode="direct")
             assert abs(got.value - exact) <= 1e-8 * abs(exact)
+
+
+def test_mode_direct_calls_tanh_sinh_once(count_calls):
+    calls = count_calls(quad, "tanh_sinh")
+    p = ParamPoint(1 / 60, 13 / 31)
+    for n in (1, 2):
+        for kind in ("p12", "p14"):
+            calls.clear()
+            sector_inner_numeric(n, kind, p, mode="direct")
+            assert len(calls) == 1, (n, kind)
+
+
+def test_numeric_route_never_calls_the_scalar_series(count_calls):
+    # the pairings and eval_K sum their series in batches, never one argument
+    # at a time through h_func or gauss_2f1
+    scalar = [count_calls(hyper, name) for name in ("h_func", "gauss_2f1")]
+    _h_rule.cache_clear()
+    for k0, k1 in ((0.3, 0.1), (1 / 60, 13 / 31), (-0.45, 0.0)):
+        p = ParamPoint(k0, k1)
+        for n in (0, 3):
+            for kind in ("p12", "p14"):
+                sector_inner_numeric(n, kind, p)
+                sector_inner_numeric(n, kind, p, mode="direct")
+        for theta in (0.1, 0.5, 0.78):
+            eval_K(theta, p)
+    assert scalar == [[], []]
+    # the wrappers do see a call made through the module
+    hyper.h_func(1, 0.5, 0.3, 0.1)
+    hyper.gauss_2f1(0.5, 0.5, 1.5, 0.25)
+    assert [len(calls) for calls in scalar] == [1, 1]
 
 
 # the near-boundary points of criterion 04 and the largest-rule point, then

@@ -393,3 +393,12 @@ def test_homogeneous_degree_query():
     assert P12.homogeneous_degree() == 1
     with pytest.raises(ValueError):
         VPoly({(0, 0, 1): 1, (1, 0, 2): 1}).homogeneous_degree()
+
+
+def test_operator_route_applies_the_laplacian_4n_plus_1_times(count_calls):
+    # 2n times to phi^(2n) p12 and 2n + 1 times to phi^(2n+1) p14
+    calls = count_calls(vpoly, "laplacian")
+    for n in range(6):
+        calls.clear()
+        alpha_beta_via_laplacian(n)
+        assert len(calls) == 4 * n + 1, n
