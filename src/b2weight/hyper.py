@@ -20,9 +20,10 @@ and if r < 1 the whole tail from t_m on is at most |t_m| / (1 - r).
 The float path works on arrays: ``_gauss_2f1_rows`` takes several parameter
 triples at a whole array of arguments and sums all their series in one
 ``_sum_series`` call, which runs every row in the order of a
-one-term-at-a-time loop.  ``gauss_2f1`` and ``h_func`` call it with one
-argument.  ``_gauss_2f1_rows`` and ``_sum_series`` import numpy when they
-run, so the exact paths never load it.
+one-term-at-a-time loop.  ``gauss_2f1`` calls it with one argument, and
+``h_func`` is ``gauss_2f1`` at its parameter triple.  ``_gauss_2f1_rows``
+and ``_sum_series`` import numpy when they run, so the exact paths never
+load it.
 """
 
 from __future__ import annotations
@@ -366,10 +367,7 @@ def h_func(i: int, z: float, k0: float, k1: float, tol: float = 1e-12) -> HypRes
         raise RegionError(f"h_func requires 0 <= z <= 1, got {z}")
     if not abs(k0) < 0.5:
         raise RegionError(f"h_func requires |k0| < 1/2, got k0 = {k0}")
-    z = float(z)
-    triple = _H_PARAMS[i](float(k0), float(k1))
-    ((value, bound, terms),) = _gauss_2f1_rows([triple], [z], [1.0 - z], tol)
-    return HypResult(float(value[0]), float(bound[0]), int(terms[0]))
+    return gauss_2f1(*_H_PARAMS[i](float(k0), float(k1)), z, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -53,13 +53,11 @@ class QuadResult:
 
     ``error_estimate`` is the difference between the last two refinements,
     a heuristic for the quadrature error, plus the accepted level's error
-    terms: the series error carried through the rule (from the certified
-    tail bounds) and the rounding of forming and summing the terms, for the
-    h-values at the Gauss-Jacobi nodes in mode "h" and for the entries of L
-    at the tanh-sinh nodes in mode "direct".  ``tanh_sinh`` alone adds the
-    integrand's own bounds and the rounding of the sum, ``singular_integral``
-    nothing; the actual error can exceed those by a small factor.  Value and
-    estimate are always finite.
+    term: the integrand's error bounds carried through the rule (those of
+    the h-values in mode "h", of L's entries in mode "direct", none for
+    ``singular_integral``'s ``smooth``) plus the rounding of the rule's
+    weighted sum.  The actual error can exceed the estimate by a small
+    factor.  Value and estimate are always finite.
     """
 
     value: float
@@ -142,23 +140,21 @@ def _tanh_sinh_nodes(level: int) -> np.ndarray:
 def _refine(levels: Iterable, tol: float, rule: str, first: int = 1) -> QuadResult:
     """The stopping rule of both quadrature rules.
 
-    ``levels`` yields, per refinement level, the value, its error terms and
+    ``levels`` yields, per refinement level, the value, one error term and
     the number of nodes the level added.  Level ``first`` and every later one
     stop as soon as |value - previous| <= tol * (1 + |value|); the estimate is
-    that difference plus the level's error terms, added in order.  Raises
-    ToleranceError at a level whose value or sum of error terms is not finite,
-    and when no two successive levels agree.
+    that difference plus the level's error term.  Raises ToleranceError at a
+    level whose value or error term is not finite, and when no two successive
+    levels agree.
     """
     previous, nodes = 0.0, 0
-    for level, (value, terms, added) in enumerate(levels):
+    for level, (value, error, added) in enumerate(levels):
         nodes += added
-        if not (math.isfinite(value) and math.isfinite(sum(terms))):
-            raise ToleranceError(f"{rule} rule of {nodes} nodes gave {value}, error terms {terms}")
-        error = abs(value - previous)
-        if level >= first and error <= tol * (1.0 + abs(value)):
-            for term in terms:
-                error += term
-            return QuadResult(value, error, nodes)
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise ToleranceError(f"{rule} rule of {nodes} nodes gave {value}, error term {error}")
+        difference = abs(value - previous)
+        if level >= first and difference <= tol * (1.0 + abs(value)):
+            return QuadResult(value, difference + error, nodes)
         previous = value
     raise ToleranceError(f"{rule} rule of {nodes} nodes did not reach tol={tol}")
 
@@ -203,7 +199,7 @@ def tanh_sinh(
                 h = 1.0 / 2**level
                 total, bound, mass = running[nodes - start].tolist()
                 # the sum of `nodes` terms rounds at most once per term
-                yield total * h, (bound * h, (nodes + 2) * _EPS * mass * h), len(rows)
+                yield total * h, bound * h + (nodes + 2) * _EPS * mass * h, len(rows)
             sums = running[-1]
 
     return _refine(levels(), tol, "tanh-sinh", first=3)
@@ -228,7 +224,10 @@ def singular_integral(
     def levels():
         for size in _GJ_SIZES:
             v, w = _gauss_jacobi_01(size, alpha, beta)
-            yield float(np.dot(w, np.asarray(smooth(v), dtype=float))), (), size
+            values = np.asarray(smooth(v), dtype=float)
+            # the weights are positive; the sum rounds at most once per term
+            rounding = (size + 2) * _EPS * float(np.dot(w, np.abs(values)))
+            yield float(np.dot(w, values)), rounding, size
 
     return _refine(levels(), tol, "Gauss-Jacobi")
 
@@ -254,7 +253,9 @@ def sector_inner_numeric(
     double-exponential rule and exists as an independent cross-check of the
     factored route.
     Both carry the tail bounds of their series values into the error
-    estimate (see ``QuadResult``).
+    estimate (see ``QuadResult``).  At tol 1e-11 mode "direct" refuses every
+    pairing tried for 0 < |k0| up to 5e-4 (k1 = 0) to 9e-4 (k1 = 0.4), where
+    c - a - b = 2 k0 of L's series is near 0 (see README); mode "h" computes them.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -276,13 +277,16 @@ _H_RULE_CACHE = 32
 
 @functools.lru_cache(maxsize=_H_RULE_CACHE)
 def _h_rule(
-    k0: float, k1: float, i: int, j: int, a: float, b0: float, size: int, htol: float
+    k0: float, k1: float, i: int, j: int, size: int, htol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ``size``-node rule for v^a (1-v)^b0 with h_i h_j at its nodes.
 
-    Returns nodes, weights, the product h_i h_j and a bound on its error
-    built from the certified tail bounds of the two series.
+    a = k1 + 1/2 for slot 1 (i = 1), -k1 - 1/2 for slot 2; b0 = -2 k0 for the
+    p12 pairs (j = i), 0 for p14.  Returns nodes, weights, the product h_i h_j
+    and a bound on its error from the certified tail bounds of the two series.
     """
+    a = k1 + 0.5 if i == 1 else -k1 - 0.5
+    b0 = -2.0 * k0 if j == i else 0.0
     v, w = _gauss_jacobi_01(size, a, b0)
     indices = (i,) if j == i else (i, j)
     series = _gauss_2f1_rows([_H_PARAMS[k](k0, k1) for k in indices], v, 1.0 - v, htol)
@@ -294,21 +298,20 @@ def _h_rule(
 
 
 def _h_integral(
-    k0: float, k1: float, i: int, j: int, b0: float, e: int, htol: float, tol: float
+    k0: float, k1: float, i: int, j: int, e: int, htol: float, tol: float
 ) -> QuadResult:
     """int_0^1 v^a (1-v)^b0 (1-v)^e (1+v)^(-e-2) h_i h_j dv on a shared rule.
 
-    Only the explicit factor depends on e, so every n at one point reuses the
-    nodes, weights and h-values of the family (k0, k1, i, j, b0).  Slot 1
-    (i = 1) has a = k1 + 1/2, slot 2 (i = 2) has a = -k1 - 1/2.  The error
-    estimate adds to the refinement difference the h error carried through
-    the rule and the rounding of forming and summing its terms.
+    The weight v^a (1-v)^b0 is ``_h_rule``'s.  Only the explicit factor
+    depends on e, so every n at one point reuses the nodes, weights and
+    h-values of the family (k0, k1, i, j).  The error estimate adds to the
+    refinement difference the h error carried through the rule and the
+    rounding of forming and summing its terms.
     """
-    a = k1 + 0.5 if i == 1 else -k1 - 0.5
 
     def levels():
         for size in _GJ_SIZES:
-            v, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, a, b0, size, htol)
+            v, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, size, htol)
             one_plus = 1.0 + v
             explicit = ((1.0 - v) / one_plus) ** e / one_plus**2
             weighted = w * explicit
@@ -316,7 +319,7 @@ def _h_integral(
             # one rounding per summed term; forming a term rounds the ratio three
             # times, raises it to the e-th power and takes a few products more
             rounding = (size + 3 * e + 8) * _EPS * float(np.dot(weighted, np.abs(hprod)))
-            yield float(np.dot(w, explicit * hprod)), (propagated + rounding,), size
+            yield float(np.dot(w, explicit * hprod)), propagated + rounding, size
 
     return _refine(levels(), tol, "Gauss-Jacobi")
 
@@ -327,19 +330,18 @@ def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
     htol = max(1e-11, tol * 1e-3)
     sub_tol = tol / 8.0
     if kind == "p12":
-        # (1-v)^(2n - 2k0): the weight keeps -2k0, the explicit factor 2n
-        i1 = _h_integral(k0, k1, 1, 1, -2.0 * k0, 2 * n, htol, sub_tol)
-        i2 = _h_integral(k0, k1, 2, 2, -2.0 * k0, 2 * n, htol, sub_tol)
+        # (1-v)^(2n - 2k0): the rule's weight keeps -2k0, the explicit factor 2n
+        pairs, e = ((1, 1), (2, 2)), 2 * n
         coeff1 = 4.0 * d1 * ((1 + 2 * k0 + 2 * k1) / (1 + 2 * k1)) ** 2
         coeff2 = 4.0 * d2
     else:
-        i1 = _h_integral(k0, k1, 1, 3, 0.0, 2 * n + 1, htol, sub_tol)
-        i2 = _h_integral(k0, k1, 2, 4, 0.0, 2 * n + 1, htol, sub_tol)
+        pairs, e = ((1, 3), (2, 4)), 2 * n + 1
         # signs fixed by expanding (L p14^T)^T diag(d) (L p12^T): the slot-1
         # product is +, the slot-2 product is -; at k = 0 this reduces to the
         # elementary value -1/2 of the first odd pairing, which pins them
         coeff1 = 4.0 * d1 * (1 - 2 * k0 + 2 * k1) * (1 + 2 * k0 + 2 * k1) / (1 + 2 * k1) ** 2
         coeff2 = -4.0 * d2
+    i1, i2 = (_h_integral(k0, k1, i, j, e, htol, sub_tol) for i, j in pairs)
     part1, part2 = coeff1 * i1.value, coeff2 * i2.value
     # d1 and d2 each carry four gamma values; the coefficients and the sum a
     # few roundings more

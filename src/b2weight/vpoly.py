@@ -462,8 +462,15 @@ def product_rule_residual(f: XPoly, g: VPoly) -> VPoly:
     return lhs - rhs
 
 
-def _extract_multiple_of_p12(f: VPoly) -> ParamPoly:
-    """The scalar c with f = c * p_{1,2}, or raise NotProportionalError."""
+def _scaled_pairing(n: int, kind: str) -> ParamPoly:
+    """The scalar c with c * p_{1,2} the modified Laplacian applied 2n times
+    to phi^(2n) p_{1,2} (kind "p12") or 2n+1 times to phi^(2n+1) p_{1,4}
+    (kind "p14"); raises NotProportionalError if the chain ends elsewhere.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    carrier, power = (P12, 2 * n) if kind == "p12" else (P14, 2 * n + 1)
+    f = laplacian_power(carrier.scale_x(PHI**power), power)
     c = f.terms.get((1, 0, 2), ParamPoly.zero())
     if f != P12 * c:
         raise NotProportionalError(f"{f!r} is not a multiple of the degree-1 carrier")
@@ -480,13 +487,7 @@ def alpha_beta_via_laplacian(n: int) -> tuple[ParamPoly, ParamPoly]:
     (see ``laplacian``), so the images of one degree are built once and
     shared by every n and both kinds.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    even = laplacian_power(P12.scale_x(PHI ** (2 * n)), 2 * n)
-    alpha_scaled = _extract_multiple_of_p12(even)
-    odd = laplacian_power(P14.scale_x(PHI ** (2 * n + 1)), 2 * n + 1)
-    beta_scaled = _extract_multiple_of_p12(odd)
-    return alpha_scaled, beta_scaled
+    return _scaled_pairing(n, "p12"), _scaled_pairing(n, "p14")
 
 
 def alpha_prime_scale(n: int) -> Fraction:
@@ -503,17 +504,10 @@ def inner_product_S_exact(n: int, kind: str) -> ParamPoly:
     """Exact sphere-pairing value as an element of Q[k0, k1], by the operator route.
 
     kind "p12" returns alpha_n * (1 + 2k1 + 2k0), kind "p14" the beta variant,
-    both recomputed from iterated Laplacians (supported n <= OPERATOR_NMAX).
-    The same values at any n come from ``hyper.s_inner_closed``.
+    recomputed from the Laplacian chain of that kind alone.  The same values
+    come far faster from ``hyper.s_inner_closed``.
     """
     if kind not in ("p12", "p14"):
         raise ValueError(f"kind must be 'p12' or 'p14', got {kind!r}")
-    if n > OPERATOR_NMAX:
-        raise ValueError(
-            f"the operator route supports n <= {OPERATOR_NMAX}; use hyper.s_inner_closed"
-        )
-    anchor = 1 + 2 * K1 + 2 * K0
-    alpha_scaled, beta_scaled = alpha_beta_via_laplacian(n)
-    if kind == "p12":
-        return (alpha_scaled / alpha_prime_scale(n)) * anchor
-    return (beta_scaled / beta_prime_scale(n)) * anchor
+    scale = alpha_prime_scale(n) if kind == "p12" else beta_prime_scale(n)
+    return (_scaled_pairing(n, kind) / scale) * (1 + 2 * K1 + 2 * K0)

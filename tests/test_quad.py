@@ -5,6 +5,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -50,6 +51,22 @@ def test_singular_integral_polynomial_smooth():
     res = singular_integral(0.5, 0.25, lambda v: v, tol=1e-12)
     expected = gamma_fn(2.5) * gamma_fn(1.25) / gamma_fn(3.75)
     assert abs(res.value - expected) <= 1e-12
+
+
+def test_singular_integral_error_estimate_bounds_the_error():
+    # zero slack against 40-digit oracles, at the float exponents as given:
+    # B(a+1, b+1) for smooth = 1 and Re B(a+1, b+1) 1F1(a+1; a+b+2; 3i) for
+    # smooth = cos 3v; the rounding of the weighted sum is part of the error
+    with mpmath.workdps(40):
+        for alpha in (-0.9, -0.5, -0.3, 0.0, 0.3, 0.5, 0.9, 2.5):
+            for beta in (-0.9, -0.4, 0.0, 0.6, 1.7, 20.2):
+                a1, b1 = mpmath.mpf(alpha) + 1, mpmath.mpf(beta) + 1
+                beta_fn = mpmath.beta(a1, b1)
+                oscillating = mpmath.re(beta_fn * mpmath.hyp1f1(a1, a1 + b1, 3j))
+                for smooth, exact in ((const_one, beta_fn), (lambda v: np.cos(3.0 * v), oscillating)):
+                    got = singular_integral(alpha, beta, smooth, tol=1e-12)
+                    error = abs(mpmath.mpf(got.value) - exact)
+                    assert error <= got.error_estimate, (alpha, beta, float(error), got.error_estimate)
 
 
 def test_singular_integral_rejects_bad_exponents():
@@ -263,10 +280,12 @@ def test_numeric_route_never_calls_the_scalar_series(count_calls):
         for theta in (0.1, 0.5, 0.78):
             eval_K(theta, p)
     assert scalar == [[], []]
-    # the wrappers do see a call made through the module
-    hyper.h_func(1, 0.5, 0.3, 0.1)
+    # the wrappers do see a call made through the module; h_func is
+    # gauss_2f1 at its parameter triple, so it counts on both
     hyper.gauss_2f1(0.5, 0.5, 1.5, 0.25)
-    assert [len(calls) for calls in scalar] == [1, 1]
+    assert [len(calls) for calls in scalar] == [0, 1]
+    hyper.h_func(1, 0.5, 0.3, 0.1)
+    assert [len(calls) for calls in scalar] == [1, 2]
 
 
 # the near-boundary points of criterion 04 and the largest-rule point, then
@@ -352,9 +371,8 @@ def test_shared_rule_results_do_not_depend_on_cache_state():
 def test_h_rule_values_equal_per_node_h_func():
     # one batched call per rule gives the bits of one h_func call per node
     for k0, k1 in ((-0.35, 0.08), (0.3, 0.1), (0.0, 0.45)):
-        for i, j, b0 in ((1, 1, -2.0 * k0), (2, 2, -2.0 * k0), (1, 3, 0.0), (2, 4, 0.0)):
-            a = k1 + 0.5 if i == 1 else -k1 - 0.5
-            v, _, hprod, hprod_bound = _h_rule(k0, k1, i, j, a, b0, 96, 1e-11)
+        for i, j in ((1, 1), (2, 2), (1, 3), (2, 4)):
+            v, _, hprod, hprod_bound = _h_rule(k0, k1, i, j, 96, 1e-11)
             hi = [h_func(i, z, k0, k1, tol=1e-11) for z in v.tolist()]
             hj = [h_func(j, z, k0, k1, tol=1e-11) for z in v.tolist()]
             vi, ti = np.array([r.value for r in hi]), np.array([r.tail_bound for r in hi])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from b2weight import vpoly
 from b2weight.errors import InexactDivisionError, InvarianceError
-from b2weight.hyper import alpha_beta_recurrence
+from b2weight.hyper import alpha_beta_recurrence, s_inner_closed
 from b2weight.ring import K0, K1, ParamPoly, poly_eval
 from b2weight.vpoly import (
     ALL_ELEMENTS,
@@ -381,9 +381,14 @@ def test_inner_product_backends_agree():
         assert inner_product_S_exact(n, "p14") == seq.beta[n] * ONE_PLUS, f"p14 n={n}"
 
 
+def test_inner_product_past_the_checked_depth():
+    # no cap on n: the operator route goes on matching the closed forms
+    for n in (vpoly.OPERATOR_NMAX + 1, vpoly.OPERATOR_NMAX + 2):
+        for kind in ("p12", "p14"):
+            assert inner_product_S_exact(n, kind) == s_inner_closed(n, kind), f"{kind} n={n}"
+
+
 def test_inner_product_unsupported_cases():
-    with pytest.raises(ValueError):
-        inner_product_S_exact(vpoly.OPERATOR_NMAX + 1, "p12")
     with pytest.raises(ValueError):
         inner_product_S_exact(1, "p15")
 
