@@ -21,8 +21,10 @@ The order n of a pairing enters only through an explicit factor
 for p12, 0 for p14) do not depend on n.  So every n of both kinds at one point
 draws on four rule families, and a bounded memo keeps each rule with the
 products of h-values at its nodes.  The series are summed per rule, all its
-nodes in one batch, not once per node and n; mode "direct" sums the series
-of L's entries per tanh-sinh batch (levels 0 to 3, then each later level).
+nodes in one batch, not once per node and n.  Mode "direct" likewise needs L
+only at the slope: a second bounded memo keeps, per point and tanh-sinh batch
+(levels 0 to 3, then each later level), the batch's nodes with L's entries and
+their bounds there, so every n and kind at one point sums L's series once.
 """
 
 from __future__ import annotations
@@ -38,9 +40,12 @@ from .errors import RegionError, ToleranceError
 from .hyper import _EPS, _GAMMA_RELERR, _H_PARAMS, _gauss_2f1_rows, gamma_fn
 from .weight import ParamPoint, _eval_L_bounded, d_consts
 
-# node counts of Gauss-Jacobi doubling, 24 to 3072; tanh-sinh levels and node range
+# node counts of Gauss-Jacobi doubling, 24 to 3072; tanh-sinh levels and node
+# range, and the batches of levels whose nodes tanh-sinh passes to its integrand
+# in one call: levels 0 to 3, where the rule cannot stop yet, then one level each
 _GJ_SIZES = tuple(24 << k for k in range(8))
 _TS_LEVELS, _TS_T_MAX = 9, 6.2
+_TS_BATCHES = ((0, 1, 2, 3),) + tuple((level,) for level in range(4, _TS_LEVELS + 1))
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,9 @@ class QuadResult:
     term: the integrand's error bounds carried through the rule (those of
     the h-values in mode "h", of L's entries in mode "direct", none for
     ``singular_integral``'s ``smooth``) plus the rounding of the rule's
-    weighted sum.  The actual error can exceed the estimate by a small
-    factor.  Value and estimate are always finite.
+    weighted sum, and in ``singular_integral`` of its weights' first moment.
+    The actual error can exceed the estimate by a small factor.  Value and
+    estimate are always finite.
     """
 
     value: float
@@ -185,7 +191,7 @@ def tanh_sinh(
 
     def levels():
         sums, nodes = np.zeros(3), 0  # running sums of the terms, bounds and |terms|
-        for batch in [range(4)] + [[level] for level in range(4, _TS_LEVELS + 1)]:
+        for batch in _TS_BATCHES:
             added = [_tanh_sinh_nodes(level) for level in batch]
             dist0, dist1, dvdt = np.concatenate(added).T
             values, bounds = f(dist0, dist1)
@@ -220,13 +226,18 @@ def singular_integral(
     """
     if alpha <= -1.0 or beta <= -1.0:
         raise RegionError(f"endpoint exponents must exceed -1, got ({alpha}, {beta})")
+    # every weight carries the relative rounding of the rule's first moment
+    # exp(lgamma(alpha+1) + lgamma(beta+1) - lgamma(alpha+beta+2)): that of
+    # the lgamma sum, which grows with beta, and of exp
+    lgammas = (math.lgamma(alpha + 1.0), math.lgamma(beta + 1.0), math.lgamma(alpha + beta + 2.0))
+    moment = sum(map(abs, lgammas)) + 4.0
 
     def levels():
         for size in _GJ_SIZES:
             v, w = _gauss_jacobi_01(size, alpha, beta)
             values = np.asarray(smooth(v), dtype=float)
             # the weights are positive; the sum rounds at most once per term
-            rounding = (size + 2) * _EPS * float(np.dot(w, np.abs(values)))
+            rounding = (size + 2 + moment) * _EPS * float(np.dot(w, np.abs(values)))
             yield float(np.dot(w, values)), rounding, size
 
     return _refine(levels(), tol, "Gauss-Jacobi")
@@ -350,6 +361,31 @@ def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
     return QuadResult(part1 + part2, err, i1.nodes + i2.nodes)
 
 
+# Batches kept at once.  A point has seven, of 99 to 3154 nodes and 6309 in
+# all; with L and its bounds a node takes 104 bytes, so a point's batches take
+# 0.66 MB, and the memo holds all of two points and at most 5.3 MB.
+_DIRECT_RULE_CACHE = 16
+
+
+@functools.lru_cache(maxsize=_DIRECT_RULE_CACHE)
+def _direct_rule(k0: float, k1: float, batch: int) -> tuple[np.ndarray, ...]:
+    """The slopes of tanh-sinh batch ``batch`` (an index into ``_TS_BATCHES``)
+    with the parts of mode "direct"'s integrand that do not depend on n or kind.
+
+    Returns u, s = 1 - u, w = 1 - u^2 (formed as s (2 - s), without
+    cancellation), q = 1 + u^2, and L's entries at the slopes with their error
+    bounds, of shape (2, 2, len(u)).  All arrays are read-only.
+    """
+    levels = _TS_BATCHES[batch]
+    u, s, _ = np.concatenate([_tanh_sinh_nodes(level) for level in levels]).T
+    w, q = s * (2.0 - s), 1.0 + u * u
+    ell, ell_err = _eval_L_bounded(u, w, ParamPoint(k0, k1), 1e-11)
+    arrays = (u, s, w, q, ell, ell_err)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
     d1, d2 = d_consts(p)
     d = np.array([[d1], [d2]])
@@ -360,13 +396,14 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
     # products a few times more
     rho = 4.0 * _GAMMA_RELERR + (5 * phi_power + 12) * _EPS
     outermost = [1.0, 1.0]  # the smallest u and s summed
+    batches = iter(range(len(_TS_BATCHES)))
 
-    def integrand(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def integrand(_u: np.ndarray, _s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # tanh_sinh passes the batches in order, one per call: the memo holds
+        # these slopes with w, q and L at them
+        u, s, w, q, ell, ell_err = _direct_rule(p.k0, p.k1, next(batches))
         outermost[0] = min(outermost[0], float(u.min()))
         outermost[1] = min(outermost[1], float(s.min()))
-        # w = 1 - u^2 without cancellation, q = 1 + u^2 and phi = w / q
-        w, q = s * (2.0 - s), 1.0 + u * u
-        ell, ell_err = _eval_L_bounded(u, w, p, 1e-11)
         # in theta the form is sum_r d_r y_r z_r / q with y = L (-u, +-1) and
         # z = L (-u, 1), one row r per entry of d; d theta = du / q
         (l0, l1), (e0, e1) = ell.swapaxes(0, 1), ell_err.swapaxes(0, 1)

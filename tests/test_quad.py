@@ -14,6 +14,8 @@ from b2weight.errors import RegionError, ToleranceError
 from b2weight.hyper import gamma_fn, h_func, s_inner_closed
 from b2weight.quad import (
     QuadResult,
+    _DIRECT_RULE_CACHE,
+    _direct_rule,
     _h_rule,
     _tanh_sinh_nodes,
     asym_integral_check,
@@ -53,13 +55,13 @@ def test_singular_integral_polynomial_smooth():
     assert abs(res.value - expected) <= 1e-12
 
 
-def test_singular_integral_error_estimate_bounds_the_error():
+def _assert_estimates_bound_the_error(alphas, betas):
     # zero slack against 40-digit oracles, at the float exponents as given:
     # B(a+1, b+1) for smooth = 1 and Re B(a+1, b+1) 1F1(a+1; a+b+2; 3i) for
     # smooth = cos 3v; the rounding of the weighted sum is part of the error
     with mpmath.workdps(40):
-        for alpha in (-0.9, -0.5, -0.3, 0.0, 0.3, 0.5, 0.9, 2.5):
-            for beta in (-0.9, -0.4, 0.0, 0.6, 1.7, 20.2):
+        for alpha in alphas:
+            for beta in betas:
                 a1, b1 = mpmath.mpf(alpha) + 1, mpmath.mpf(beta) + 1
                 beta_fn = mpmath.beta(a1, b1)
                 oscillating = mpmath.re(beta_fn * mpmath.hyp1f1(a1, a1 + b1, 3j))
@@ -67,6 +69,21 @@ def test_singular_integral_error_estimate_bounds_the_error():
                     got = singular_integral(alpha, beta, smooth, tol=1e-12)
                     error = abs(mpmath.mpf(got.value) - exact)
                     assert error <= got.error_estimate, (alpha, beta, float(error), got.error_estimate)
+
+
+def test_singular_integral_error_estimate_bounds_the_error():
+    _assert_estimates_bound_the_error(
+        (-0.9, -0.5, -0.3, 0.0, 0.3, 0.5, 0.9, 2.5), (-0.9, -0.4, 0.0, 0.6, 1.7, 20.2)
+    )
+
+
+def test_singular_integral_error_estimate_bounds_the_error_at_large_beta():
+    # endpoint powers up to 800.2, the range asym_integral_check reaches: each
+    # lgamma of the rule's first moment is about 4.5e3 at beta = 800, and the
+    # rounding of their sum is part of the error
+    _assert_estimates_bound_the_error(
+        (-0.9, -0.5, 0.0, 0.25, 0.5, 0.9, 2.5), (50.2, 100.2, 200.0, 400.2, 800.2)
+    )
 
 
 def test_singular_integral_rejects_bad_exponents():
@@ -266,6 +283,17 @@ def test_mode_direct_calls_tanh_sinh_once(count_calls):
             assert len(calls) == 1, (n, kind)
 
 
+def test_mode_direct_evaluates_L_once_per_batch(count_calls):
+    # L does not depend on n or kind: the four pairings share its two batches
+    calls = count_calls(quad, "_eval_L_bounded")
+    _direct_rule.cache_clear()
+    p = ParamPoint(1 / 60, 13 / 31)
+    for n in (1, 2):
+        for kind in ("p12", "p14"):
+            sector_inner_numeric(n, kind, p, mode="direct")
+    assert len(calls) == 2
+
+
 def test_numeric_route_never_calls_the_scalar_series(count_calls):
     # the pairings and eval_K sum their series in batches, never one argument
     # at a time through h_func or gauss_2f1
@@ -343,11 +371,10 @@ def test_direct_mode_error_estimate_bounds_the_error():
     ]
     for k0, k1 in SHARED_RULE_POINTS + near_half + near_edge:
         p = ParamPoint(float(k0), float(k1))
-        for n in range(5):
-            for kind in ("p12", "p14"):
-                got = sector_inner_numeric(n, kind, p, mode="direct")
-                error = abs(Fraction(got.value) - s_inner_closed(n, kind, k0, k1))
-                assert error <= Fraction(got.error_estimate), (k0, k1, n, kind, float(error))
+        for n, kind in PAIRINGS_TO_20:
+            got = sector_inner_numeric(n, kind, p, mode="direct")
+            error = abs(Fraction(got.value) - s_inner_closed(n, kind, k0, k1))
+            assert error <= Fraction(got.error_estimate), (k0, k1, n, kind, float(error))
 
 
 def _bits(result: QuadResult) -> tuple:
@@ -366,6 +393,35 @@ def test_shared_rule_results_do_not_depend_on_cache_state():
     _h_rule.cache_clear()
     reverse = sweep(PAIRINGS_TO_20[::-1])
     assert cold == warm == reverse
+
+
+def test_direct_rule_results_do_not_depend_on_cache_state():
+    p = ParamPoint(-0.35, 0.08)
+
+    def sweep(order):
+        return {call: _bits(sector_inner_numeric(*call, p, mode="direct")) for call in order}
+
+    _direct_rule.cache_clear()
+    cold = sweep(PAIRINGS_TO_20)
+    warm = sweep(PAIRINGS_TO_20)
+    _direct_rule.cache_clear()
+    reverse = sweep(PAIRINGS_TO_20[::-1])
+    assert cold == warm == reverse
+
+
+def test_direct_rule_cache_stays_bounded_and_read_only():
+    _direct_rule.cache_clear()
+    for k0, k1 in SHARED_RULE_POINTS:
+        p = ParamPoint(float(k0), float(k1))
+        for n, kind in PAIRINGS_TO_20:
+            sector_inner_numeric(n, kind, p, mode="direct")
+            assert _direct_rule.cache_info().currsize <= _DIRECT_RULE_CACHE
+        # one point's batches fit: a second sweep evaluates L nowhere
+        misses = _direct_rule.cache_info().misses
+        for n, kind in PAIRINGS_TO_20:
+            sector_inner_numeric(n, kind, p, mode="direct")
+        assert _direct_rule.cache_info().misses == misses
+        assert not any(array.flags.writeable for array in _direct_rule(p.k0, p.k1, 0))
 
 
 def test_h_rule_values_equal_per_node_h_func():
