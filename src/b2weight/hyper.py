@@ -210,7 +210,10 @@ def _connection_coeffs(a: float, b: float, c: float) -> tuple[float, float]:
 
 
 def _gauss_2f1_rows(
-    params: list[tuple[float, float, float]], z: np.ndarray, w: np.ndarray, tol: float
+    params: list[tuple[float, float, float]],
+    z: np.ndarray,
+    w: np.ndarray,
+    tol: float | np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """F(a, b; c; z) for every triple (a, b, c) of ``params`` at every z of an array.
 
@@ -223,12 +226,13 @@ def _gauss_2f1_rows(
     rows are summed in one ``_sum_series`` call, and every value is then the
     sum of factor * series over its rows, every bound the sum of
     |factor| * tail plus |factor * series| times the rounding, and every term
-    count the sum of the rows' counts.  A bound over tol * (1 + |value|)
-    raises ToleranceError.
+    count the sum of the rows' counts.  ``tol`` is a scalar or an array over
+    the arguments; a bound over its tol * (1 + |value|) raises ToleranceError.
     """
     import numpy as np
 
     z, w = np.asarray(z, dtype=float), np.asarray(w, dtype=float)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), z.shape)
     # the better-conditioned representation of the argument wins
     z_eff = np.where(w >= 0.5, z, 1.0 - w)
     unit = np.flatnonzero(w == 0.0)
@@ -249,8 +253,8 @@ def _gauss_2f1_rows(
                 raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {d} is not positive")
             # Gauss's sum of five rounded gamma values; the series at w = 0 is exactly 1
             rel = 5.0 * _GAMMA_RELERR
-            rows.append((k, unit, _gauss_sum(a, b, c), rel, a, b, c, w[unit], tol, 1))
-        rows.append((k, forward, 1.0, 0.0, a, b, c, z_forward, tol, 2_000))
+            rows.append((k, unit, _gauss_sum(a, b, c), rel, a, b, c, w[unit], tol[unit], 1))
+        rows.append((k, forward, 1.0, 0.0, a, b, c, z_forward, tol[forward], 2_000))
         # argument close to 1: a pair of series in w where that map is well
         # conditioned, else, in a thin sliver where c - a - b is nearly an
         # integer, capped forward summation after an Euler transform or without
@@ -268,7 +272,7 @@ def _gauss_2f1_rows(
             rows.append((k, near, coeff2 * wd, rel, c - a, c - b, 1.0 + d, w_near, 1e-16, 4_000))
         elif d <= -0.5:
             prefactor = np.array([(1.0 - x) ** d for x in z_near.tolist()])
-            inner_tol = tol / np.maximum(prefactor, 1e-300)
+            inner_tol = tol[near] / np.maximum(prefactor, 1e-300)
             # (1 - z)^d turns the rounding of d's two subtractions into a
             # relative error of |log(1 - z)| times it; the power and the
             # product with the series add 2 eps
@@ -276,7 +280,7 @@ def _gauss_2f1_rows(
             rel = np.abs(logs) * (_EPS * (abs(c - a) + abs(d))) + 2.0 * _EPS
             rows.append((k, near, prefactor, rel, c - a, c - b, c, z_near, inner_tol, 500_000))
         else:
-            rows.append((k, near, 1.0, 0.0, a, b, c, z_near, tol, 500_000))
+            rows.append((k, near, 1.0, 0.0, a, b, c, z_near, tol[near], 500_000))
 
     owners, indices, factors, roundings, a, b, c, x, row_tol, max_terms = zip(*rows)
     sizes = [len(arguments) for arguments in x]
@@ -313,7 +317,7 @@ def _gauss_2f1_rows(
         close = j in near and abs(d - round(d)) < 1e-3
         suffix = f"; c-a-b = {d} is close to an integer" if close else ""
         raise ToleranceError(
-            f"tol={tol} unreachable for 2F1 {place} (best bound {bound[k, j]:.3e}{suffix})"
+            f"tol={tol[j]} unreachable for 2F1 {place} (best bound {bound[k, j]:.3e}{suffix})"
         )
     return list(zip(value, bound, terms))
 

@@ -7,8 +7,11 @@ one-dimensional integrals
 
 with algebraic endpoint singularities carried entirely by the explicit
 exponents.  Gauss-Jacobi carries exactly those exponents and doubles its node
-count; it serves mode "h" of the pairings and ``singular_integral``.  Mode
-"direct", the independent cross-check, integrates the raw matrix form over
+count; it serves mode "h" of the pairings and ``singular_integral``.  Mode "h"
+builds its rules in the graded variable x of 1 - v = (1 - x)^2 (1 + x): the
+h-values carry non-integer powers of 1 - v at v = 1, on which Gauss-Jacobi in
+v converges only algebraically, and the map doubles them.  Mode "direct",
+the independent cross-check, integrates the raw matrix form over
 the slope u = tan(theta) in (0, 1) with a tanh-sinh rule, which supplies each
 node u with 1 - u exactly, so 1 - u^2 is formed without cancellation and no
 node needs trigonometry.  Both rules stop by one test, in ``_refine``, which
@@ -17,14 +20,15 @@ integral is folded in analytically (a factor 2^l l! in the pairing
 normalization), so no infinite-domain quadrature appears anywhere.
 
 The order n of a pairing enters only through an explicit factor
-(1 - v)^e (1 + v)^(-e-2); the rule's exponents a = +/-(k1 + 1/2) and b0 (-2 k0
-for p12, 0 for p14) do not depend on n.  So every n of both kinds at one point
-draws on four rule families, and a bounded memo keeps each rule with the
-products of h-values at its nodes.  The series are summed per rule, all its
-nodes in one batch, not once per node and n.  Mode "direct" likewise needs L
-only at the slope: a second bounded memo keeps, per point and tanh-sinh batch
-(levels 0 to 3, then each later level), the batch's nodes with L's entries and
-their bounds there, so every n and kind at one point sums L's series once.
+(1 - v)^e (1 + v)^(-e-2); the weight's exponents a = +/-(k1 + 1/2) and b0
+(-2 k0 for p12, 0 for p14) do not depend on n.  So every n of both kinds at
+one point draws on four rule families, and a bounded memo keeps each rule
+with the products of h-values at its nodes.  The series are summed per rule,
+all its nodes in one batch, not once per node and n.  Mode "direct" likewise
+needs L only at the slope: a second bounded memo keeps, per point and
+tanh-sinh batch (levels 0 to 3, then each later level), the batch's nodes
+with L's entries and their bounds there, so every n and kind at one point
+sums L's series once.
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ class QuadResult:
     term: the integrand's error bounds carried through the rule (those of
     the h-values in mode "h", of L's entries in mode "direct", none for
     ``singular_integral``'s ``smooth``) plus the rounding of the rule's
-    weighted sum, and in ``singular_integral`` of its weights' first moment.
+    weighted sum, and in the Gauss-Jacobi rules of its weights' first moment
+    (and in mode "h" of their graded factor).
     The actual error can exceed the estimate by a small factor.  Value and
     estimate are always finite.
     """
@@ -227,10 +232,7 @@ def singular_integral(
     if alpha <= -1.0 or beta <= -1.0:
         raise RegionError(f"endpoint exponents must exceed -1, got ({alpha}, {beta})")
     # every weight carries the relative rounding of the rule's first moment
-    # exp(lgamma(alpha+1) + lgamma(beta+1) - lgamma(alpha+beta+2)): that of
-    # the lgamma sum, which grows with beta, and of exp
-    lgammas = (math.lgamma(alpha + 1.0), math.lgamma(beta + 1.0), math.lgamma(alpha + beta + 2.0))
-    moment = sum(map(abs, lgammas)) + 4.0
+    moment = _moment_rounding(alpha, beta)
 
     def levels():
         for size in _GJ_SIZES:
@@ -259,14 +261,17 @@ def sector_inner_numeric(
     phi^(2n+1) p14 variant) against p12, for positive-definite parameters.
 
     mode "h" (default) integrates the factored single-series form in v = u^2
-    with Gauss-Jacobi carrying the exact endpoint exponents; mode "direct"
+    with Gauss-Jacobi carrying the exact endpoint exponents, on the graded
+    variable x of 1 - v = (1 - x)^2 (1 + x) (see ``_h_rule``); mode "direct"
     integrates the raw matrix form over the slope u = tan(theta) with a
     double-exponential rule and exists as an independent cross-check of the
     factored route.
     Both carry the tail bounds of their series values into the error
     estimate (see ``QuadResult``).  At tol 1e-11 mode "direct" refuses every
     pairing tried for 0 < |k0| up to 5e-4 (k1 = 0) to 9e-4 (k1 = 0.4), where
-    c - a - b = 2 k0 of L's series is near 0 (see README); mode "h" computes them.
+    c - a - b = 2 k0 of L's series is near 0 (see README); mode "h" computes
+    them, summing the h series at its outermost nodes, whose weights are
+    tiny, to a looser tolerance whose bounds still enter the estimate.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -283,26 +288,58 @@ def sector_inner_numeric(
 
 # Rules kept at once: one point's pairings draw on four families (two kinds
 # times two slots) of at most eight doubling levels each (24 to 3072 nodes).
+# On the graded rule, for n <= 20 over the step-1/20 grid, no family goes
+# past 96 nodes at tol 1e-9 or past 384 at tol 1e-11.
 _H_RULE_CACHE = 32
+
+# the relative rounding, in units of eps, of the weights' graded factor
+# (1 + 3x)(1 + x)^b0 (1 + x(1 - x))^a for |a|, |b0| <= 1: two roundings in
+# 1 + 3x, two in (1 + x)^b0, five in the power of 1 + x(1 - x), three products
+_GRADED_ROUNDING = 12.0
+
+
+def _h_exponents(k0: float, k1: float, i: int, j: int) -> tuple[float, float]:
+    """The exponents (a, b0) of mode "h"'s weight v^a (1-v)^b0 for h_i h_j."""
+    a = k1 + 0.5 if i == 1 else -k1 - 0.5
+    return a, (-2.0 * k0 if j == i else 0.0)
+
+
+def _moment_rounding(alpha: float, beta: float) -> float:
+    """The relative rounding, in units of eps, of the first moment
+    exp(lgamma(alpha+1) + lgamma(beta+1) - lgamma(alpha+beta+2)) of a
+    Gauss-Jacobi rule: that of the lgamma sum, which grows with beta, and of exp."""
+    lgammas = (math.lgamma(alpha + 1.0), math.lgamma(beta + 1.0), math.lgamma(alpha + beta + 2.0))
+    return sum(map(abs, lgammas)) + 4.0
 
 
 @functools.lru_cache(maxsize=_H_RULE_CACHE)
 def _h_rule(
     k0: float, k1: float, i: int, j: int, size: int, htol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ``size``-node rule for v^a (1-v)^b0 with h_i h_j at its nodes.
 
-    a = k1 + 1/2 for slot 1 (i = 1), -k1 - 1/2 for slot 2; b0 = -2 k0 for the
-    p12 pairs (j = i), 0 for p14.  Returns nodes, weights, the product h_i h_j
-    and a bound on its error from the certified tail bounds of the two series.
+    The exponents a and b0 are ``_h_exponents``.  The rule is built in the
+    graded variable x of v = x (1 + x(1 - x)), 1 - v = (1 - x)^2 (1 + x): with
+    dv = (1 - x)(1 + 3x) dx the weight becomes x^a (1-x)^(2 b0 + 1), carried by
+    Gauss-Jacobi, times (1 + 3x)(1 + x)^b0 (1 + x(1 - x))^a, folded into the
+    weights.  The map doubles every non-integer power of 1 - v that h_i h_j
+    carries at v = 1 and keeps v ~ x near 0.  Node i's series is summed to
+    htol * max(1, w_max / (size * w_i)), so sum w_i tol_i <= 2 htol sum w_i.
+    Returns v, s = 1 - v (from the map, without cancellation), the weights,
+    the product h_i h_j and a bound on its error from the certified tail
+    bounds of the two series.
     """
-    a = k1 + 0.5 if i == 1 else -k1 - 0.5
-    b0 = -2.0 * k0 if j == i else 0.0
-    v, w = _gauss_jacobi_01(size, a, b0)
+    a, b0 = _h_exponents(k0, k1, i, j)
+    x, w = _gauss_jacobi_01(size, a, 2.0 * b0 + 1.0)
+    t = 1.0 - x  # exact for x >= 1/2
+    g = 1.0 + x * t
+    v, s = x * g, t * t * (1.0 + x)
+    w = w * (1.0 + 3.0 * x) * (1.0 + x) ** b0 * g**a
+    node_tol = htol * np.maximum(1.0, w.max() / (size * w))
     indices = (i,) if j == i else (i, j)
-    series = _gauss_2f1_rows([_H_PARAMS[k](k0, k1) for k in indices], v, 1.0 - v, htol)
+    series = _gauss_2f1_rows([_H_PARAMS[k](k0, k1) for k in indices], v, s, node_tol)
     (vi, ti, _), (vj, tj, _) = series[0], series[-1]
-    arrays = (v, w, vi * vj, np.abs(vi) * tj + np.abs(vj) * ti + ti * tj)
+    arrays = (v, s, w, vi * vj, np.abs(vi) * tj + np.abs(vj) * ti + ti * tj)
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -317,19 +354,24 @@ def _h_integral(
     depends on e, so every n at one point reuses the nodes, weights and
     h-values of the family (k0, k1, i, j).  The error estimate adds to the
     refinement difference the h error carried through the rule and the
-    rounding of forming and summing its terms.
+    rounding of the weights (their first moment and graded factor) and of
+    forming and summing the terms.
     """
+    a, b0 = _h_exponents(k0, k1, i, j)
+    per_term = 9 * e + 8 + _GRADED_ROUNDING + _moment_rounding(a, 2.0 * b0 + 1.0)
 
     def levels():
         for size in _GJ_SIZES:
-            v, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, size, htol)
+            v, s, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, size, htol)
             one_plus = 1.0 + v
-            explicit = ((1.0 - v) / one_plus) ** e / one_plus**2
+            explicit = (s / one_plus) ** e / one_plus**2
             weighted = w * explicit
             propagated = float(np.dot(weighted, hprod_bound))
-            # one rounding per summed term; forming a term rounds the ratio three
-            # times, raises it to the e-th power and takes a few products more
-            rounding = (size + 3 * e + 8) * _EPS * float(np.dot(weighted, np.abs(hprod)))
+            # one rounding per summed term and ``per_term`` in forming each: s
+            # rounds up to five times and 1 + v three times, so the ratio up to
+            # nine, which the e-th power multiplies, a few products more, and
+            # the rounding of the weights
+            rounding = (size + per_term) * _EPS * float(np.dot(weighted, np.abs(hprod)))
             yield float(np.dot(w, explicit * hprod)), propagated + rounding, size
 
     return _refine(levels(), tol, "Gauss-Jacobi")

@@ -232,7 +232,7 @@ def test_verify_csv_error_and_region_rows(capsys):
     rows = out.splitlines()
     assert rows[-1] == (
         "quad/pairing_vs_closed/p14/n00,-0.00019998,error: tol=1e-11 unreachable for"
-        " 2F1 near z=1 (best bound 1.492e-10; c-a-b = 0.00019999999999997797 is close"
+        " 2F1 near z=1 (best bound 1.464e-10; c-a-b = 0.00019999999999997797 is close"
         " to an integer),1e-08,False"
     )
     assert all(len(row.split(",")) == 5 for row in rows)

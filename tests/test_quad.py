@@ -11,7 +11,7 @@ import pytest
 
 from b2weight import hyper, quad
 from b2weight.errors import RegionError, ToleranceError
-from b2weight.hyper import gamma_fn, h_func, s_inner_closed
+from b2weight.hyper import _H_PARAMS, _gauss_2f1_rows, gamma_fn, s_inner_closed
 from b2weight.quad import (
     QuadResult,
     _DIRECT_RULE_CACHE,
@@ -195,8 +195,8 @@ def test_mode_h_refuses_a_non_finite_error_term(monkeypatch):
     rule = quad._h_rule
 
     def unbounded(*args):
-        v, w, hprod, hprod_bound = rule(*args)
-        return v, w, hprod, np.full_like(hprod_bound, np.inf)
+        *arrays, hprod_bound = rule(*args)
+        return (*arrays, np.full_like(hprod_bound, np.inf))
 
     monkeypatch.setattr(quad, "_h_rule", unbounded)
     with pytest.raises(ToleranceError, match="Gauss-Jacobi rule of 24 nodes gave"):
@@ -377,6 +377,45 @@ def test_direct_mode_error_estimate_bounds_the_error():
             assert error <= Fraction(got.error_estimate), (k0, k1, n, kind, float(error))
 
 
+# the step-1/20 grid of the positive-definite region
+GRID_POINTS = [
+    (Fraction(i, 20), Fraction(j, 20))
+    for i in range(-9, 10)
+    for j in range(-9, 10)
+    if abs(i + j) < 10 and abs(i - j) < 10
+]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+def test_mode_h_error_estimate_bounds_the_error_over_the_grid(tol):
+    # zero slack, compared in exact arithmetic, and no pairing refuses
+    assert len(GRID_POINTS) == 181
+    for k0, k1 in GRID_POINTS:
+        p = ParamPoint(float(k0), float(k1))
+        for n, kind in PAIRINGS_TO_20:
+            got = sector_inner_numeric(n, kind, p, tol=tol)
+            error = abs(Fraction(got.value) - s_inner_closed(n, kind, k0, k1))
+            assert error <= Fraction(got.error_estimate), (k0, k1, n, kind, float(error))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+def test_mode_h_computes_near_k0_zero(tol):
+    # c - a - b = 1 +- 2 k0 of the h series is within 1e-5 of 1 for |k0| <
+    # 5e-6, where the series near v = 1 fall to capped forward summation; the
+    # outermost nodes get a looser series tolerance, their bounds still enter
+    # the estimate.  Zero slack against the closed form at the float point.
+    magnitudes = (1e-12, 1e-9, 1e-6, 3e-6, 1e-5, 1e-4, 5e-4, 1e-3)
+    for k0 in [sign * m for m in magnitudes for sign in (1, -1)]:
+        for k1 in (0.0, 0.1, 0.4, -0.4):
+            p = ParamPoint(k0, k1)
+            for n in (0, 1, 5, 20):
+                for kind in ("p12", "p14"):
+                    got = sector_inner_numeric(n, kind, p, tol=tol)
+                    exact = s_inner_closed(n, kind, Fraction(k0), Fraction(k1))
+                    error = abs(Fraction(got.value) - exact)
+                    assert error <= Fraction(got.error_estimate), (k0, k1, n, kind, float(error))
+
+
 def _bits(result: QuadResult) -> tuple:
     return result.value.hex(), result.error_estimate.hex(), result.nodes
 
@@ -425,14 +464,24 @@ def test_direct_rule_cache_stays_bounded_and_read_only():
 
 
 def test_h_rule_values_equal_per_node_h_func():
-    # one batched call per rule gives the bits of one h_func call per node
-    for k0, k1 in ((-0.35, 0.08), (0.3, 0.1), (0.0, 0.45)):
+    # one batched call per rule gives the bits of h_func's series summed one
+    # node at a time, on the same pair (v, s = 1 - v) and at the node's own
+    # tolerance; (1e-6, 0.1) lies in the sliver, where the outermost nodes
+    # cannot certify htol
+    htol = 1e-11
+    for k0, k1 in ((-0.35, 0.08), (0.3, 0.1), (0.0, 0.45), (1e-6, 0.1)):
         for i, j in ((1, 1), (2, 2), (1, 3), (2, 4)):
-            v, _, hprod, hprod_bound = _h_rule(k0, k1, i, j, 96, 1e-11)
-            hi = [h_func(i, z, k0, k1, tol=1e-11) for z in v.tolist()]
-            hj = [h_func(j, z, k0, k1, tol=1e-11) for z in v.tolist()]
-            vi, ti = np.array([r.value for r in hi]), np.array([r.tail_bound for r in hi])
-            vj, tj = np.array([r.value for r in hj]), np.array([r.tail_bound for r in hj])
+            v, s, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, 96, htol)
+            node_tol = htol * np.maximum(1.0, w.max() / (96 * w))
+            assert float(np.dot(w, node_tol)) <= 2.0 * htol * float(w.sum())
+
+            def per_node(k):
+                params = [_H_PARAMS[k](k0, k1)]
+                nodes = zip(v.tolist(), s.tolist(), node_tol.tolist())
+                rows = [_gauss_2f1_rows(params, [z], [c], tol)[0] for z, c, tol in nodes]
+                return np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])
+
+            (vi, ti), (vj, tj) = per_node(i), per_node(j)
             assert hprod.tobytes() == (vi * vj).tobytes()
             assert hprod_bound.tobytes() == (np.abs(vi) * tj + np.abs(vj) * ti + ti * tj).tobytes()
 
