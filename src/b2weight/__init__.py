@@ -7,10 +7,9 @@ closed-form sums and recurrences, and high-accuracy quadrature with the
 assembled weight matrix.  Their agreement pins the weight's normalization
 constant cos(pi k0) cos(pi k1) / (2 pi).
 
-The float modules ``quad`` and ``weight`` import numpy (and ``quad`` scipy on
-its first rule), so their names are looked up on first use, through the
-module ``__getattr__`` below: ``import b2weight`` and the exact routes load
-neither library.
+The float modules ``quad`` and ``weight`` import numpy, so their names are
+looked up on first use, through the module ``__getattr__`` below: ``import
+b2weight`` and the exact routes never load it.
 """
 
 import importlib

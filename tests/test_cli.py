@@ -378,9 +378,10 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_exact_routes_leave_scipy_unimported():
-    """numpy is imported on the first float computation and scipy.linalg on
-    the first Gauss-Jacobi rule; the exact routes and commands, ``verify asym``
-    and the region flags load neither."""
+    """numpy is imported on the first float computation; the exact routes and
+    commands, ``verify asym`` and the region flags do not load it, and no
+    route loads scipy: neither rule of mode "h" or "direct" nor
+    ``singular_integral`` or ``asym_integral_check``."""
     script = (
         "import sys, contextlib, io, b2weight\n"
         "from b2weight import cli\n"
@@ -398,6 +399,9 @@ def test_exact_routes_leave_scipy_unimported():
         "b2weight.eval_K(0.3, b2weight.ParamPoint(0.2, 0.1))\n"
         "loaded()\n"
         "b2weight.singular_integral(0.5, -0.5, lambda v: v)\n"
+        "b2weight.sector_inner_numeric(3, 'p14', b2weight.ParamPoint(0.3, 0.1))\n"
+        "b2weight.sector_inner_numeric(2, 'p12', b2weight.ParamPoint(0.3, 0.1), mode='direct')\n"
+        "b2weight.asym_integral_check(0.5, 0.0, 0.0, 40)\n"
         "loaded()\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(b2weight.__file__)))
@@ -406,7 +410,7 @@ def test_exact_routes_leave_scipy_unimported():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["False False", "True False", "True True"]
+    assert result.stdout.splitlines() == ["False False", "True False", "True False"]
 
 
 PUBLIC_NAMES = [

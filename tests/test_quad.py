@@ -416,6 +416,25 @@ def test_mode_h_computes_near_k0_zero(tol):
                     assert error <= Fraction(got.error_estimate), (k0, k1, n, kind, float(error))
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+def test_mode_h_computes_at_tight_tolerance_without_large_rules(tol):
+    # below tol 1e-11 the difference of two levels settles at the error term
+    # each level carries (the h series are summed to 1e-11 at the least), and
+    # refinement stops there rather than climbing to rules that cannot resolve
+    # it: every pairing computes, within its estimate, with no rule past 384
+    # nodes (1488 nodes for the pairing's two integrals).  Zero slack against
+    # the closed form at the float point.
+    points = [(0.3, 0.1), (0.45, 0.0), (-0.45, 0.0), (-0.4, 0.05), (0.24, 0.24), (1e-6, 0.1)]
+    for k0, k1 in points:
+        p = ParamPoint(k0, k1)
+        for n, kind in PAIRINGS_TO_20:
+            got = sector_inner_numeric(n, kind, p, tol=tol)
+            exact = s_inner_closed(n, kind, Fraction(k0), Fraction(k1))
+            error = abs(Fraction(got.value) - exact)
+            assert error <= Fraction(got.error_estimate), (k0, k1, n, kind, float(error))
+            assert got.nodes <= 2 * sum(24 << k for k in range(5)), (k0, k1, n, kind, got.nodes)
+
+
 def _bits(result: QuadResult) -> tuple:
     return result.value.hex(), result.error_estimate.hex(), result.nodes
 
