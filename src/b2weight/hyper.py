@@ -18,16 +18,21 @@ m with limit 1, so the ratio of consecutive terms from index m on is at most
 and if r < 1 the whole tail from t_m on is at most |t_m| / (1 - r).
 
 The float path works on arrays: ``_gauss_2f1_rows`` takes several parameter
-triples at a whole array of arguments and sums all their series in one
-``_sum_series`` call, which runs every row in the order of a
-one-term-at-a-time loop.  ``gauss_2f1`` calls it with one argument, and
-``h_func`` is ``gauss_2f1`` at its parameter triple.  ``_gauss_2f1_rows``
-and ``_sum_series`` import numpy when they run, so the exact paths never
-load it.
+triples at a whole array of arguments.  Away from z = 1 it sums all their
+series in one ``_sum_series`` call, which runs every row in the order of a
+one-term-at-a-time loop.  Near z = 1 each triple takes one series in
+w = 1 - z, uniform in the distance of c - a - b from the nearest integer
+(``_connection_series``): its coefficients do not depend on w, so they are
+formed once per triple, and the bound there is a tail bound of the same
+kind plus a running bound on the rounding.  ``gauss_2f1`` calls it with one
+argument, and ``h_func`` is ``gauss_2f1`` at its parameter triple.
+``_gauss_2f1_rows`` and its helpers import numpy when they run, so the
+exact paths never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +50,8 @@ Exact = Union[int, Fraction]
 _GAMMA_RELERR = 2.5e-15
 # Floating-point slack folded into every reported tail bound.
 _EPS = 2.2e-16
+# The smallest subnormal float.
+_TINY = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -203,17 +210,258 @@ def _gauss_sum(a: float, b: float, c: float) -> float:
     return gamma_fn(c) * gamma_fn(c - a - b) * _recip_gamma(c - a) * _recip_gamma(c - b)
 
 
-def _connection_coeffs(a: float, b: float, c: float) -> tuple[float, float]:
-    """Gamma quotients of the two series in 1 - z of the near-1 branch."""
-    d = c - a - b
-    return _gauss_sum(a, b, c), gamma_fn(c) * gamma_fn(-d) * _recip_gamma(a) * _recip_gamma(b)
+# Taylor coefficients of 1 / Gamma(1 + x) about x = 0 (the first is 1, the
+# second Euler's constant), as many as matter on |x| <= 3/4, where the last
+# one left out is below 1e-21
+_RGAMMA_TAYLOR = (
+    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524, 0.16653861138229148,
+    -0.04219773455554433, -0.009621971527876973, 0.0072189432466631, -0.0011651675918590652,
+    -0.00021524167411495098, 0.0001280502823881162, -2.013485478078824e-05,
+    -1.2504934821426706e-06, 1.133027231981696e-06, -2.056338416977607e-07,
+    6.116095104481416e-09, 5.002007644469223e-09, -1.18127457048702e-09,
+    1.0434267116911005e-10, 7.782263439905071e-12, -3.696805618642206e-12,
+    5.100370287454476e-13, -2.0583260535665066e-14, -5.348122539423018e-15,
+    1.2267786282382608e-15, -1.1812593016974588e-16,
+)
+
+
+def _recip_gamma_pair(start: tuple, end: tuple) -> tuple:
+    """1/Gamma at s = fsum(start) and t = fsum(end), |t - s| <= 1/2, and its
+    divided difference between them, each with a first-order bound on its
+    error in units of eps.
+
+    Returns (n, x0, x1, f0, f1, dd, e0, e1, edd) with s = n + x0 and t =
+    n + x1 for an integer n and |x0|, |x1| <= 3/4.  1/Gamma(1 + x) is the
+    Taylor series at x0 and x1 (Horner), its divided difference the same
+    Horner pass on the series' synthetic division; the factors x + i of
+    1/Gamma(n + x) = 1/Gamma(1 + x) / ((1 + x) ... (n - 1 + x)), or times
+    (n + x) ... (x) for n <= 0, then enter by the product rule, so no
+    difference of nearby values is ever formed.  x0 and x1 are each rounded
+    once from the exact terms, so 1/Gamma keeps its relative accuracy next
+    to a pole; their rounding moves the divided difference by a few eps.
+    """
+    n = math.floor(0.5 * (math.fsum(start) + math.fsum(end)) + 0.5)
+    if abs(n) > _GAMMA_SHIFT:
+        raise ToleranceError(f"1/Gamma at {math.fsum(start)} lies past the float range")
+    x0, x1 = math.fsum((*start, -n)), math.fsum((*end, -n))
+    f0 = f1 = dd = e0 = e1 = edd = 0.0
+    for c in reversed(_RGAMMA_TAYLOR):
+        # two roundings a step, and a third for the rounding of c, x0 and x1
+        new = dd * x0 + f1
+        edd, dd = abs(x0) * edd + e1 + abs(dd * x0) + 2.0 * abs(new), new
+        new = f1 * x1 + c
+        e1, f1 = abs(x1) * e1 + abs(f1 * x1) + 2.0 * abs(new), new
+        new = f0 * x0 + c
+        e0, f0 = abs(x0) * e0 + abs(f0 * x0) + 2.0 * abs(new), new
+    # each factor i + x carries two roundings: its own and that of x
+    for i in range(n, 1):  # times (i + x)
+        g0, g1 = i + x0, i + x1
+        new = f1 + dd * g0
+        edd, dd = e1 + abs(g0) * edd + 3.0 * abs(dd * g0) + abs(new), new
+        f0, f1 = f0 * g0, f1 * g1
+        e0, e1 = abs(g0) * e0 + 3.0 * abs(f0), abs(g1) * e1 + 3.0 * abs(f1)
+    for i in range(1, n):  # over (i + x)
+        g0, g1 = i + x0, i + x1
+        part = f1 / (g0 * g1)
+        new = dd / g0 - part
+        edd = (edd + e1 / abs(g1)) / abs(g0) + 3.0 * abs(dd / g0) + 6.0 * abs(part) + abs(new)
+        dd = new
+        f0, f1 = f0 / g0, f1 / g1
+        e0, e1 = e0 / abs(g0) + 3.0 * abs(f0), e1 / abs(g1) + 3.0 * abs(f1)
+    return n, x0, x1, f0, f1, dd, e0, e1, edd
+
+
+# Past this shift from [-1/2, 1/2], 1/Gamma is outside the float range.
+_GAMMA_SHIFT = 200
+# The near-1 series kept at once: a point's L and h series are eight triples.
+_CONNECTION_CACHE = 64
+# Rows of a near-1 series at most: far more than the 30-60 of parameters
+# up to 10, but a bound on the work where the terms overflow first.
+_CONNECTION_TERMS = 500
+
+
+@functools.lru_cache(maxsize=_CONNECTION_CACHE)
+def _connection_series(a: float, b: float, c: float) -> tuple:
+    """The series in w = 1 - z of F(a, b; c; z) that is uniform in
+    eps = d - m, d = c - a - b, m = round(d).
+
+    For m >= 0, with p = a + m, q = b + m and (DLMF 15.8.10 as eps -> 0)
+
+        F = Gamma(c) [ G0 sum_{k<m} (a)_k (b)_k (-1)^k Gamma(m-k+eps) w^k / k!
+                       + s w^m sum_j w^j (A_j + E(w) B_j) ],
+
+    G0 = rg(p + eps) rg(q + eps) (rg = 1/Gamma), s = (-1)^(m+1) (a)_m (b)_m
+    pi eps / sin(pi eps) and E(w) = (w^eps - 1) / eps, the divided difference
+    of w^x.  Term j pairs term m + j of the first connection series with term
+    j of the second as one divided difference in x of
+
+        T_j(x) = U_j(x) V_j(x) rg(p + eps - x) rg(q + eps - x) w^x,
+        U_j(x) = (p + x)_j rg(1 + m + j + x),  V_j(x) = (q + x)_j rg(1 + j - eps + x),
+
+    between x = 0 (the first series) and x = eps (the second); by the
+    product rule B_j = rg(p) rg(q) P_j and A_j = G1 P_j + G0 Q_j with
+    P_j = (UV)_j(eps), Q_j its divided difference and G1 that of
+    rg(p + eps - x) rg(q + eps - x).  P and Q run a recurrence in j whose
+    ratio t_j(x) = U_{j+1} V_{j+1} / (U_j V_j) has the divided difference
+    (1 - a) / ((1+m+j)(1+m+j+eps)) v_j(0) + (1 - c + a) / ((1+j)(1+j-eps)) r_j(eps)
+    of its factors r_j = U_{j+1}/U_j and v_j = V_{j+1}/V_j.  Where m < 0 the
+    same series gives F(c - a, c - b; c; z) = w^(-d) F(a, b; c; z).
+
+    Returns (m, eps, d or None (no Euler transform), Gamma(c), the rows
+    k = 0 .. K-1 of (alpha_k, beta_k, err_alpha_k, err_beta_k, |beta_k|) with
+    F / Gamma(c) = sum_k w^k (alpha_k + E(w) beta_k) and the errors in units
+    of eps (including the rounding of w^k and of the sum), the tail
+    constants (tail_alpha, tail_beta) and the ratio g: past the last row the
+    terms of the sums of |alpha| and |beta| are at most tail * w^K / (1 - g w).
+
+    Each parameter is split into an integer and an offset rounded once from
+    the exact a, b, c (``_recip_gamma_pair``), so d itself never rounds where
+    the gamma factors sit beside their poles.  The tail: from index J on,
+    |P_{j+1}| <= T |P_j| and |Q_{j+1}| <= T |Q_j| + D |P_j|, where the
+    factors (p+j+x)/(1+m+j+x) and (q+j+x)/(1+j-eps+x) of t_j are monotone in
+    j with limit 1 and the divided differences of the factors decrease, so
+    T and D at J bound every later index, and |P_j| + |Q_j| grows by at most
+    g = T + D a step.  Rows are added until that tail at w = 1/4, the largest
+    argument the branch takes, is below 2^-56 of the sum so far.
+    """
+    import numpy as np
+
+    d = math.fsum((c, -a, -b))
+    m = math.floor(d + 0.5)
+    eps = math.fsum((c, -a, -b, -m))
+    euler = None
+    a_terms, b_terms = (a,), (b,)
+    if m < 0:
+        euler, a_terms, b_terms, m, eps = m + eps, (c, -a), (c, -b), -m, -eps
+    minus_a, minus_b = (tuple(-t for t in terms) for terms in (a_terms, b_terms))
+    # p, q and p + eps = c - b, q + eps = c - a, each from the exact a, b, c
+    pn, px0, px1, rp, rpe, dp, e_rp, e_rpe, e_dp = _recip_gamma_pair((*a_terms, m), (c, *minus_b))
+    qn, qx0, qx1, rq, rqe, dq, e_rq, e_rqe, e_dq = _recip_gamma_pair((*b_terms, m), (c, *minus_a))
+    *_, u1, du, _, e_u1, e_du = _recip_gamma_pair((1 + m,), (1 + m, eps))
+    *_, v0, v1, dv, e_v0, e_v1, e_dv = _recip_gamma_pair((1, -eps), (1,))
+    g0 = rpe * rqe
+    e_g0 = abs(rpe) * e_rqe + abs(rqe) * e_rpe + abs(g0)
+    g1 = -(rp * dq + rqe * dp)
+    e_g1 = (abs(rp) * e_dq + abs(dq) * e_rp + abs(rqe) * e_dp + abs(dp) * e_rqe
+            + abs(rp * dq) + abs(rqe * dp) + abs(g1))
+    rpq = rp * rq
+    e_rpq = abs(rp) * e_rq + abs(rq) * e_rp + abs(rpq)
+    one_minus_a = math.fsum((1.0, *minus_a))
+    one_minus_qe = math.fsum((1.0, -c, *a_terms))  # 1 - (c - a)
+    # the (a)_k (b)_k of the finite part and of s, each factor rounded once
+    factors = [math.fsum((*a_terms, i)) * math.fsum((*b_terms, i)) for i in range(m)]
+    finite = []  # (alpha_k, its error) for k < m
+    poch = 1.0
+    for k in range(m):
+        # Gamma(m - k + eps) is math.gamma's, its argument rounded once
+        term = poch * (-1) ** k * math.gamma(m - k + eps) / math.factorial(k)
+        rel = _GAMMA_RELERR / _EPS + 6 * k + 2 * (m - k) + 5
+        finite.append((g0 * term, abs(term) * e_g0 + abs(g0 * term) * rel))
+        poch *= factors[k]
+    p, e_p = u1 * v1, abs(u1) * e_v1 + abs(v1) * e_u1 + abs(u1 * v1)
+    q = u1 * dv + du * v0
+    e_q = abs(u1) * e_dv + abs(dv) * e_u1 + abs(du) * e_v0 + abs(v0) * e_du
+    e_q += abs(u1 * dv) + abs(du * v0) + abs(q)
+    seq = []  # P_j, Q_j and their errors
+    scale, quarter = 0.0, 1.0  # the sum of |P_j| + |Q_j| at w = 1/4, and 4^-j
+    ratio = math.inf  # unless a row certifies the tail
+    for j in range(_CONNECTION_TERMS):
+        abs_p, abs_q = abs(p), abs(q)
+        size = (abs_p + abs_q + (e_p + e_q) * _EPS) * quarter
+        den_u, den_v = 1 + m + j, 1 + j
+        r0, re = (pn + j + px0) / den_u, (pn + j + px1) / (den_u + eps)
+        v0j, ve = (qn + j + qx0) / (den_v - eps), (qn + j + qx1) / den_v
+        dr = one_minus_a / (den_u * (den_u + eps))
+        dvj = one_minus_qe / ((den_v - eps) * den_v)
+        # 1 - ratio / 4 is at most 3/4: the cheap test first
+        if j and size <= 0.75 * 2.0**-56 * scale:
+            ratio = max(abs(r0), abs(re), 1.0) * max(abs(v0j), abs(ve), 1.0)
+            ratio += max(abs(re), 1.0) * abs(dvj) + abs(dr) * max(abs(v0j), 1.0)
+            if ratio < 4.0 and size <= (1.0 - 0.25 * ratio) * 2.0**-56 * scale:
+                break
+        scale += size
+        quarter *= 0.25
+        seq.append((p, q, e_p, e_q))
+        # t0 and te round at most seven times, each part of dt nine times,
+        # dt itself once, and the products and the sum of the step once each
+        t0, te = r0 * v0j, re * ve
+        mass_dt = abs(re * dvj) + abs(dr * v0j)
+        e_q = abs(t0) * (e_q + 9.0 * abs_q) + mass_dt * (e_p + 12.0 * abs_p)
+        q, p = t0 * q + (re * dvj + dr * v0j) * p, te * p
+        e_p = abs(te) * (e_p + 8.0 * abs_p)
+    sine = 1.0 if eps == 0.0 else math.pi * eps / math.sin(math.pi * eps)
+    s = (-1) ** (m + 1) * poch * sine
+    # alpha_j = s (G1 P_j + G0 Q_j) and beta_j = s rg(p) rg(q) P_j, their
+    # errors from those of P, Q and the three factors, and the roundings of
+    # the two products and the sum, of s (3m + 6) and of w^k and the sum
+    # over the k (k + count, below)
+    seq = np.array(seq)
+    series = seq[:, :2] @ np.array([[g1, rpq], [g0, 0.0]]) * s
+    coeffs = np.array([[abs(g1) + e_g1, abs(rpq) + e_rpq], [abs(g0) + e_g0, 0.0],
+                       [abs(g1), abs(rpq)], [abs(g0), 0.0]])
+    errors = np.abs(seq) @ coeffs * abs(s) + (3 * m + 8) * np.abs(series)
+    count = m + len(seq)
+    weight = (np.arange(count) + count)[:, None]
+    table = np.zeros((count, 5))
+    table[:m, [0, 2]] = np.reshape(finite, (m, 2))
+    table[m:, [0, 1]] = series
+    table[m:, [2, 3]] = errors
+    table[:, 2:4] += weight * np.abs(table[:, :2])
+    table[:, 4] = np.abs(table[:, 1])
+    table.flags.writeable = False
+    size = abs(p) + abs(q) + (e_p + e_q) * _EPS
+    tails = (abs(s) * (abs(g1) + abs(g0) + (e_g1 + e_g0) * _EPS) * size,
+             abs(s) * (abs(rpq) + e_rpq * _EPS) * size)
+    return m, eps, euler, math.gamma(c), table, tails, ratio
+
+
+def _connection_rows(
+    a: float, b: float, c: float, w: np.ndarray, logs: list
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """F(a, b; c; 1 - w) for 0 < w < 1/4 from ``_connection_series``, with its
+    bound: the tail, the rounding of every row, of E(w) and of w^d after an
+    Euler transform, and the relative error of Gamma(c).  ``logs`` holds
+    log(w) per argument, taken with ``math``, whose accuracy the bound assumes.
+    Returns (value, bound, terms)."""
+    import numpy as np
+
+    m, eps, euler, gamma_c, table, (tail_a, tail_b), ratio = _connection_series(a, b, c)
+    count = len(table)
+    powers = np.ones((len(w), count + 1))
+    powers[:, 1:] = w[:, None]
+    powers = np.cumprod(powers, axis=1)  # w^0 .. w^count
+    alpha, beta, err_a, err_b, mass_b = (powers[:, None, :-1] * table.T).sum(axis=2).T
+    if eps == 0.0:
+        e, e_rel = np.array(logs), 1.0
+    else:
+        e = np.array([math.expm1(eps * x) for x in logs]) / eps
+        # expm1 and the quotient, and the roundings of eps, log w and their
+        # product, which |eps log w| magnifies
+        e_rel = 2.0 + 3.0 * np.abs(eps * np.array(logs))
+    inner = alpha + e * beta
+    err = err_a + np.abs(e) * (err_b + e_rel * mass_b) + np.abs(e * beta) + np.abs(inner)
+    tail = (tail_a + np.abs(e) * tail_b) * powers[:, -1] / (1.0 - ratio * w)
+    value = gamma_c * inner
+    # below the normal range each operation may lose up to 2^-1075 outright
+    bound = abs(gamma_c) * (tail + _EPS * err + 16 * count * _TINY)
+    bound += (_GAMMA_RELERR + _EPS) * np.abs(value) + _TINY
+    if euler is not None:
+        # w^d rounds once in d, once in d log w and once in exp, each
+        # magnified by |d log w|; past the float range it is infinite, and refused
+        exponent = [euler * x for x in logs]
+        prefactor = np.array([math.exp(x) if x < 709.78 else math.inf for x in exponent])
+        with np.errstate(all="ignore"):
+            value = prefactor * value
+            bound = prefactor * bound + (2.0 + 3.0 * np.abs(exponent)) * _EPS * np.abs(value)
+        bound += _TINY
+    return value, bound, count
 
 
 def _gauss_2f1_rows(
     params: list[tuple[float, float, float]],
     z: np.ndarray,
     w: np.ndarray,
-    tol: float | np.ndarray,
+    tol: float,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """F(a, b; c; z) for every triple (a, b, c) of ``params`` at every z of an array.
 
@@ -221,104 +469,62 @@ def _gauss_2f1_rows(
     possibly to better accuracy than the subtraction.  Returns one (value,
     tail_bound, terms_used) triple of arrays per parameter triple.  The
     branches are those ``gauss_2f1`` documents, chosen per triple and
-    argument.  Each branch declares its series as rows (triple, argument
-    indices, factor, the factor's relative rounding, series parameters); all
-    rows are summed in one ``_sum_series`` call, and every value is then the
-    sum of factor * series over its rows, every bound the sum of
-    |factor| * tail plus |factor * series| times the rounding, and every term
-    count the sum of the rows' counts.  ``tol`` is a scalar or an array over
-    the arguments; a bound over its tol * (1 + |value|) raises ToleranceError.
+    argument.  The terminating, z = 1 and forward branches declare their
+    series as rows (triple, argument indices, factor, the factor's relative
+    rounding, series parameters), all summed in one ``_sum_series`` call:
+    the value is factor * series, the bound |factor| * tail plus
+    |factor * series| times the rounding.  Arguments with 1 - z < 1/4 take
+    ``_connection_rows``.  A bound over tol * (1 + |value|), or one that is
+    not finite, raises ToleranceError.
     """
     import numpy as np
 
     z, w = np.asarray(z, dtype=float), np.asarray(w, dtype=float)
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), z.shape)
     # the better-conditioned representation of the argument wins
     z_eff = np.where(w >= 0.5, z, 1.0 - w)
     unit = np.flatnonzero(w == 0.0)
     forward = np.flatnonzero((w != 0.0) & (z_eff <= 0.75))
     near = np.flatnonzero((w != 0.0) & ~(z_eff <= 0.75))
-    z_forward, z_near, w_near = z_eff[forward], z_eff[near], w[near]
-    rows = []  # (triple, argument indices, factor, its relative rounding, a, b, c, x, tol, max_terms)
+    logs = [math.log(x) for x in w[near].tolist()]
+    value, bound = np.zeros((2, len(params), len(z)))
+    terms = np.zeros((len(params), len(z)), dtype=np.int64)
+    rows = []  # (triple, argument indices, factor, its relative rounding, a, b, c, x, max_terms)
     for k, (a, b, c) in enumerate(params):
         a, b, c = float(a), float(b), float(c)
         if _is_nonpositive_integer(c, tol=0.0):
             raise RegionError(f"gauss_2f1 parameter c = {c} is a non-positive integer")
         if (a <= 0 and a == round(a)) or (b <= 0 and b == round(b)):
-            rows.append((k, np.arange(len(z)), 1.0, 0.0, a, b, c, z_eff, tol, 10**6))
+            rows.append((k, np.arange(len(z)), 1.0, 0.0, a, b, c, z_eff, 10**6))
             continue
-        d = c - a - b
         if unit.size:
+            d = c - a - b
             if d <= 0:
                 raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {d} is not positive")
             # Gauss's sum of five rounded gamma values; the series at w = 0 is exactly 1
-            rel = 5.0 * _GAMMA_RELERR
-            rows.append((k, unit, _gauss_sum(a, b, c), rel, a, b, c, w[unit], tol[unit], 1))
-        rows.append((k, forward, 1.0, 0.0, a, b, c, z_forward, tol[forward], 2_000))
-        # argument close to 1: a pair of series in w where that map is well
-        # conditioned, else, in a thin sliver where c - a - b is nearly an
-        # integer, capped forward summation after an Euler transform or without
-        if near.size and abs(d - round(d)) >= 1e-5:
-            coeff1, coeff2 = _connection_coeffs(a, b, c)
-            logs = np.array([math.log(x) for x in w_near.tolist()])
-            wd = np.array([math.exp(d * x) for x in logs.tolist()])
-            # the rounding of the gamma quotients and of the final sum; w^d
-            # turns the rounding of d's two subtractions and of d log w into
-            # a relative error of |log w| times it, and exp and the product
-            # with coeff2 add 2 eps
-            rel = 8.0 * _GAMMA_RELERR + 3.0 * _EPS
-            rel = rel + np.abs(logs) * (_EPS * (abs(c - a) + 2.0 * abs(d)))
-            rows.append((k, near, coeff1, rel, a, b, 1.0 - d, w_near, 1e-16, 4_000))
-            rows.append((k, near, coeff2 * wd, rel, c - a, c - b, 1.0 + d, w_near, 1e-16, 4_000))
-        elif d <= -0.5:
-            prefactor = np.array([(1.0 - x) ** d for x in z_near.tolist()])
-            inner_tol = tol[near] / np.maximum(prefactor, 1e-300)
-            # (1 - z)^d turns the rounding of d's two subtractions into a
-            # relative error of |log(1 - z)| times it; the power and the
-            # product with the series add 2 eps
-            logs = np.array([math.log(1.0 - x) for x in z_near.tolist()])
-            rel = np.abs(logs) * (_EPS * (abs(c - a) + abs(d))) + 2.0 * _EPS
-            rows.append((k, near, prefactor, rel, c - a, c - b, c, z_near, inner_tol, 500_000))
-        else:
-            rows.append((k, near, 1.0, 0.0, a, b, c, z_near, tol[near], 500_000))
+            rows.append((k, unit, _gauss_sum(a, b, c), 5.0 * _GAMMA_RELERR, a, b, c, w[unit], 1))
+        rows.append((k, forward, 1.0, 0.0, a, b, c, z_eff[forward], 2_000))
+        if near.size:
+            connection = _connection_rows(a, b, c, w[near], logs)
+            value[k, near], bound[k, near], terms[k, near] = connection
 
-    owners, indices, factors, roundings, a, b, c, x, row_tol, max_terms = zip(*rows)
-    sizes = [len(arguments) for arguments in x]
-    # the entries given per row, as scalars or per argument, over all arguments
-    factor, rounding, row_tol = (
-        np.concatenate([np.full(size, f, dtype=float) for f, size in zip(column, sizes)])
-        for column in (factors, roundings, row_tol)
+    owners, indices, factors, roundings, a, b, c, x, max_terms = zip(*rows)
+    sizes = [len(at) for at in indices]
+    factor, rounding, a, b, c, max_terms = (
+        np.repeat(np.array(column, dtype=float), sizes)
+        for column in (factors, roundings, a, b, c, max_terms)
     )
-    summed, tail, count = _sum_series(
-        *(np.repeat(np.array(p, dtype=float), sizes) for p in (a, b, c)),
-        np.concatenate(x), row_tol, np.repeat(np.array(max_terms, dtype=float), sizes),
-    )
-    # every row at once into its triple's arguments; np.add.at adds in the
-    # order of ``where``, so a connection value is its first row plus its
-    # second.  The sums start at -0.0, the exact identity of float addition,
-    # so one row adds exactly; ``mass`` sums |factor * series|
-    value, bound, mass, relative = np.full((4, len(params), len(z)), -0.0)
-    terms = np.zeros((len(params), len(z)), dtype=np.int64)
+    summed, tail, count = _sum_series(a, b, c, np.concatenate(x), np.full(len(a), tol), max_terms)
     where = np.concatenate([k * len(z) + at for k, at in zip(owners, indices)])
     part = factor * summed
-    sums = ((value, part), (bound, np.abs(factor) * tail), (terms, count), (mass, np.abs(part)))
-    for total, add in sums:
-        np.add.at(total.reshape(-1), where, add)
-    # the rows of one triple and argument share their rounding
-    relative.reshape(-1)[where] = rounding
-    inexact = relative > 0.0
-    bound[inexact] += mass[inexact] * relative[inexact]
-    over = np.argwhere(bound > tol * (1.0 + np.abs(value)))
+    value.reshape(-1)[where] = part
+    bound.reshape(-1)[where] = np.abs(factor) * tail + np.abs(part) * rounding
+    terms.reshape(-1)[where] = count
+    over = np.argwhere(~(bound <= tol * (1.0 + np.abs(value))) | ~np.isfinite(value))
     if over.size:
         k, j = over[0]
-        a, b, c = (float(p) for p in params[k])
-        d = c - a - b
         place = "at z=1" if w[j] == 0.0 else "near z=1" if j in near else f"at z={float(z[j])}"
-        close = j in near and abs(d - round(d)) < 1e-3
-        suffix = f"; c-a-b = {d} is close to an integer" if close else ""
-        raise ToleranceError(
-            f"tol={tol[j]} unreachable for 2F1 {place} (best bound {bound[k, j]:.3e}{suffix})"
-        )
+        best = f"best bound {bound[k, j]:.3e}"
+        raise ToleranceError(f"tol={tol} unreachable for 2F1 {place} ({best})")
     return list(zip(value, bound, terms))
 
 
@@ -338,9 +544,10 @@ def gauss_2f1(
 
     Strategy: terminating series are summed exactly; z = 1 uses the
     gamma-quotient value (valid for c - a - b > 0); moderate z uses forward
-    summation; z close to 1 is mapped to a pair of fast series in 1 - z,
-    except within a thin sliver where c - a - b is nearly an integer and that
-    map is ill-conditioned, where capped forward summation is used instead.
+    summation; z > 3/4 uses the two connection series in 1 - z as one series
+    that stays well conditioned for every c - a - b, integer or nearly so
+    (``_connection_series``, after an Euler transform when c - a - b is
+    nearer a negative integer).
     """
     a, b, c, z = float(a), float(b), float(c), float(z)
     if not 0.0 <= z <= 1.0:
@@ -362,8 +569,7 @@ def h_func(i: int, z: float, k0: float, k1: float, tol: float = 1e-12) -> HypRes
 
     All four have c - a - b = 1 +/- 2*k0, so they converge absolutely on the
     whole of [0, 1] as long as |k0| < 1/2.  The bound keeps ``gauss_2f1``'s
-    contract, so near z = 1, with 2*k0 within 1e-5 of an integer (k0 near 0
-    or +/-1/2), a tight ``tol`` may raise ToleranceError.
+    contract, also where 2*k0 is nearly an integer (k0 near 0 or +/-1/2).
     """
     if i not in _H_PARAMS:
         raise ValueError(f"h_func index must be 1..4, got {i}")

@@ -267,12 +267,8 @@ def sector_inner_numeric(
     Both carry the tail bounds of their series values into the error estimate,
     and stop once two levels agree within the tolerance or that error term
     (see ``QuadResult``): at tol 1e-12 and 1e-13 mode "h" built no rule, an
-    O(n^3) solve, past 384 nodes at the points tested.  At tol 1e-11 mode
-    "direct" refuses every pairing tried for 0 < |k0| up to 5e-4 (k1 = 0) to
-    9e-4 (k1 = 0.4), where c - a - b = 2 k0 of L's series is near 0 (see
-    README); mode "h" computes them, summing the h series at its outermost
-    nodes, whose weights are tiny, to a looser tolerance whose bounds still
-    enter the estimate.
+    O(n^3) solve, past 384 nodes at the points tested.  Both modes compute
+    near k0 = 0 too, where c - a - b of their series is nearly an integer.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -324,11 +320,10 @@ def _h_rule(
     dv = (1 - x)(1 + 3x) dx the weight becomes x^a (1-x)^(2 b0 + 1), carried by
     Gauss-Jacobi, times (1 + 3x)(1 + x)^b0 (1 + x(1 - x))^a, folded into the
     weights.  The map doubles every non-integer power of 1 - v that h_i h_j
-    carries at v = 1 and keeps v ~ x near 0.  Node i's series is summed to
-    htol * max(1, w_max / (size * w_i)), so sum w_i tol_i <= 2 htol sum w_i.
-    Returns v, s = 1 - v (from the map, without cancellation), the weights,
-    the product h_i h_j and a bound on its error from the certified tail
-    bounds of the two series.
+    carries at v = 1 and keeps v ~ x near 0.  Every node's series is summed
+    to htol.  Returns v, s = 1 - v (from the map, without cancellation), the
+    weights, the product h_i h_j and a bound on its error from the certified
+    tail bounds of the two series.
     """
     a, b0 = _h_exponents(k0, k1, i, j)
     x, w = _gauss_jacobi_01(size, a, 2.0 * b0 + 1.0)
@@ -336,9 +331,8 @@ def _h_rule(
     g = 1.0 + x * t
     v, s = x * g, t * t * (1.0 + x)
     w = w * (1.0 + 3.0 * x) * (1.0 + x) ** b0 * g**a
-    node_tol = htol * np.maximum(1.0, w.max() / (size * w))
     indices = (i,) if j == i else (i, j)
-    series = _gauss_2f1_rows([_H_PARAMS[k](k0, k1) for k in indices], v, s, node_tol)
+    series = _gauss_2f1_rows([_H_PARAMS[k](k0, k1) for k in indices], v, s, htol)
     (vi, ti, _), (vj, tj, _) = series[0], series[-1]
     arrays = (v, s, w, vi * vj, np.abs(vi) * tj + np.abs(vj) * ti + ti * tj)
     for array in arrays:

@@ -138,9 +138,8 @@ def _eval_L_bounded(
 def eval_K(theta: float, p: ParamPoint) -> WeightEval:
     """Assemble the weight matrix at the circle point with angle theta.
 
-    At tol 1e-11 the series of L refuse from theta ~ 0.72 on for 5e-6 < |k0|
-    up to 2e-4 to 7e-4, where c - a - b = 2 k0 lies just outside the 1e-5
-    sliver of ``hyper._gauss_2f1_rows`` (see README).
+    L's series are summed to tol 1e-11, also near the sector edge where
+    their c - a - b = 2 k0 is nearly an integer (k0 near 0).
     """
     if not 0.0 < theta < _HALF_SECTOR:
         raise RegionError(f"eval_K requires 0 < theta < pi/4, got {theta}")

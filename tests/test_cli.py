@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import b2weight
@@ -86,8 +87,22 @@ def test_verify_tol_must_lie_between_0_and_1(capsys):
     assert code == 0 and json.loads(out)["tol"] == 1e-8
 
 
-def test_verify_quad_reports_a_pairing_error_in_its_row(capsys):
-    # the p14 pairing needs 2F1 near z = 1 with c - a - b = 2e-4 there
+def _refuse_p14(monkeypatch):
+    """Make mode h refuse the p14 pairings: their rule families (h_i h_j
+    with i != j) get an infinite error term, which ``quad._refine`` raises on."""
+    from b2weight import quad
+
+    rule = quad._h_rule
+
+    def refusing(k0, k1, i, j, *args):
+        *arrays, bound = rule(k0, k1, i, j, *args)
+        return (*arrays, bound if i == j else np.full_like(bound, np.inf))
+
+    monkeypatch.setattr(quad, "_h_rule", refusing)
+
+
+def test_verify_quad_reports_a_pairing_error_in_its_row(capsys, monkeypatch):
+    _refuse_p14(monkeypatch)
     code, out, _ = run_cli(
         capsys, "verify", "quad", "--k0", "4999/10000", "--k1", "0", "--nmax", "0"
     )
@@ -223,20 +238,18 @@ def test_verify_json_key_order(capsys):
     }
 
 
-def test_verify_csv_error_and_region_rows(capsys):
+def test_verify_csv_error_and_region_rows(capsys, monkeypatch):
+    _refuse_p14(monkeypatch)
     code, out, _ = run_cli(
         capsys, "verify", "quad", "--k0", "4999/10000", "--k1", "0", "--nmax", "0",
         "--format", "csv",
     )
     assert code == 1
     rows = out.splitlines()
-    assert rows[-1] == (
-        "quad/pairing_vs_closed/p14/n00,-0.00019998,error: tol=1e-11 unreachable for"
-        " 2F1 near z=1 (best bound 1.464e-10; c-a-b = 0.00019999999999997797 is close"
-        " to an integer),1e-08,False"
-    )
-    assert all(len(row.split(",")) == 5 for row in rows)
     # a comma inside a cell is written as ';'
+    prefix = "quad/pairing_vs_closed/p14/n00,-0.00019998,error: Gauss-Jacobi rule of 24 nodes gave "
+    assert rows[-1].startswith(prefix) and rows[-1].endswith("; error term inf,1e-08,False")
+    assert all(len(row.split(",")) == 5 for row in rows)
     code, out, _ = run_cli(
         capsys, "verify", "quad", "--k0", "0.3", "--k1", "0.3", "--format", "csv"
     )

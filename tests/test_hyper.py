@@ -17,7 +17,8 @@ from b2weight.hyper import (
     _FIRST_BLOCK,
     _GAMMA_RELERR,
     _H_PARAMS,
-    _connection_coeffs,
+    _TINY,
+    _connection_series,
     _gauss_2f1_rows,
     _recip_gamma,
     alpha_beta_recurrence,
@@ -107,10 +108,9 @@ def test_2f1_at_unit_argument():
 
 
 def test_2f1_error_messages():
-    # the z = 1 divergence, the z = 1 and near-1 tolerance refusals; the
-    # near-1 one carries no "close to an integer" suffix when c - a - b = 1/2
-    # and carries it when c - a - b = 5e-4, where the connection branch's
-    # gamma quotients are large and cancel
+    # the z = 1 divergence, the z = 1 and near-1 tolerance refusals; near
+    # z = 1 with c - a - b = 5e-4, where the two connection series cancel,
+    # the value is certified
     d = 1.2 - 0.8 - 0.9
     with pytest.raises(RegionError) as exc:
         gauss_2f1(0.8, 0.9, 1.2, 1.0)
@@ -120,12 +120,9 @@ def test_2f1_error_messages():
         gauss_2f1(-0.3, 0.45, 1.2, 1.0, tol=1e-16)
     with pytest.raises(ToleranceError, match=r"^tol=1e-17 unreachable for 2F1 near z=1 " + best):
         gauss_2f1(0.3, 0.4, 1.2, 0.9, tol=1e-17)
-    with pytest.raises(ToleranceError) as exc:
-        gauss_2f1(0.3, 0.4, 0.7005, 0.9, tol=1e-12)
-    assert str(exc.value) == (
-        "tol=1e-12 unreachable for 2F1 near z=1 (best bound 1.902e-11; "
-        "c-a-b = 0.0005000000000000004 is close to an integer)"
-    )
+    res = gauss_2f1(0.3, 0.4, 0.7005, 0.9, tol=1e-12)
+    with mpmath.workdps(40):
+        assert abs(res.value - mpmath.hyp2f1(0.3, 0.4, 0.7005, 0.9)) <= res.tail_bound
 
 
 def test_2f1_rejects_bad_arguments():
@@ -208,16 +205,18 @@ def _reference_sum_series(a, b, c, z, tol, max_terms):
 
 def _reference_gauss_2f1(a, b, c, z, tol=1e-12, z_complement=None):
     """``_reference_branch`` under the contract of every branch: a bound over
-    tol * (1 + |value|) raises ToleranceError."""
+    tol * (1 + |value|), or a value or bound that is not finite, raises
+    ToleranceError."""
     result = _reference_branch(a, b, c, z, tol, z_complement)
-    if result.tail_bound > tol * (1.0 + abs(result.value)):
+    within = result.tail_bound <= tol * (1.0 + abs(result.value))
+    if not (within and math.isfinite(result.value)):
         raise ToleranceError(f"tol={tol} unreachable (best bound {result.tail_bound:.3e})")
     return result
 
 
 def _reference_branch(a, b, c, z, tol, z_complement):
     """The scalar body of gauss_2f1 as it stood before the batched entry, with
-    the sliver-Euler bound covering the rounding of its prefactor."""
+    the near-1 arguments taking the scalar form of the connection series."""
     a, b, c, z = float(a), float(b), float(c), float(z)
     if not 0.0 <= z <= 1.0:
         raise RegionError(f"gauss_2f1 requires 0 <= z <= 1, got z = {z}")
@@ -242,33 +241,38 @@ def _reference_branch(a, b, c, z, tol, z_complement):
     if z_eff <= 0.75:
         return _reference_sum_series(a, b, c, z_eff, tol, max_terms=2_000)
 
-    if abs(d - round(d)) >= 1e-5:
-        coeff1, coeff2 = _connection_coeffs(a, b, c)
-        s1 = _reference_sum_series(a, b, 1.0 - d, w, tol=1e-16, max_terms=4_000)
-        s2 = _reference_sum_series(c - a, c - b, 1.0 + d, w, tol=1e-16, max_terms=4_000)
-        wd = math.exp(d * math.log(w)) if w > 0 else 0.0
-        part1 = coeff1 * s1.value
-        part2 = coeff2 * wd * s2.value
-        value = part1 + part2
-        # the gamma quotients, the final sum, exp and the product with coeff2;
-        # w^d turns the rounding of d and of d log w into |log w| times it
-        relative = 8.0 * _GAMMA_RELERR + 3.0 * _EPS
-        relative += abs(math.log(w)) * (_EPS * (abs(c - a) + 2.0 * abs(d)))
-        bound = (
-            abs(coeff1) * s1.tail_bound
-            + abs(coeff2) * wd * s2.tail_bound
-            + (abs(part1) + abs(part2)) * relative
-        )
-        return HypResult(value, bound, s1.terms_used + s2.terms_used)
+    return _reference_connection(a, b, c, w)
 
-    if d <= -0.5:
-        a2, b2, c2, _, prefactor = euler_transform(a, b, c, z_eff)
-        inner = _reference_sum_series(a2, b2, c2, z_eff, tol / max(prefactor, 1e-300), 500_000)
-        # the rounding of d, amplified by |log(1 - z)|, and of the power and product
-        relative = abs(math.log(1.0 - z_eff)) * (_EPS * (abs(c - a) + abs(d))) + 2.0 * _EPS
-        bound = prefactor * inner.tail_bound + abs(prefactor * inner.value) * relative
-        return HypResult(prefactor * inner.value, bound, inner.terms_used)
-    return _reference_sum_series(a, b, c, z_eff, tol, max_terms=500_000)
+
+def _reference_connection(a, b, c, w):
+    """The near-1 branch at one argument, one term at a time: the series of
+    ``_connection_series`` summed at w, with the bound of ``_connection_rows``."""
+    m, eps, euler, gamma_c, table, (tail_a, tail_b), ratio = _connection_series(a, b, c)
+    log_w = math.log(w)
+    e = log_w if eps == 0.0 else math.expm1(eps * log_w) / eps
+    e_rel = 1.0 if eps == 0.0 else 2.0 + 3.0 * abs(eps * log_w)
+    alpha = beta = err_a = err_b = mass_b = 0.0
+    power = 1.0
+    for row_alpha, row_beta, row_err_a, row_err_b, row_mass_b in table.tolist():
+        alpha += power * row_alpha
+        beta += power * row_beta
+        err_a += power * row_err_a
+        err_b += power * row_err_b
+        mass_b += power * row_mass_b
+        power *= w
+    inner = alpha + e * beta
+    err = err_a + abs(e) * (err_b + e_rel * mass_b) + abs(e * beta) + abs(inner)
+    tail = (tail_a + abs(e) * tail_b) * power / (1.0 - ratio * w)
+    value = gamma_c * inner
+    bound = abs(gamma_c) * (tail + _EPS * err + 16 * len(table) * _TINY)
+    bound += (_GAMMA_RELERR + _EPS) * abs(value) + _TINY
+    if euler is not None:
+        exponent = euler * log_w
+        prefactor = math.exp(exponent) if exponent < 709.78 else math.inf
+        value = prefactor * value
+        bound = prefactor * bound + (2.0 + 3.0 * abs(exponent)) * _EPS * abs(value)
+        bound += _TINY
+    return HypResult(value, bound, len(table))
 
 
 def _bits(result):
@@ -277,12 +281,14 @@ def _bits(result):
 
 def _assert_rows_match_reference(params, zs, ws, tol):
     """``_gauss_2f1_rows`` at (zs, ws) against the reference at each pair:
-    equal bits, or an error of a type the reference raises too."""
+    equal bits (near z = 1, where the batched sum runs in another order,
+    values within the two bounds and bounds equal to rounding), or an error
+    of a type the reference raises too."""
     expected, raised = [], set()
     for a, b, c in params:
         for z, w in zip(zs, ws):
             try:
-                expected.append(_bits(_reference_gauss_2f1(a, b, c, z, tol, z_complement=w)))
+                expected.append(_reference_gauss_2f1(a, b, c, z, tol, z_complement=w))
             except (RegionError, ToleranceError) as exc:
                 raised.add(type(exc))
     try:
@@ -292,11 +298,21 @@ def _assert_rows_match_reference(params, zs, ws, tol):
         return
     assert not raised, raised
     got = [
-        (v.hex(), t.hex(), n)
+        HypResult(v, t, n)
         for value, bound, terms in rows
         for v, t, n in zip(value.tolist(), bound.tolist(), terms.tolist())
     ]
-    assert got == expected
+    near = [
+        0.0 < w < 0.25 and not ((a <= 0 and a == round(a)) or (b <= 0 and b == round(b)))
+        for a, b, _ in params
+        for w in ws
+    ]
+    for mine, theirs, connection in zip(got, expected, near):
+        if connection:
+            assert abs(mine.value - theirs.value) <= mine.tail_bound + theirs.tail_bound
+            assert math.isclose(mine.tail_bound, theirs.tail_bound, rel_tol=1e-12)
+        else:
+            assert _bits(mine) == _bits(theirs)
 
 
 _PARAM = st.floats(-2.5, 2.5)
@@ -305,8 +321,8 @@ _PARAM = st.floats(-2.5, 2.5)
 @st.composite
 def _series_cases(draw):
     """Parameter triples sharing arguments: a mix of terminating triples,
-    triples with c - a - b within 1e-5 of an integer (the sliver, with and
-    without the Euler transform) and generic ones; arguments include 0, 1,
+    triples with c - a - b within 1e-5 of an integer (with and without the
+    Euler transform near z = 1) and generic ones; arguments include 0, 1,
     values up to 0.75 (forward sums stopping in different blocks) and values
     near 1 given with an accurate complement."""
     triples = []
@@ -352,7 +368,7 @@ def test_batched_series_equal_the_one_term_reference(case):
 
 def test_batched_series_cover_every_branch():
     # the rows of one call stop in different blocks of the forward sum, and
-    # the connection, Euler and plain sliver branches and z = 0, 1 all occur
+    # the forward and connection branches and z = 0, 1 all occur
     zs = [0.0, 0.001, 0.2, 0.5, 0.7, 0.75, 0.8, 0.95, 1.0]
     ws = [1.0 - z for z in zs]
     params = [(1.9, 1.3, 0.6), (-2.0, 0.5, 1.1), (0.5, 0.25, 1.5)]
@@ -361,13 +377,14 @@ def test_batched_series_cover_every_branch():
     # blocks of _FIRST_BLOCK, then twice that: indices below 32, 96 and above
     blocks = {int(np.searchsorted([_FIRST_BLOCK, 3 * _FIRST_BLOCK], m, side="right")) for m in terms}
     assert blocks == {0, 1, 2}
-    # c - a - b = -1 + 2e-6 (Euler) and 3e-6 (plain) in the sliver
+    # c - a - b = -1 + 2e-6 (after an Euler transform) and 3e-6
     _assert_rows_match_reference([(0.7, 0.2, -0.1 + 2e-6), (0.1, 0.6, 0.7 + 3e-6)], zs[6:8], ws[6:8], 1e-9)
 
 
-# sliver calls whose certified bound at tol = 1e-12 exceeds tol * (1 + |value|):
-# a sliver-Euler row (bound 3.8e-9 against a limit of 3.2e-9) and two
-# sliver-forward rows (7.4e-10 against 4.7e-11, 1.67e-12 against 1.56e-12)
+# calls whose bound at tol = 1e-12 exceeded tol * (1 + |value|) when c - a - b
+# within 1e-5 of an integer took capped forward summation: an Euler-transformed
+# row (bound 3.8e-9 against a limit of 3.2e-9) and two plain ones (7.4e-10
+# against 4.7e-11, 1.67e-12 against 1.56e-12)
 _OVER_CONTRACT = [
     (1.25, -1.5, -2.25, 0.984375),
     (1.4740497991000936, -1.531950801208408, -0.05790233576796999, 0.999),
@@ -376,9 +393,17 @@ _OVER_CONTRACT = [
 
 
 def test_sliver_rows_refuse_a_bound_over_the_contract():
+    # the connection series now covers them: each computes within its bound
+    # against the oracle, or refuses
     for a, b, c, z in _OVER_CONTRACT:
-        with pytest.raises(ToleranceError, match=r"near z=1 .*is close to an integer\)$"):
-            gauss_2f1(a, b, c, z, tol=1e-12)
+        try:
+            res = gauss_2f1(a, b, c, z, tol=1e-12)
+        except ToleranceError as exc:
+            assert str(exc).startswith("tol=1e-12 unreachable for 2F1 near z=1 (best bound ")
+            continue
+        with mpmath.workdps(40):
+            err = abs(res.value - mpmath.hyp2f1(a, b, c, z))
+        assert err <= res.tail_bound, (a, b, c, z, float(err), res.tail_bound)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -393,6 +418,56 @@ def test_every_returned_row_meets_the_contract(case):
         return
     for value, bound, _ in rows:
         assert np.all(bound <= tol * (1.0 + np.abs(value))), (params, zs, tol)
+
+
+_SMALL = st.floats(-12, -3).map(lambda e: 10**e)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """(a, b, c, z, w, tol) for the oracle: c - a - b is mostly m + eps with
+    m in -2..2 and |eps| 0 or in [1e-12, 1e-3]; z is mostly near 1, given by
+    an accurate complement w from 1/4 down to 1e-300 (w None: z alone, as
+    ``gauss_2f1`` takes it)."""
+    a, b = draw(_PARAM), draw(_PARAM)
+    if draw(st.integers(0, 3)):
+        eps = draw(st.one_of(st.just(0.0), _SMALL, _SMALL.map(lambda e: -e)))
+        c = a + b + draw(st.integers(-2, 2)) + eps
+    else:
+        c = draw(st.floats(0.1, 3.0))
+    where = draw(st.sampled_from(["complement", "complement", "near", "forward", "one"]))
+    if where == "complement":
+        w = 10 ** draw(st.floats(-300, math.log10(0.25)))
+        return a, b, c, 1.0 - w, w, draw(st.sampled_from([1e-12, 1e-9]))
+    z = {"near": draw(st.floats(0.75, 1.0)), "forward": draw(st.floats(0.0, 0.75)), "one": 1.0}[where]
+    return a, b, c, z, None, draw(st.sampled_from([1e-12, 1e-9]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_oracle_cases())
+# c - a - b is 1 - 3.9e-5 and b is -3.9e-5: the two connection series had
+# an error of 9.40e-13 against a bound of 2.21e-14
+@example(case=(1.549391357784376, -3.887829930189996e-05, 0.5493913577843761,
+               0.7796438337108541, None, 1e-11))
+@example(case=(0.3, 0.4, 0.7005, 0.9, None, 1e-12))
+@example(case=(1e-4, 0.6 - 1e-4, 0.7 + 1e-4, 1.0 - 1e-300, 1e-300, 1e-12))
+def test_2f1_bound_holds_against_the_oracle(case):
+    # zero slack against mpmath at 40 digits, more where w = 1 - z is tiny;
+    # refusing is allowed, a wrong bound is not
+    a, b, c, z, w, tol = case
+    try:
+        if w is None:
+            res = gauss_2f1(a, b, c, z, tol=tol)
+        else:
+            ((value, bound, terms),) = _gauss_2f1_rows([(a, b, c)], [z], [w], tol)
+            res = HypResult(float(value[0]), float(bound[0]), int(terms[0]))
+    except (RegionError, ToleranceError):
+        return
+    digits = 40 if w is None else 40 + int(-math.log10(w))
+    with mpmath.workdps(digits):
+        x = mpmath.mpf(z) if w is None else 1 - mpmath.mpf(w)
+        err = abs(res.value - mpmath.hyp2f1(a, b, c, x))
+    assert err <= res.tail_bound, (case, float(err), res.tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +500,9 @@ def test_h2_at_unit_argument_matches_gamma_quotient():
 
 
 def test_sliver_euler_bound_covers_the_rounding_of_its_exponent():
-    # c - a - b rounds by 5.6e-17 here and (1 - z)^(c-a-b) multiplies that
-    # by |log(1 - z)| = 19.2: an error of 113 on a value of 9.7e16
+    # c - a - b is -1 + 3.4e-7, so the connection series runs on the Euler
+    # transform, whose (1 - z)^(c-a-b) magnifies the rounding of its exponent
+    # by |log(1 - z)| = 19.2: an error of over 100 on a value of 9.7e16
     a, b, c = 0.9999996588553394, 1.4999996588553393, 0.4999996588553393
     z = 0.9999999954602857
     res = gauss_2f1(a, b, c, z, tol=1e-8)
@@ -445,8 +521,10 @@ def _assert_h_within_bound(i, z, k0, k1):
 
 
 def test_h_bound_holds_near_the_sliver_edge():
-    # |c - a - b - 1| = 2|k0| from just outside the sliver (1e-5) to 2e-3
-    for k0 in (6e-6, 2e-5, 1e-4, 1e-3, -6e-6, -2e-5, -1e-4, -1e-3):
+    # |c - a - b - 1| = 2|k0| from 2e-12 to 2e-3: the two connection series
+    # cancel, the more the nearer c - a - b is to 1
+    magnitudes = (1e-12, 1e-9, 1e-6, 6e-6, 2e-5, 1e-4, 1e-3)
+    for k0 in [sign * m for m in magnitudes for sign in (1, -1)]:
         for j in range(13):
             k1 = -0.45 + 0.075 * j
             for z in (0.76, 0.8, 0.9, 0.99, 1 - 1e-6):

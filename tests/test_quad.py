@@ -359,8 +359,9 @@ def test_sector_pairing_error_estimate_bounds_the_error(pairings_to_20):
 def test_direct_mode_error_estimate_bounds_the_error():
     # zero slack, compared in exact arithmetic; (1/60, 13/31) is where the
     # near-1 connection branch of eval_L cancels most, near k1 = 1/2 the
-    # integrand's mass beyond the outermost nodes dominates the error, and the
-    # last five points lie near the edge of the positive-definite region
+    # integrand's mass beyond the outermost nodes dominates the error, the
+    # next five points lie near the edge of the positive-definite region, and
+    # at the last two c - a - b = 2 k0 of L's series is nearly 0
     near_half = [(Fraction(0), Fraction(97, 200)), (Fraction(0), Fraction(487, 1000))]
     near_edge = [
         (Fraction(-49, 100), Fraction(0)),
@@ -369,7 +370,8 @@ def test_direct_mode_error_estimate_bounds_the_error():
         (Fraction(1, 10), Fraction(-39, 100)),
         (Fraction(-1, 10), Fraction(-3, 10)),
     ]
-    for k0, k1 in SHARED_RULE_POINTS + near_half + near_edge:
+    near_zero = [(Fraction(1, 10**9), Fraction(1, 10)), (Fraction(-1, 10**4), Fraction(3, 10))]
+    for k0, k1 in SHARED_RULE_POINTS + near_half + near_edge + near_zero:
         p = ParamPoint(float(k0), float(k1))
         for n, kind in PAIRINGS_TO_20:
             got = sector_inner_numeric(n, kind, p, mode="direct")
@@ -400,10 +402,9 @@ def test_mode_h_error_estimate_bounds_the_error_over_the_grid(tol):
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-11])
 def test_mode_h_computes_near_k0_zero(tol):
-    # c - a - b = 1 +- 2 k0 of the h series is within 1e-5 of 1 for |k0| <
-    # 5e-6, where the series near v = 1 fall to capped forward summation; the
-    # outermost nodes get a looser series tolerance, their bounds still enter
-    # the estimate.  Zero slack against the closed form at the float point.
+    # c - a - b = 1 +- 2 k0 of the h series is nearly 1, and every node's
+    # series certifies the h tolerance.  Zero slack against the closed form
+    # at the float point.
     magnitudes = (1e-12, 1e-9, 1e-6, 3e-6, 1e-5, 1e-4, 5e-4, 1e-3)
     for k0 in [sign * m for m in magnitudes for sign in (1, -1)]:
         for k1 in (0.0, 0.1, 0.4, -0.4):
@@ -484,20 +485,17 @@ def test_direct_rule_cache_stays_bounded_and_read_only():
 
 def test_h_rule_values_equal_per_node_h_func():
     # one batched call per rule gives the bits of h_func's series summed one
-    # node at a time, on the same pair (v, s = 1 - v) and at the node's own
-    # tolerance; (1e-6, 0.1) lies in the sliver, where the outermost nodes
-    # cannot certify htol
+    # node at a time, on the same pair (v, s = 1 - v) and at the same
+    # tolerance, which every node certifies; (1e-6, 0.1) and (1e-9, 0.1) put
+    # c - a - b within 2e-6 of 1
     htol = 1e-11
-    for k0, k1 in ((-0.35, 0.08), (0.3, 0.1), (0.0, 0.45), (1e-6, 0.1)):
+    for k0, k1 in ((-0.35, 0.08), (0.3, 0.1), (0.0, 0.45), (1e-6, 0.1), (1e-9, 0.1)):
         for i, j in ((1, 1), (2, 2), (1, 3), (2, 4)):
             v, s, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, 96, htol)
-            node_tol = htol * np.maximum(1.0, w.max() / (96 * w))
-            assert float(np.dot(w, node_tol)) <= 2.0 * htol * float(w.sum())
 
             def per_node(k):
                 params = [_H_PARAMS[k](k0, k1)]
-                nodes = zip(v.tolist(), s.tolist(), node_tol.tolist())
-                rows = [_gauss_2f1_rows(params, [z], [c], tol)[0] for z, c, tol in nodes]
+                rows = [_gauss_2f1_rows(params, [z], [c], htol)[0] for z, c in zip(v.tolist(), s.tolist())]
                 return np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])
 
             (vi, ti), (vj, tj) = per_node(i), per_node(j)
