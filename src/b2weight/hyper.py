@@ -18,7 +18,7 @@ m with limit 1, so the ratio of consecutive terms from index m on is at most
 and if r < 1 the whole tail from t_m on is at most |t_m| / (1 - r).
 
 The float path works on arrays: ``_gauss_2f1_rows`` takes several parameter
-triples at a whole array of arguments.  Away from z = 1 it sums all their
+triples, each at its own array of arguments.  Away from z = 1 it sums all their
 series in one ``_sum_series`` call, which runs every row in the order of a
 one-term-at-a-time loop.  Near z = 1 each triple takes one series in
 w = 1 - z, uniform in the distance of c - a - b from the nearest integer
@@ -459,73 +459,81 @@ def _connection_rows(
 
 def _gauss_2f1_rows(
     params: list[tuple[float, float, float]],
-    z: np.ndarray,
-    w: np.ndarray,
+    z: list,
+    w: list,
     tol: float,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """F(a, b; c; z) for every triple (a, b, c) of ``params`` at every z of an array.
+    """F(a, b; c; z) for every triple (a, b, c) of ``params`` at its own arguments.
 
-    ``z`` and ``w`` are float arrays or sequences in [0, 1]; ``w`` holds 1 - z,
-    possibly to better accuracy than the subtraction.  Returns one (value,
-    tail_bound, terms_used) triple of arrays per parameter triple.  The
-    branches are those ``gauss_2f1`` documents, chosen per triple and
-    argument.  The terminating, z = 1 and forward branches declare their
-    series as rows (triple, argument indices, factor, the factor's relative
-    rounding, series parameters), all summed in one ``_sum_series`` call:
-    the value is factor * series, the bound |factor| * tail plus
+    ``z`` and ``w`` hold one float array or sequence per triple, in [0, 1];
+    ``w`` holds 1 - z, possibly to better accuracy than the subtraction.
+    Callers that share their arguments pass the same array for each triple.
+    Returns one (value, tail_bound, terms_used) triple of arrays per
+    parameter triple.  The branches are those ``gauss_2f1`` documents, chosen
+    per triple and argument.  The terminating, z = 1 and forward branches
+    declare their series as rows (argument indices, factor, the factor's
+    relative rounding, series parameters), all summed in one ``_sum_series``
+    call: the value is factor * series, the bound |factor| * tail plus
     |factor * series| times the rounding.  Arguments with 1 - z < 1/4 take
     ``_connection_rows``.  A bound over tol * (1 + |value|), or one that is
     not finite, raises ToleranceError.
     """
     import numpy as np
 
-    z, w = np.asarray(z, dtype=float), np.asarray(w, dtype=float)
+    ends = np.cumsum([len(x) for x in z]).tolist()
+    z = np.concatenate([np.asarray(x, dtype=float) for x in z])
+    w = np.concatenate([np.asarray(x, dtype=float) for x in w])
     # the better-conditioned representation of the argument wins
     z_eff = np.where(w >= 0.5, z, 1.0 - w)
     unit = np.flatnonzero(w == 0.0)
     forward = np.flatnonzero((w != 0.0) & (z_eff <= 0.75))
     near = np.flatnonzero((w != 0.0) & ~(z_eff <= 0.75))
-    logs = [math.log(x) for x in w[near].tolist()]
-    value, bound = np.zeros((2, len(params), len(z)))
-    terms = np.zeros((len(params), len(z)), dtype=np.int64)
-    rows = []  # (triple, argument indices, factor, its relative rounding, a, b, c, x, max_terms)
-    for k, (a, b, c) in enumerate(params):
+    logs = np.zeros(len(z))
+    logs[near] = [math.log(x) for x in w[near].tolist()]
+    value, bound = np.zeros((2, len(z)))
+    terms = np.zeros(len(z), dtype=np.int64)
+    rows = []  # (argument indices, factor, its relative rounding, a, b, c, x, max_terms)
+    for (a, b, c), start, end in zip(params, [0, *ends], ends):
         a, b, c = float(a), float(b), float(c)
+        # this triple's arguments on each branch
+        unit_k, forward_k, near_k = (
+            at[slice(*np.searchsorted(at, (start, end)))] for at in (unit, forward, near)
+        )
         if _is_nonpositive_integer(c, tol=0.0):
             raise RegionError(f"gauss_2f1 parameter c = {c} is a non-positive integer")
         if (a <= 0 and a == round(a)) or (b <= 0 and b == round(b)):
-            rows.append((k, np.arange(len(z)), 1.0, 0.0, a, b, c, z_eff, 10**6))
+            rows.append((np.arange(start, end), 1.0, 0.0, a, b, c, z_eff[start:end], 10**6))
             continue
-        if unit.size:
+        if unit_k.size:
             d = c - a - b
             if d <= 0:
                 raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {d} is not positive")
             # Gauss's sum of five rounded gamma values; the series at w = 0 is exactly 1
-            rows.append((k, unit, _gauss_sum(a, b, c), 5.0 * _GAMMA_RELERR, a, b, c, w[unit], 1))
-        rows.append((k, forward, 1.0, 0.0, a, b, c, z_eff[forward], 2_000))
-        if near.size:
-            connection = _connection_rows(a, b, c, w[near], logs)
-            value[k, near], bound[k, near], terms[k, near] = connection
+            rows.append((unit_k, _gauss_sum(a, b, c), 5.0 * _GAMMA_RELERR, a, b, c, w[unit_k], 1))
+        rows.append((forward_k, 1.0, 0.0, a, b, c, z_eff[forward_k], 2_000))
+        if near_k.size:
+            connection = _connection_rows(a, b, c, w[near_k], logs[near_k].tolist())
+            value[near_k], bound[near_k], terms[near_k] = connection
 
-    owners, indices, factors, roundings, a, b, c, x, max_terms = zip(*rows)
+    indices, factors, roundings, a, b, c, x, max_terms = zip(*rows)
     sizes = [len(at) for at in indices]
     factor, rounding, a, b, c, max_terms = (
         np.repeat(np.array(column, dtype=float), sizes)
         for column in (factors, roundings, a, b, c, max_terms)
     )
     summed, tail, count = _sum_series(a, b, c, np.concatenate(x), np.full(len(a), tol), max_terms)
-    where = np.concatenate([k * len(z) + at for k, at in zip(owners, indices)])
+    where = np.concatenate(indices)
     part = factor * summed
-    value.reshape(-1)[where] = part
-    bound.reshape(-1)[where] = np.abs(factor) * tail + np.abs(part) * rounding
-    terms.reshape(-1)[where] = count
-    over = np.argwhere(~(bound <= tol * (1.0 + np.abs(value))) | ~np.isfinite(value))
+    value[where] = part
+    bound[where] = np.abs(factor) * tail + np.abs(part) * rounding
+    terms[where] = count
+    over = np.flatnonzero(~(bound <= tol * (1.0 + np.abs(value))) | ~np.isfinite(value))
     if over.size:
-        k, j = over[0]
+        j = over[0]
         place = "at z=1" if w[j] == 0.0 else "near z=1" if j in near else f"at z={float(z[j])}"
-        best = f"best bound {bound[k, j]:.3e}"
+        best = f"best bound {bound[j]:.3e}"
         raise ToleranceError(f"tol={tol} unreachable for 2F1 {place} ({best})")
-    return list(zip(value, bound, terms))
+    return [(value[i:j], bound[i:j], terms[i:j]) for i, j in zip([0, *ends], ends)]
 
 
 def gauss_2f1(
@@ -552,7 +560,7 @@ def gauss_2f1(
     a, b, c, z = float(a), float(b), float(c), float(z)
     if not 0.0 <= z <= 1.0:
         raise RegionError(f"gauss_2f1 requires 0 <= z <= 1, got z = {z}")
-    ((value, bound, terms),) = _gauss_2f1_rows([(a, b, c)], [z], [1.0 - z], tol)
+    ((value, bound, terms),) = _gauss_2f1_rows([(a, b, c)], [[z]], [[1.0 - z]], tol)
     return HypResult(float(value[0]), float(bound[0]), int(terms[0]))
 
 

@@ -22,9 +22,12 @@ normalization), so no infinite-domain quadrature appears anywhere.
 The order n of a pairing enters only through an explicit factor
 (1 - v)^e (1 + v)^(-e-2); the weight's exponents a = +/-(k1 + 1/2) and b0
 (-2 k0 for p12, 0 for p14) do not depend on n.  So every n of both kinds at
-one point draws on four rule families, and a bounded memo keeps each rule
-with the products of h-values at its nodes.  The series are summed per rule,
-all its nodes in one batch, not once per node and n.  Mode "direct" likewise
+one point draws on four rule families, and a bounded memo keeps, per point,
+each rule with the products of h-values at its nodes.  The first pairing at
+a point builds the 24- and 48-node rules of all four families, which every
+pairing needs, together: one stacked eigen-solve per size and one series
+call for every h-value at their nodes.  A later level is built when a family
+first reaches it, its nodes again in one batch.  Mode "direct" likewise
 needs L only at the slope: a second bounded memo keeps, per point and
 tanh-sinh batch (levels 0 to 3, then each later level), the batch's nodes
 with L's entries and their bounds there, so every n and kind at one point
@@ -82,35 +85,41 @@ class QuadResult:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_jacobi_01(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for integrating v^alpha (1-v)^beta * f(v) over [0, 1].
+def _gauss_jacobi_01(
+    n: int, exponents: list[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights for integrating v^alpha (1-v)^beta * f(v) over [0, 1], one
+    row of each per pair (alpha, beta) of ``exponents``.
 
-    Golub-Welsch, n >= 2: numpy's dense eigen-solve of the tridiagonal
-    recurrence matrix, O(n^3), 4.8 s at n = 3072 on one thread.  The first
-    moment is formed through lgamma, so very large exponents (deep endpoint
-    powers such as (1-v)^n with n in the hundreds) stay inside float range.
+    Golub-Welsch, n >= 2: one numpy eigen-solve of the stacked tridiagonal
+    recurrence matrices, O(n^3) each, 4.8 s at n = 3072 on one thread.  A
+    stack gives each rule the bits of its own solve.  The first moment is
+    formed through lgamma, so very large exponents (deep endpoint powers such
+    as (1-v)^n with n in the hundreds) stay inside float range.
     """
-    a_exp = float(beta)   # exponent of (1-x) in the [-1, 1] convention
-    b_exp = float(alpha)  # exponent of (1+x)
-    s = a_exp + b_exp
-    diag = np.empty(n)
-    diag[0] = (b_exp - a_exp) / (s + 2.0)
-    i = np.arange(1, n, dtype=float)
-    diag[1:] = (b_exp**2 - a_exp**2) / ((2.0 * i + s) * (2.0 * i + s + 2.0))
-    off = np.empty(n - 1)
-    # the j = 1 coefficient in a form with the (1+s) factor cancelled, which
-    # the Chebyshev-type case s = -1 needs
-    off[0] = math.sqrt(4.0 * (1.0 + a_exp) * (1.0 + b_exp) / ((2.0 + s) ** 2 * (3.0 + s)))
-    j = np.arange(2, n, dtype=float)
-    num = 4.0 * j * (j + a_exp) * (j + b_exp) * (j + s)
-    den = (2.0 * j + s) ** 2 * ((2.0 * j + s) ** 2 - 1.0)
-    off[1:] = np.sqrt(num / den)
-    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    v = 0.5 * (x + 1.0)
-    mu0 = math.exp(
-        math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0)
-    )
-    return v, mu0 * vecs[0, :] ** 2
+    matrices, moments = [], []
+    for alpha, beta in exponents:
+        a_exp = float(beta)   # exponent of (1-x) in the [-1, 1] convention
+        b_exp = float(alpha)  # exponent of (1+x)
+        s = a_exp + b_exp
+        diag = np.empty(n)
+        diag[0] = (b_exp - a_exp) / (s + 2.0)
+        i = np.arange(1, n, dtype=float)
+        diag[1:] = (b_exp**2 - a_exp**2) / ((2.0 * i + s) * (2.0 * i + s + 2.0))
+        off = np.empty(n - 1)
+        # the j = 1 coefficient in a form with the (1+s) factor cancelled, which
+        # the Chebyshev-type case s = -1 needs
+        off[0] = math.sqrt(4.0 * (1.0 + a_exp) * (1.0 + b_exp) / ((2.0 + s) ** 2 * (3.0 + s)))
+        j = np.arange(2, n, dtype=float)
+        num = 4.0 * j * (j + a_exp) * (j + b_exp) * (j + s)
+        den = (2.0 * j + s) ** 2 * ((2.0 * j + s) ** 2 - 1.0)
+        off[1:] = np.sqrt(num / den)
+        matrices.append(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        moments.append(math.exp(
+            math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0)
+        ))
+    x, vecs = np.linalg.eigh(np.array(matrices))
+    return 0.5 * (x + 1.0), np.array(moments)[:, None] * vecs[:, 0, :] ** 2
 
 
 @functools.cache
@@ -234,7 +243,7 @@ def singular_integral(
 
     def levels():
         for size in _GJ_SIZES:
-            v, w = _gauss_jacobi_01(size, alpha, beta)
+            (v,), (w,) = _gauss_jacobi_01(size, [(alpha, beta)])
             values = np.asarray(smooth(v), dtype=float)
             # the weights are positive; the sum rounds at most once per term
             rounding = (size + 2 + moment) * _EPS * float(np.dot(w, np.abs(values)))
@@ -260,7 +269,7 @@ def sector_inner_numeric(
 
     mode "h" (default) integrates the factored single-series form in v = u^2
     with Gauss-Jacobi carrying the exact endpoint exponents, on the graded
-    variable x of 1 - v = (1 - x)^2 (1 + x) (see ``_h_rule``); mode "direct"
+    variable x of 1 - v = (1 - x)^2 (1 + x) (see ``_h_build``); mode "direct"
     integrates the raw matrix form over the slope u = tan(theta) with a
     double-exponential rule and exists as an independent cross-check of the
     factored route.
@@ -283,11 +292,14 @@ def sector_inner_numeric(
     raise ValueError(f"mode must be 'h' or 'direct', got {mode!r}")
 
 
-# Rules kept at once: one point's pairings draw on four families (two kinds
-# times two slots) of at most eight doubling levels each (24 to 3072 nodes).
-# On the graded rule, for n <= 20 over the step-1/20 grid, no family goes
-# past 96 nodes at tol 1e-9 or past 384 at tol 1e-11.
-_H_RULE_CACHE = 32
+# Points kept at once, each with every rule its pairings reached: four
+# families (two kinds times two slots) of at most eight doubling levels each
+# (24 to 3072 nodes).  On the graded rule, for n <= 20 over the step-1/20
+# grid, no family goes past 96 nodes at tol 1e-9 or past 384 at tol 1e-11.
+_H_POINT_CACHE = 4
+
+# the families (i, j) of h_i h_j: p12's slots 1 and 2, then p14's
+_H_FAMILIES = ((1, 1), (2, 2), (1, 3), (2, 4))
 
 # the relative rounding, in units of eps, of the weights' graded factor
 # (1 + 3x)(1 + x)^b0 (1 + x(1 - x))^a for |a|, |b0| <= 1: two roundings in
@@ -309,35 +321,75 @@ def _moment_rounding(alpha: float, beta: float) -> float:
     return sum(map(abs, lgammas)) + 4.0
 
 
-@functools.lru_cache(maxsize=_H_RULE_CACHE)
+@functools.lru_cache(maxsize=_H_POINT_CACHE)
+def _h_point(k0: float, k1: float, htol: float) -> dict:
+    """The memo of mode "h" rules at one point, keyed (i, j, size).
+
+    It starts with the 24- and 48-node rules of all four families, which
+    every pairing needs (``_refine`` stops no earlier than its second level),
+    built together by one ``_h_build``; ``_h_rule`` adds each later level
+    when a family first reaches it.
+    """
+    return _h_build(k0, k1, htol, [(i, j, size) for size in _GJ_SIZES[:2] for i, j in _H_FAMILIES])
+
+
 def _h_rule(
     k0: float, k1: float, i: int, j: int, size: int, htol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ``size``-node rule for v^a (1-v)^b0 with h_i h_j at its nodes.
+    """The ``size``-node rule of family (i, j) at (k0, k1), from the point's
+    memo, built there on first use (see ``_h_build``)."""
+    rules = _h_point(k0, k1, htol)
+    if (i, j, size) not in rules:
+        rules.update(_h_build(k0, k1, htol, [(i, j, size)]))
+    return rules[i, j, size]
+
+
+def _h_build(k0: float, k1: float, htol: float, keys: list[tuple[int, int, int]]) -> dict:
+    """The rules (i, j, size) of ``keys``: the ``size``-node rule for
+    v^a (1-v)^b0 with h_i h_j at its nodes.
 
     The exponents a and b0 are ``_h_exponents``.  The rule is built in the
     graded variable x of v = x (1 + x(1 - x)), 1 - v = (1 - x)^2 (1 + x): with
     dv = (1 - x)(1 + 3x) dx the weight becomes x^a (1-x)^(2 b0 + 1), carried by
     Gauss-Jacobi, times (1 + 3x)(1 + x)^b0 (1 + x(1 - x))^a, folded into the
     weights.  The map doubles every non-integer power of 1 - v that h_i h_j
-    carries at v = 1 and keeps v ~ x near 0.  Every node's series is summed
-    to htol.  Returns v, s = 1 - v (from the map, without cancellation), the
-    weights, the product h_i h_j and a bound on its error from the certified
-    tail bounds of the two series.
+    carries at v = 1 and keeps v ~ x near 0.  The rules of one size take one
+    stacked eigen-solve, and every h_k is summed to htol in one series call
+    at the nodes of the rules whose family carries it.  Each rule maps to
+    read-only v, s = 1 - v (from the map, without cancellation), the weights,
+    the product h_i h_j and a bound on its error from the certified tail
+    bounds of the two series.
     """
-    a, b0 = _h_exponents(k0, k1, i, j)
-    x, w = _gauss_jacobi_01(size, a, 2.0 * b0 + 1.0)
-    t = 1.0 - x  # exact for x >= 1/2
-    g = 1.0 + x * t
-    v, s = x * g, t * t * (1.0 + x)
-    w = w * (1.0 + 3.0 * x) * (1.0 + x) ** b0 * g**a
-    indices = (i,) if j == i else (i, j)
-    series = _gauss_2f1_rows([_H_PARAMS[k](k0, k1) for k in indices], v, s, htol)
-    (vi, ti, _), (vj, tj, _) = series[0], series[-1]
-    arrays = (v, s, w, vi * vj, np.abs(vi) * tj + np.abs(vj) * ti + ti * tj)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    nodes = {}  # (i, j, size) -> v, s, w
+    for size in dict.fromkeys(size for *_, size in keys):
+        group = [key for key in keys if key[2] == size]
+        exponents = [_h_exponents(k0, k1, i, j) for i, j, _ in group]
+        xs, weights = _gauss_jacobi_01(size, [(a, 2.0 * b0 + 1.0) for a, b0 in exponents])
+        for key, (a, b0), x, weight in zip(group, exponents, xs, weights):
+            t = 1.0 - x  # exact for x >= 1/2
+            g = 1.0 + x * t
+            # one family at a time: with scalar exponents numpy takes the
+            # bits of its fast paths (sqrt at 0.5), as a single rule does
+            nodes[key] = x * g, t * t * (1.0 + x), weight * (1.0 + 3.0 * x) * (1.0 + x) ** b0 * g**a
+    # each h_k at the nodes of every rule whose family carries it, in one call
+    carriers = {k: [key for key in nodes if k in key[:2]] for k in _H_PARAMS}
+    used = [k for k in _H_PARAMS if carriers[k]]
+    zs, ws = (
+        [np.concatenate([nodes[key][part] for key in carriers[k]]) for k in used] for part in (0, 1)
+    )
+    series = _gauss_2f1_rows([_H_PARAMS[k](k0, k1) for k in used], zs, ws, htol)
+    h = {}  # (key, k) -> h_k at the nodes of rule key, and its bound
+    for k, (value, bound, _) in zip(used, series):
+        ends = np.cumsum([size for *_, size in carriers[k]])[:-1]
+        for key, hk, tk in zip(carriers[k], np.split(value, ends), np.split(bound, ends)):
+            h[key, k] = hk, tk
+    rules = {}
+    for key, (v, s, w) in nodes.items():
+        (vi, ti), (vj, tj) = h[key, key[0]], h[key, key[1]]
+        rules[key] = (v, s, w, vi * vj, np.abs(vi) * tj + np.abs(vj) * ti + ti * tj)
+        for array in rules[key]:
+            array.flags.writeable = False
+    return rules
 
 
 def _h_integral(
@@ -347,10 +399,10 @@ def _h_integral(
 
     The weight v^a (1-v)^b0 is ``_h_rule``'s.  Only the explicit factor
     depends on e, so every n at one point reuses the nodes, weights and
-    h-values of the family (k0, k1, i, j).  The error estimate adds to the
-    refinement difference the h error carried through the rule and the
-    rounding of the weights (their first moment and graded factor) and of
-    forming and summing the terms.
+    h-values of the family (i, j) from the point's memo.  The error estimate
+    adds to the refinement difference the h error carried through the rule
+    and the rounding of the weights (their first moment and graded factor)
+    and of forming and summing the terms.
     """
     a, b0 = _h_exponents(k0, k1, i, j)
     per_term = 9 * e + 8 + _GRADED_ROUNDING + _moment_rounding(a, 2.0 * b0 + 1.0)

@@ -119,8 +119,8 @@ def _eval_L_bounded(
     params = [(-k0, 0.5 - k0 + k1, k1 + 0.5), (-k0, 0.5 - k0 - k1, 0.5 - k1)]
     if k0 != 0.0:
         params += [(1 - k0, 0.5 - k0 + k1, k1 + 1.5), (1 - k0, 0.5 - k0 - k1, 1.5 - k1)]
-    # _gauss_2f1_rows takes 1 - w for u^2 where w < 1/2
-    series = _gauss_2f1_rows(params, u * u, w, tol)
+    # _gauss_2f1_rows takes 1 - w for u^2 where w < 1/2; every triple at every slope
+    series = _gauss_2f1_rows(params, [u * u] * len(params), [w] * len(params), tol)
     ell, err = np.zeros((2, 2, len(u))), np.zeros((2, 2, len(u)))
     (f11, t11, _), (f22, t22, _) = series[:2]
     ell[0, 0], err[0, 0] = up * pref * f11, up * pref * t11
@@ -188,7 +188,7 @@ def combo_forms(u: float, p: ParamPoint, tol: float = 1e-11) -> ComboForms:
     plus = w**k0 / norm
     triples = [_H_PARAMS[i](float(k0), float(k1)) for i in (1, 2, 3, 4)]
     h1, h2, h3, h4 = (
-        float(h[0]) for h, _, _ in _gauss_2f1_rows(triples, np.array([z]), np.array([w]), tol)
+        float(h[0]) for h, _, _ in _gauss_2f1_rows(triples, [[z]] * 4, [[w]] * 4, tol)
     )
     factored = (
         u ** (k1 + 1) * minus * (1 + 2 * k0 + 2 * k1) / (1 + 2 * k1) * h1,

@@ -9,9 +9,9 @@ import pytest
 def count_calls(monkeypatch):
     """Count the calls of a function wherever a b2weight module binds it.
 
-    ``count_calls(module, name)`` replaces every b2weight module attribute
-    that is ``module.name`` with a counting wrapper for the test and returns
-    the list that collects one entry per call.
+    ``count_calls(module, name)`` replaces ``module.name`` and every b2weight
+    module attribute that is the same function with a counting wrapper for
+    the test and returns the list that collects one entry per call.
     """
 
     def install(module, name):
@@ -22,6 +22,7 @@ def count_calls(monkeypatch):
             calls.append(args)
             return original(*args, **kwargs)
 
+        monkeypatch.setattr(module, name, counted)
         for key, owner in list(sys.modules.items()):
             if key == "b2weight" or key.startswith("b2weight."):
                 for attr, value in list(vars(owner).items()):

@@ -118,6 +118,16 @@ def test_verify_quad_reports_a_pairing_error_in_its_row(capsys, monkeypatch):
     assert all(c["pass"] is True for c in checks.values())
 
 
+@pytest.mark.parametrize("k0", ["0.4999999999", "-0.4999999999"])
+def test_verify_quad_compares_with_the_closed_form_at_the_float_point(capsys, k0):
+    # the pairing is computed at float(k0); the closed form at the decimal
+    # rational k0 differs from it by 8e-8 relative on p14 at n = 0
+    code, out, _ = run_cli(capsys, "verify", "quad", f"--k0={k0}", "--k1=0", "--nmax", "20")
+    checks = json.loads(out)["checks"]
+    assert code == 0 and len(checks) == 45
+    assert all(c["pass"] is True for c in checks), [c["name"] for c in checks if not c["pass"]]
+
+
 _ASYM_NAMES = [
     "asym/normalized_f1/n200",
     "asym/normalized_f1/n800",
@@ -247,7 +257,11 @@ def test_verify_csv_error_and_region_rows(capsys, monkeypatch):
     assert code == 1
     rows = out.splitlines()
     # a comma inside a cell is written as ';'
-    prefix = "quad/pairing_vs_closed/p14/n00,-0.00019998,error: Gauss-Jacobi rule of 24 nodes gave "
+    # the closed form at float(4999/10000), the point the pairing is computed at
+    prefix = (
+        "quad/pairing_vs_closed/p14/n00,-0.000199979999999978,"
+        "error: Gauss-Jacobi rule of 24 nodes gave "
+    )
     assert rows[-1].startswith(prefix) and rows[-1].endswith("; error term inf,1e-08,False")
     assert all(len(row.split(",")) == 5 for row in rows)
     code, out, _ = run_cli(

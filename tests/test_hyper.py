@@ -292,7 +292,7 @@ def _assert_rows_match_reference(params, zs, ws, tol):
             except (RegionError, ToleranceError) as exc:
                 raised.add(type(exc))
     try:
-        rows = _gauss_2f1_rows(params, np.array(zs), np.array(ws), tol)
+        rows = _gauss_2f1_rows(params, [zs] * len(params), [ws] * len(params), tol)
     except (RegionError, ToleranceError) as exc:
         assert type(exc) in raised, exc
         return
@@ -373,12 +373,24 @@ def test_batched_series_cover_every_branch():
     ws = [1.0 - z for z in zs]
     params = [(1.9, 1.3, 0.6), (-2.0, 0.5, 1.1), (0.5, 0.25, 1.5)]
     _assert_rows_match_reference(params, zs, ws, 1e-12)
-    _, _, terms = _gauss_2f1_rows(params[:1], np.array(zs[1:6]), np.array(ws[1:6]), 1e-12)[0]
+    _, _, terms = _gauss_2f1_rows(params[:1], [zs[1:6]], [ws[1:6]], 1e-12)[0]
     # blocks of _FIRST_BLOCK, then twice that: indices below 32, 96 and above
     blocks = {int(np.searchsorted([_FIRST_BLOCK, 3 * _FIRST_BLOCK], m, side="right")) for m in terms}
     assert blocks == {0, 1, 2}
     # c - a - b = -1 + 2e-6 (after an Euler transform) and 3e-6
     _assert_rows_match_reference([(0.7, 0.2, -0.1 + 2e-6), (0.1, 0.6, 0.7 + 3e-6)], zs[6:8], ws[6:8], 1e-9)
+
+
+def test_each_triple_takes_its_own_arguments():
+    # one call over triples with arguments of their own, none for one of
+    # them, gives each triple the bits of a call at that triple alone
+    zs = [0.0, 0.001, 0.2, 0.5, 0.7, 0.75, 0.8, 0.95, 1.0]
+    params = [(1.9, 1.3, 0.6), (-2.0, 0.5, 1.1), (0.5, 0.25, 1.5), (0.3, 0.4, 0.7005)]
+    args = [zs[:8:2], [], zs[1:6], zs[4:]]
+    rows = _gauss_2f1_rows(params, args, [[1.0 - z for z in at] for at in args], 1e-12)
+    for triple, at, got in zip(params, args, rows):
+        (alone,) = _gauss_2f1_rows([triple], [at], [[1.0 - z for z in at]], 1e-12)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
 
 
 # calls whose bound at tol = 1e-12 exceeded tol * (1 + |value|) when c - a - b
@@ -413,7 +425,7 @@ def test_sliver_rows_refuse_a_bound_over_the_contract():
 def test_every_returned_row_meets_the_contract(case):
     params, zs, ws, tol = case
     try:
-        rows = _gauss_2f1_rows(params, zs, ws, tol)
+        rows = _gauss_2f1_rows(params, [zs] * len(params), [ws] * len(params), tol)
     except (RegionError, ToleranceError):
         return
     for value, bound, _ in rows:
@@ -459,7 +471,7 @@ def test_2f1_bound_holds_against_the_oracle(case):
         if w is None:
             res = gauss_2f1(a, b, c, z, tol=tol)
         else:
-            ((value, bound, terms),) = _gauss_2f1_rows([(a, b, c)], [z], [w], tol)
+            ((value, bound, terms),) = _gauss_2f1_rows([(a, b, c)], [[z]], [[w]], tol)
             res = HypResult(float(value[0]), float(bound[0]), int(terms[0]))
     except (RegionError, ToleranceError):
         return

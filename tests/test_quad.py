@@ -1,5 +1,6 @@
 """Quadrature engine self-tests and the numeric route to the pairings."""
 
+import itertools
 import math
 import random
 import warnings
@@ -15,7 +16,9 @@ from b2weight.hyper import _H_PARAMS, _gauss_2f1_rows, gamma_fn, s_inner_closed
 from b2weight.quad import (
     QuadResult,
     _DIRECT_RULE_CACHE,
+    _H_POINT_CACHE,
     _direct_rule,
+    _h_point,
     _h_rule,
     _tanh_sinh_nodes,
     asym_integral_check,
@@ -298,7 +301,7 @@ def test_numeric_route_never_calls_the_scalar_series(count_calls):
     # the pairings and eval_K sum their series in batches, never one argument
     # at a time through h_func or gauss_2f1
     scalar = [count_calls(hyper, name) for name in ("h_func", "gauss_2f1")]
-    _h_rule.cache_clear()
+    _h_point.cache_clear()
     for k0, k1 in ((0.3, 0.1), (1 / 60, 13 / 31), (-0.45, 0.0)):
         p = ParamPoint(k0, k1)
         for n in (0, 3):
@@ -446,10 +449,10 @@ def test_shared_rule_results_do_not_depend_on_cache_state():
     def sweep(order):
         return {call: _bits(sector_inner_numeric(*call, p)) for call in order}
 
-    _h_rule.cache_clear()
+    _h_point.cache_clear()
     cold = sweep(PAIRINGS_TO_20)
     warm = sweep(PAIRINGS_TO_20)
-    _h_rule.cache_clear()
+    _h_point.cache_clear()
     reverse = sweep(PAIRINGS_TO_20[::-1])
     assert cold == warm == reverse
 
@@ -484,18 +487,20 @@ def test_direct_rule_cache_stays_bounded_and_read_only():
 
 
 def test_h_rule_values_equal_per_node_h_func():
-    # one batched call per rule gives the bits of h_func's series summed one
-    # node at a time, on the same pair (v, s = 1 - v) and at the same
-    # tolerance, which every node certifies; (1e-6, 0.1) and (1e-9, 0.1) put
-    # c - a - b within 2e-6 of 1
+    # the batched series call of a build gives the bits of h_func's series
+    # summed one node at a time, on the same pair (v, s = 1 - v) and at the
+    # same tolerance, which every node certifies: at 24 nodes from the build
+    # of all four families' first two levels, at 96 from a family's own;
+    # (1e-6, 0.1) and (1e-9, 0.1) put c - a - b within 2e-6 of 1
     htol = 1e-11
-    for k0, k1 in ((-0.35, 0.08), (0.3, 0.1), (0.0, 0.45), (1e-6, 0.1), (1e-9, 0.1)):
+    points = ((-0.35, 0.08), (0.3, 0.1), (0.0, 0.45), (1e-6, 0.1), (1e-9, 0.1))
+    for (k0, k1), size in itertools.product(points, (24, 96)):
         for i, j in ((1, 1), (2, 2), (1, 3), (2, 4)):
-            v, s, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, 96, htol)
+            v, s, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, size, htol)
 
             def per_node(k):
                 params = [_H_PARAMS[k](k0, k1)]
-                rows = [_gauss_2f1_rows(params, [z], [c], htol)[0] for z, c in zip(v.tolist(), s.tolist())]
+                rows = [_gauss_2f1_rows(params, [[z]], [[c]], htol)[0] for z, c in zip(v.tolist(), s.tolist())]
                 return np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])
 
             (vi, ti), (vj, tj) = per_node(i), per_node(j)
@@ -503,18 +508,33 @@ def test_h_rule_values_equal_per_node_h_func():
             assert hprod_bound.tobytes() == (np.abs(vi) * tj + np.abs(vj) * ti + ti * tj).tobytes()
 
 
-def test_shared_rule_cache_stays_bounded():
-    _h_rule.cache_clear()
+def test_shared_rule_cache_stays_bounded(count_calls):
+    builds = count_calls(quad, "_h_build")
+    _h_point.cache_clear()
     for k0, k1 in SHARED_RULE_POINTS[3:]:
         p = ParamPoint(float(k0), float(k1))
         for n, kind in PAIRINGS_TO_20:
             sector_inner_numeric(n, kind, p)
-            info = _h_rule.cache_info()
-            assert info.currsize <= info.maxsize
+            assert _h_point.cache_info().currsize <= _H_POINT_CACHE
         # one point's rule families fit: a second sweep builds no rule
+        built = len(builds)
         for n, kind in PAIRINGS_TO_20:
             sector_inner_numeric(n, kind, p)
-        assert _h_rule.cache_info().misses == info.misses
+        assert len(builds) == built
+
+
+def test_a_fresh_point_builds_its_first_two_levels_at_once(count_calls):
+    # the 42 pairings at a point whose families all stop by 48 nodes: the
+    # four families' 24- and 48-node rules take one stacked eigen-solve per
+    # size and one series call between them
+    series = count_calls(quad, "_gauss_2f1_rows")
+    solves = count_calls(np.linalg, "eigh")
+    _h_point.cache_clear()
+    p = ParamPoint(0.3, 0.1)
+    for n, kind in PAIRINGS_TO_20:
+        sector_inner_numeric(n, kind, p, tol=1e-9)
+    assert len(series) == 1
+    assert [matrices.shape for (matrices,) in solves] == [(4, 24, 24), (4, 48, 48)]
 
 
 def test_asym_integral_plain_ratio():
