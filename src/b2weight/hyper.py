@@ -90,6 +90,12 @@ class ParamPoint:
 # ---------------------------------------------------------------------------
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a NaN or negative tolerance, which no rule can meet, before any work."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
+
+
 def _is_nonpositive_integer(x: float, tol: float = 0.0) -> bool:
     return x <= 0.5 and abs(x - round(x)) <= tol and round(x) <= 0
 
@@ -125,7 +131,7 @@ def _sum_series(
     b: np.ndarray,
     c: np.ndarray,
     z: np.ndarray,
-    tol: np.ndarray,
+    tol: float,
     max_terms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward summation of F(a_k, b_k; c_k; z_k), 0 <= z_k < 1, for every row k.
@@ -134,10 +140,13 @@ def _sum_series(
     first index m <= max_terms where its term is zero (a terminating series,
     bounded by rounding alone) or where, from the first index past every
     negative parameter on, the tail bound of the module docstring is at most
-    its tol; a row with no such index raises ToleranceError.  The terms, the
+    tol; a row with no such index raises ToleranceError.  The terms, the
     partial sums and the sums of absolute values are formed in blocks of
     indices by ``multiply.accumulate`` and ``add.accumulate``, which run in
     sequence, so every row rounds exactly as a one-term-at-a-time loop would.
+    A block shifts a, b and c of its live rows by its indices in one addition
+    and forms each |term| once, for the sums of absolute values and the tail
+    bounds; only rows still going carry their term and sums to the next block.
     """
     import numpy as np
 
@@ -147,45 +156,48 @@ def _sum_series(
     # the first index past every negative parameter
     m_pos = np.maximum(np.ceil(-np.minimum(np.minimum(a, b), c)), 0.0) + 1.0
     live = np.flatnonzero(z != 0.0)  # F = 1 exactly at z = 0
-    # per live row: a, b, c, z, tol, max_terms, m_pos, and the running term,
+    # per live row: a, b, c, z, max_terms, m_pos, and the running term,
     # partial sum and sum of absolute values
     carry = np.ones(rows), np.zeros(rows), np.zeros(rows)
-    state = np.array([a, b, c, z, tol, max_terms, m_pos, *carry])[:, live]
+    state = np.array([a, b, c, z, max_terms, m_pos, *carry])[:, live]
     start, width = 0, _FIRST_BLOCK
     with np.errstate(all="ignore"):  # rows past their stop may overflow
         while live.size:
             width = max(1, min(width, _BLOCK_FLOATS // live.size))
             m = np.arange(start, start + width, dtype=float)
-            ra, rb, rc, rz, rtol, rmax, rpos, term, total, abs_sum = state[:, :, None]
-            am, bm, cm, m1 = ra + m, rb + m, rc + m, 1.0 + m
+            m1 = 1.0 + m
+            am, bm, cm = state[:3, :, None] + m
+            rz, rmax, rpos, term, total, abs_sum = state[3:, :, None]
             # column j holds index start + j, the last column the carry
             ratio = am * bm / (cm * m1) * rz
             seq = np.multiply.accumulate(np.concatenate((term, ratio), axis=1), axis=1)
             now = seq[:, :-1]
+            size = np.abs(now)
             sums = np.add.accumulate(np.concatenate((total, now), axis=1), axis=1)
-            abs_sums = np.add.accumulate(np.concatenate((abs_sum, np.abs(now)), axis=1), axis=1)
+            abs_sums = np.add.accumulate(np.concatenate((abs_sum, size), axis=1), axis=1)
             r = rz * np.maximum(am / m1, 1.0) * np.maximum(bm / cm, 1.0)
-            tail = np.abs(now) / (1.0 - r)
-            certified = (m >= rpos) & (0.0 <= r) & (r < 1.0) & (tail <= rtol)
+            tail = size / (1.0 - r)
+            certified = (m >= rpos) & (0.0 <= r) & (r < 1.0) & (tail <= tol)
             stop = ((now == 0.0) | certified) & (m <= rmax)
-            first = stop.argmax(axis=1)
-            hit = np.flatnonzero(stop[np.arange(live.size), first])
+            first, stopped = stop.argmax(axis=1), stop.any(axis=1)
+            hit = np.flatnonzero(stopped)
             j = first[hit]
             rounding = _EPS * abs_sums[hit, j] * np.maximum(m[j], 1.0)
             done = live[hit]
             value[done] = sums[hit, j]
             bound[done] = np.where(now[hit, j] == 0.0, rounding, tail[hit, j] + rounding)
             terms[done] = np.maximum(start + j, 1)
-            going = np.ones(live.size, dtype=bool)
-            going[hit] = False
-            over = np.flatnonzero(going & (state[5] < start + width))
+            if hit.size == live.size:
+                break
+            going = ~stopped
+            over = np.flatnonzero(going & (rmax[:, 0] < start + width))
             if over.size:
                 k = live[over[0]]
                 raise ToleranceError(
-                    f"2F1 series did not certify tol={tol[k]} within {int(max_terms[k])} terms "
+                    f"2F1 series did not certify tol={tol} within {int(max_terms[k])} terms "
                     f"(a={a[k]}, b={b[k]}, c={c[k]}, z={z[k]})"
                 )
-            state[7:] = seq[:, -1], sums[:, -1], abs_sums[:, -1]
+            state[6:] = seq[:, -1], sums[:, -1], abs_sums[:, -1]
             live, state = live[going], state[:, going]
             start += width
             width *= 2
@@ -470,67 +482,71 @@ def _gauss_2f1_rows(
     Callers that share their arguments pass the same array for each triple.
     Returns one (value, tail_bound, terms_used) triple of arrays per
     parameter triple.  The branches are those ``gauss_2f1`` documents, chosen
-    per triple and argument.  The terminating, z = 1 and forward branches
-    declare their series as rows (argument indices, factor, the factor's
-    relative rounding, series parameters), all summed in one ``_sum_series``
-    call: the value is factor * series, the bound |factor| * tail plus
-    |factor * series| times the rounding.  Arguments with 1 - z < 1/4 take
-    ``_connection_rows``.  A bound over tol * (1 + |value|), or one that is
-    not finite, raises ToleranceError.
+    per triple and argument: one mask pass over all arguments gives each its
+    branch (z = 1, forward, or near z = 1 where 1 - z < 1/4), and each triple
+    declares one series row per branch (factor, the factor's relative
+    rounding, series parameters; a terminating triple the same row on every
+    branch), from which every argument gathers its own once.  All arguments
+    but the near ones of non-terminating triples are summed in one
+    ``_sum_series`` call: the value is factor * series, the bound |factor| *
+    tail plus |factor * series| times the rounding.  The near ones take
+    ``_connection_rows``, one call per triple.  A bound over tol * (1 +
+    |value|), or one that is not finite, raises ToleranceError.
     """
     import numpy as np
 
-    ends = np.cumsum([len(x) for x in z]).tolist()
-    z = np.concatenate([np.asarray(x, dtype=float) for x in z])
-    w = np.concatenate([np.asarray(x, dtype=float) for x in w])
+    sizes = [len(x) for x in z]
+    ends = np.cumsum(sizes).tolist()
+    z, w = np.concatenate(z, dtype=float), np.concatenate(w, dtype=float)
+    owner = np.repeat(np.arange(len(params)), sizes)
     # the better-conditioned representation of the argument wins
     z_eff = np.where(w >= 0.5, z, 1.0 - w)
-    unit = np.flatnonzero(w == 0.0)
-    forward = np.flatnonzero((w != 0.0) & (z_eff <= 0.75))
-    near = np.flatnonzero((w != 0.0) & ~(z_eff <= 0.75))
-    logs = np.zeros(len(z))
-    logs[near] = [math.log(x) for x in w[near].tolist()]
-    value, bound = np.zeros((2, len(z)))
-    terms = np.zeros(len(z), dtype=np.int64)
-    rows = []  # (argument indices, factor, its relative rounding, a, b, c, x, max_terms)
-    for (a, b, c), start, end in zip(params, [0, *ends], ends):
+    unit = w == 0.0
+    branch = np.where(unit, 0, np.where(z_eff <= 0.75, 1, 2))
+    at_unit = set(owner[unit].tolist())
+    # per triple, one row per branch (z = 1, forward, near): a, b, c, factor,
+    # its relative rounding, max_terms, and the argument summed (0: z, 1:
+    # w = 1 - z, 2: none, the near-1 series takes it)
+    table = []
+    for k, (a, b, c) in enumerate(params):
         a, b, c = float(a), float(b), float(c)
-        # this triple's arguments on each branch
-        unit_k, forward_k, near_k = (
-            at[slice(*np.searchsorted(at, (start, end)))] for at in (unit, forward, near)
-        )
         if _is_nonpositive_integer(c, tol=0.0):
             raise RegionError(f"gauss_2f1 parameter c = {c} is a non-positive integer")
         if (a <= 0 and a == round(a)) or (b <= 0 and b == round(b)):
-            rows.append((np.arange(start, end), 1.0, 0.0, a, b, c, z_eff[start:end], 10**6))
+            table += [(a, b, c, 1.0, 0.0, 10**6, 0)] * 3
             continue
-        if unit_k.size:
+        unit_row = (a, b, c, 1.0, 0.0, 1, 1)
+        if k in at_unit:
             d = c - a - b
             if d <= 0:
                 raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {d} is not positive")
             # Gauss's sum of five rounded gamma values; the series at w = 0 is exactly 1
-            rows.append((unit_k, _gauss_sum(a, b, c), 5.0 * _GAMMA_RELERR, a, b, c, w[unit_k], 1))
-        rows.append((forward_k, 1.0, 0.0, a, b, c, z_eff[forward_k], 2_000))
-        if near_k.size:
-            connection = _connection_rows(a, b, c, w[near_k], logs[near_k].tolist())
-            value[near_k], bound[near_k], terms[near_k] = connection
-
-    indices, factors, roundings, a, b, c, x, max_terms = zip(*rows)
-    sizes = [len(at) for at in indices]
-    factor, rounding, a, b, c, max_terms = (
-        np.repeat(np.array(column, dtype=float), sizes)
-        for column in (factors, roundings, a, b, c, max_terms)
-    )
-    summed, tail, count = _sum_series(a, b, c, np.concatenate(x), np.full(len(a), tol), max_terms)
-    where = np.concatenate(indices)
+            unit_row = (a, b, c, _gauss_sum(a, b, c), 5.0 * _GAMMA_RELERR, 1, 1)
+        table += [unit_row, (a, b, c, 1.0, 0.0, 2_000, 0), (a, b, c, 1.0, 0.0, 0, 2)]
+    rows = np.array(table)[3 * owner + branch]
+    value, bound = np.zeros((2, len(z)))
+    terms = np.zeros(len(z), dtype=np.int64)
+    near = np.flatnonzero(rows[:, 6] == 2.0)
+    if near.size:
+        # each triple's near arguments, in order
+        bounds = np.searchsorted(owner[near], np.arange(len(params) + 1)).tolist()
+        for (a, b, c, *_), first, last in zip(table[::3], bounds, bounds[1:]):
+            if first < last:
+                at = near[first:last]
+                logs = [math.log(x) for x in w[at].tolist()]
+                value[at], bound[at], terms[at] = _connection_rows(a, b, c, w[at], logs)
+    series = np.flatnonzero(rows[:, 6] != 2.0)
+    a, b, c, factor, rounding, max_terms, source = rows[series].T
+    x = np.where(source == 1.0, w[series], z_eff[series])
+    summed, tail, count = _sum_series(a, b, c, x, tol, max_terms)
     part = factor * summed
-    value[where] = part
-    bound[where] = np.abs(factor) * tail + np.abs(part) * rounding
-    terms[where] = count
+    value[series] = part
+    bound[series] = np.abs(factor) * tail + np.abs(part) * rounding
+    terms[series] = count
     over = np.flatnonzero(~(bound <= tol * (1.0 + np.abs(value))) | ~np.isfinite(value))
     if over.size:
         j = over[0]
-        place = "at z=1" if w[j] == 0.0 else "near z=1" if j in near else f"at z={float(z[j])}"
+        place = "at z=1" if w[j] == 0.0 else "near z=1" if branch[j] == 2 else f"at z={float(z[j])}"
         best = f"best bound {bound[j]:.3e}"
         raise ToleranceError(f"tol={tol} unreachable for 2F1 {place} ({best})")
     return [(value[i:j], bound[i:j], terms[i:j]) for i, j in zip([0, *ends], ends)]
@@ -555,11 +571,12 @@ def gauss_2f1(
     summation; z > 3/4 uses the two connection series in 1 - z as one series
     that stays well conditioned for every c - a - b, integer or nearly so
     (``_connection_series``, after an Euler transform when c - a - b is
-    nearer a negative integer).
+    nearer a negative integer).  A NaN or negative tol raises ValueError.
     """
     a, b, c, z = float(a), float(b), float(c), float(z)
     if not 0.0 <= z <= 1.0:
         raise RegionError(f"gauss_2f1 requires 0 <= z <= 1, got z = {z}")
+    _check_tol(tol)
     ((value, bound, terms),) = _gauss_2f1_rows([(a, b, c)], [[z]], [[1.0 - z]], tol)
     return HypResult(float(value[0]), float(bound[0]), int(terms[0]))
 
@@ -577,7 +594,8 @@ def h_func(i: int, z: float, k0: float, k1: float, tol: float = 1e-12) -> HypRes
 
     All four have c - a - b = 1 +/- 2*k0, so they converge absolutely on the
     whole of [0, 1] as long as |k0| < 1/2.  The bound keeps ``gauss_2f1``'s
-    contract, also where 2*k0 is nearly an integer (k0 near 0 or +/-1/2).
+    contract, also where 2*k0 is nearly an integer (k0 near 0 or +/-1/2), and
+    a NaN or negative tol raises ValueError as there.
     """
     if i not in _H_PARAMS:
         raise ValueError(f"h_func index must be 1..4, got {i}")

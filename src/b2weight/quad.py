@@ -23,15 +23,18 @@ The order n of a pairing enters only through an explicit factor
 (1 - v)^e (1 + v)^(-e-2); the weight's exponents a = +/-(k1 + 1/2) and b0
 (-2 k0 for p12, 0 for p14) do not depend on n.  So every n of both kinds at
 one point draws on four rule families, and a bounded memo keeps, per point,
-each rule with the products of h-values at its nodes.  The first pairing at
-a point builds the 24- and 48-node rules of all four families, which every
-pairing needs, together: one stacked eigen-solve per size and one series
-call for every h-value at their nodes.  A later level is built when a family
-first reaches it, its nodes again in one batch.  Mode "direct" likewise
-needs L only at the slope: a second bounded memo keeps, per point and
-tanh-sinh batch (levels 0 to 3, then each later level), the batch's nodes
-with L's entries and their bounds there, so every n and kind at one point
-sums L's series once.
+each rule with every factor that does not depend on n: its nodes v and
+s = 1 - v, its weights, s / (1 + v) and (1 + v)^2, and the product of
+h-values at its nodes with its absolute value and error bound, so a level
+of a pairing takes seven numpy calls.  The first pairing at a point builds
+the 24- and 48-node rules of all four families, which every pairing needs,
+together: one stacked eigen-solve per size and one series call for every
+h-value at their nodes.  A later level is built when a family first
+reaches it, its nodes again in one batch.  Mode "direct" likewise needs L
+only at the slope: a second bounded memo keeps, per point and tanh-sinh
+batch (levels 0 to 3, then each later level), every part of the integrand
+but the power of w / q that carries n (``_direct_rule``), so every n and
+kind at one point sums L's series once.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import RegionError, ToleranceError
-from .hyper import _EPS, _GAMMA_RELERR, _H_PARAMS, _gauss_2f1_rows, gamma_fn
+from .hyper import _EPS, _GAMMA_RELERR, _H_PARAMS, _check_tol, _gauss_2f1_rows, gamma_fn
 from .weight import ParamPoint, _eval_L_bounded, d_consts
 
 # node counts of Gauss-Jacobi doubling, 24 to 3072; tanh-sinh levels and node
@@ -92,34 +95,42 @@ def _gauss_jacobi_01(
     row of each per pair (alpha, beta) of ``exponents``.
 
     Golub-Welsch, n >= 2: one numpy eigen-solve of the stacked tridiagonal
-    recurrence matrices, O(n^3) each, 4.8 s at n = 3072 on one thread.  A
-    stack gives each rule the bits of its own solve.  The first moment is
-    formed through lgamma, so very large exponents (deep endpoint powers such
-    as (1-v)^n with n in the hundreds) stay inside float range.
+    recurrence matrices, O(n^3) each, 4.8 s at n = 3072 on one thread.  The
+    recurrence coefficients of all rules are formed at once, on (rules, n)
+    arrays, and written into the stacked matrices by index; every entry
+    rounds as in a rule of its own, and a stack gives each rule the bits of
+    its own solve.  The first moment is formed through lgamma, so very large
+    exponents (deep endpoint powers such as (1-v)^n with n in the hundreds)
+    stay inside float range.
     """
-    matrices, moments = [], []
+    # per rule, in the [-1, 1] convention: the exponents a of (1-x) and b of
+    # (1+x), s = a + b, b^2 - a^2, the first diagonal entry, the j = 1
+    # coefficient in a form with the (1+s) factor cancelled, which the
+    # Chebyshev-type case s = -1 needs, and the first moment
+    scalars = []
     for alpha, beta in exponents:
-        a_exp = float(beta)   # exponent of (1-x) in the [-1, 1] convention
-        b_exp = float(alpha)  # exponent of (1+x)
-        s = a_exp + b_exp
-        diag = np.empty(n)
-        diag[0] = (b_exp - a_exp) / (s + 2.0)
-        i = np.arange(1, n, dtype=float)
-        diag[1:] = (b_exp**2 - a_exp**2) / ((2.0 * i + s) * (2.0 * i + s + 2.0))
-        off = np.empty(n - 1)
-        # the j = 1 coefficient in a form with the (1+s) factor cancelled, which
-        # the Chebyshev-type case s = -1 needs
-        off[0] = math.sqrt(4.0 * (1.0 + a_exp) * (1.0 + b_exp) / ((2.0 + s) ** 2 * (3.0 + s)))
-        j = np.arange(2, n, dtype=float)
-        num = 4.0 * j * (j + a_exp) * (j + b_exp) * (j + s)
-        den = (2.0 * j + s) ** 2 * ((2.0 * j + s) ** 2 - 1.0)
-        off[1:] = np.sqrt(num / den)
-        matrices.append(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        moments.append(math.exp(
-            math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0)
+        a, b = float(beta), float(alpha)
+        s = a + b
+        scalars.append((
+            a, b, s, b**2 - a**2, (b - a) / (s + 2.0),
+            math.sqrt(4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + s) ** 2 * (3.0 + s))),
+            math.exp(
+                math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0)
+            ),
         ))
-    x, vecs = np.linalg.eigh(np.array(matrices))
-    return 0.5 * (x + 1.0), np.array(moments)[:, None] * vecs[:, 0, :] ** 2
+    a, b, s, squares, diag0, off0, moments = np.array(scalars).T[:, :, None]
+    k = np.arange(1, n)
+    i = k.astype(float)
+    j = i[1:]
+    num = 4.0 * j * (j + a) * (j + b) * (j + s)
+    den = (2.0 * j + s) ** 2 * ((2.0 * j + s) ** 2 - 1.0)
+    # the diagonal and the subdiagonal, all the solve reads
+    matrices = np.zeros((len(scalars), n, n))
+    matrices[:, 0, 0], matrices[:, 1, 0] = diag0[:, 0], off0[:, 0]
+    matrices[:, k, k] = squares / ((2.0 * i + s) * (2.0 * i + s + 2.0))
+    matrices[:, k[1:], k[:-1]] = np.sqrt(num / den)
+    x, vecs = np.linalg.eigh(matrices, UPLO="L")
+    return 0.5 * (x + 1.0), moments * vecs[:, 0, :] ** 2
 
 
 @functools.cache
@@ -196,8 +207,9 @@ def tanh_sinh(
     last two levels, plus the integrand's bounds integrated by the same rule,
     plus the rounding of the sum.  The rule stops once that difference is
     within tol * (1 + |value|) or the level's bounds and rounding, as
-    ``_refine`` says.
+    ``_refine`` says.  A NaN or negative tol raises ValueError.
     """
+    _check_tol(tol)
 
     def levels():
         sums, nodes = np.zeros(3), 0  # running sums of the terms, bounds and |terms|
@@ -234,10 +246,12 @@ def singular_integral(
     the sum's rounding.  Declare every algebraic endpoint power in alpha and
     beta, where the rule carries it exactly: a smooth factor with an endpoint
     kink, such as (1 - v)^0.5, stalls the doubling up to the 3072-node rule,
-    seconds of O(n^3) solve, and raises ToleranceError.
+    seconds of O(n^3) solve, and raises ToleranceError.  A NaN or negative
+    tol raises ValueError before any rule is built.
     """
     if alpha <= -1.0 or beta <= -1.0:
         raise RegionError(f"endpoint exponents must exceed -1, got ({alpha}, {beta})")
+    _check_tol(tol)
     # every weight carries the relative rounding of the rule's first moment
     moment = _moment_rounding(alpha, beta)
 
@@ -278,6 +292,7 @@ def sector_inner_numeric(
     (see ``QuadResult``): at tol 1e-12 and 1e-13 mode "h" built no rule, an
     O(n^3) solve, past 384 nodes at the points tested.  Both modes compute
     near k0 = 0 too, where c - a - b of their series is nearly an integer.
+    A NaN or negative tol raises ValueError before any rule is built.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -285,6 +300,7 @@ def sector_inner_numeric(
         raise ValueError(f"kind must be 'p12' or 'p14', got {kind!r}")
     if not p.positive_definite:
         raise RegionError(f"sector pairing needs the positive-definite region; got {p}")
+    _check_tol(tol)
     if mode == "h":
         return _sector_inner_h(n, kind, p, tol)
     if mode == "direct":
@@ -313,6 +329,7 @@ def _h_exponents(k0: float, k1: float, i: int, j: int) -> tuple[float, float]:
     return a, (-2.0 * k0 if j == i else 0.0)
 
 
+@functools.lru_cache(maxsize=16)
 def _moment_rounding(alpha: float, beta: float) -> float:
     """The relative rounding, in units of eps, of the first moment
     exp(lgamma(alpha+1) + lgamma(beta+1) - lgamma(alpha+beta+2)) of a
@@ -335,7 +352,7 @@ def _h_point(k0: float, k1: float, htol: float) -> dict:
 
 def _h_rule(
     k0: float, k1: float, i: int, j: int, size: int, htol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """The ``size``-node rule of family (i, j) at (k0, k1), from the point's
     memo, built there on first use (see ``_h_build``)."""
     rules = _h_point(k0, k1, htol)
@@ -357,8 +374,10 @@ def _h_build(k0: float, k1: float, htol: float, keys: list[tuple[int, int, int]]
     stacked eigen-solve, and every h_k is summed to htol in one series call
     at the nodes of the rules whose family carries it.  Each rule maps to
     read-only v, s = 1 - v (from the map, without cancellation), the weights,
-    the product h_i h_j and a bound on its error from the certified tail
-    bounds of the two series.
+    the two factors of ``_h_integral``'s explicit factor that do not depend
+    on e, s / (1 + v) and (1 + v)^2, the product h_i h_j, its absolute value
+    and, last, a bound on its error from the certified tail bounds of the
+    two series.
     """
     nodes = {}  # (i, j, size) -> v, s, w
     for size in dict.fromkeys(size for *_, size in keys):
@@ -386,7 +405,11 @@ def _h_build(k0: float, k1: float, htol: float, keys: list[tuple[int, int, int]]
     rules = {}
     for key, (v, s, w) in nodes.items():
         (vi, ti), (vj, tj) = h[key, key[0]], h[key, key[1]]
-        rules[key] = (v, s, w, vi * vj, np.abs(vi) * tj + np.abs(vj) * ti + ti * tj)
+        one_plus, hprod = 1.0 + v, vi * vj
+        rules[key] = (
+            v, s, w, s / one_plus, one_plus**2,
+            hprod, np.abs(hprod), np.abs(vi) * tj + np.abs(vj) * ti + ti * tj,
+        )
         for array in rules[key]:
             array.flags.writeable = False
     return rules
@@ -398,27 +421,28 @@ def _h_integral(
     """int_0^1 v^a (1-v)^b0 (1-v)^e (1+v)^(-e-2) h_i h_j dv on a shared rule.
 
     The weight v^a (1-v)^b0 is ``_h_rule``'s.  Only the explicit factor
-    depends on e, so every n at one point reuses the nodes, weights and
-    h-values of the family (i, j) from the point's memo.  The error estimate
-    adds to the refinement difference the h error carried through the rule
-    and the rounding of the weights (their first moment and graded factor)
-    and of forming and summing the terms.
+    depends on e, so every n at one point reuses the weights, the factors
+    s / (1 + v) and (1 + v)^2 and the h-values of the family (i, j) from the
+    point's memo, and a level forms only the explicit factor and three sums.
+    The error estimate adds to the refinement difference the h error carried
+    through the rule and the rounding of the weights (their first moment and
+    graded factor) and of forming and summing the terms.
     """
     a, b0 = _h_exponents(k0, k1, i, j)
     per_term = 9 * e + 8 + _GRADED_ROUNDING + _moment_rounding(a, 2.0 * b0 + 1.0)
 
     def levels():
         for size in _GJ_SIZES:
-            v, s, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, size, htol)
-            one_plus = 1.0 + v
-            explicit = (s / one_plus) ** e / one_plus**2
+            rule = _h_rule(k0, k1, i, j, size, htol)
+            _, _, w, ratio, square, hprod, hprod_abs, hprod_bound = rule
+            explicit = ratio**e / square
             weighted = w * explicit
             propagated = float(np.dot(weighted, hprod_bound))
             # one rounding per summed term and ``per_term`` in forming each: s
             # rounds up to five times and 1 + v three times, so the ratio up to
             # nine, which the e-th power multiplies, a few products more, and
             # the rounding of the weights
-            rounding = (size + per_term) * _EPS * float(np.dot(weighted, np.abs(hprod)))
+            rounding = (size + per_term) * _EPS * float(np.dot(weighted, hprod_abs))
             yield float(np.dot(w, explicit * hprod)), propagated + rounding, size
 
     return _refine(levels(), tol, "Gauss-Jacobi")
@@ -451,35 +475,48 @@ def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
 
 
 # Batches kept at once.  A point has seven, of 99 to 3154 nodes and 6309 in
-# all; with L and its bounds a node takes 104 bytes, so a point's batches take
-# 0.66 MB, and the memo holds all of two points and at most 5.3 MB.
+# all; with the parts of both kinds a node takes 96 bytes, so a point's
+# batches take 0.61 MB, and the memo holds all of two points and at most 4.8 MB.
 _DIRECT_RULE_CACHE = 16
 
 
 @functools.lru_cache(maxsize=_DIRECT_RULE_CACHE)
 def _direct_rule(k0: float, k1: float, batch: int) -> tuple[np.ndarray, ...]:
-    """The slopes of tanh-sinh batch ``batch`` (an index into ``_TS_BATCHES``)
-    with the parts of mode "direct"'s integrand that do not depend on n or kind.
+    """The parts of mode "direct"'s integrand on tanh-sinh batch ``batch`` (an
+    index into ``_TS_BATCHES``) that do not depend on n.
 
-    Returns u, s = 1 - u, w = 1 - u^2 (formed as s (2 - s), without
-    cancellation), q = 1 + u^2, and L's entries at the slopes with their error
-    bounds, of shape (2, 2, len(u)).  All arrays are read-only.
+    In theta the form is sum_r d_r y_r z_r / q with y = L (-u, +-1) (+ for
+    p12, - for p14) and z = L (-u, 1), one row r per entry of d, over the
+    slopes u with q = 1 + u^2 and d theta = du / q; w = 1 - u^2 is formed as
+    s (2 - s) from s = 1 - u, without cancellation.  Returns the smallest u
+    and s of the batch, w / q and q^2, and for p12 and then p14 the sum over r
+    of d_r y_r z_r, and per row dev (|y| + |z| + dev) and |y z|, where dev
+    bounds the error of y and of z: L's bounds, and three roundings of each
+    product and of the sum.  All arrays are read-only.
     """
     levels = _TS_BATCHES[batch]
     u, s, _ = np.concatenate([_tanh_sinh_nodes(level) for level in levels]).T
     w, q = s * (2.0 - s), 1.0 + u * u
-    ell, ell_err = _eval_L_bounded(u, w, ParamPoint(k0, k1), 1e-11)
-    arrays = (u, s, w, q, ell, ell_err)
+    p = ParamPoint(k0, k1)
+    (l0, l1), (e0, e1) = (part.swapaxes(0, 1) for part in _eval_L_bounded(u, w, p, 1e-11))
+    d = np.array(d_consts(p))[:, None]
+    arrays = [np.array([u.min(), s.min()]), w / q, q * q]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ul0 = u * l0
+        z = l1 - ul0
+        dev = (e0 + 3.0 * _EPS * np.abs(l0)) * u + e1 + 3.0 * _EPS * np.abs(l1)
+        for y in (z, -l1 - ul0):  # p12's y is z
+            arrays += [(d * y * z).sum(axis=0), dev * (np.abs(y) + np.abs(z) + dev), np.abs(y * z)]
     for array in arrays:
         array.flags.writeable = False
-    return arrays
+    return tuple(arrays)
 
 
 def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
     d1, d2 = d_consts(p)
-    d = np.array([[d1], [d2]])
+    d_abs = np.abs([[d1], [d2]])
     phi_power = 2 * n if kind == "p12" else 2 * n + 1
-    left_sign = 1.0 if kind == "p12" else -1.0
+    own = slice(0, 3) if kind == "p12" else slice(3, 6)
     # d1 and d2 each carry four gamma values; w / q rounds five times, its
     # power p times that and once more, and dividing by q^2 and the final
     # products a few times more
@@ -489,22 +526,15 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
 
     def integrand(_u: np.ndarray, _s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # tanh_sinh passes the batches in order, one per call: the memo holds
-        # these slopes with w, q and L at them
-        u, s, w, q, ell, ell_err = _direct_rule(p.k0, p.k1, next(batches))
-        outermost[0] = min(outermost[0], float(u.min()))
-        outermost[1] = min(outermost[1], float(s.min()))
-        # in theta the form is sum_r d_r y_r z_r / q with y = L (-u, +-1) and
-        # z = L (-u, 1), one row r per entry of d; d theta = du / q
-        (l0, l1), (e0, e1) = ell.swapaxes(0, 1), ell_err.swapaxes(0, 1)
+        # all but the power of w / q there
+        edges, ratio, square, *kinds = _direct_rule(p.k0, p.k1, next(batches))
+        total, spread, cross = kinds[own]
+        u_min, s_min = edges.tolist()
+        outermost[:] = min(outermost[0], u_min), min(outermost[1], s_min)
         with np.errstate(over="ignore", invalid="ignore"):
-            y, z = left_sign * l1 - u * l0, l1 - u * l0
-            # error of y and of z: the entries' bounds, and three roundings
-            # of each product and of the sum
-            dev = (e0 + 3.0 * _EPS * np.abs(l0)) * u + e1 + 3.0 * _EPS * np.abs(l1)
-            spread = dev * (np.abs(y) + np.abs(z) + dev) + rho * np.abs(y * z)
-            scale = (w / q) ** phi_power / (q * q)
-            value = scale * (d * y * z).sum(axis=0)
-            bound = scale * (np.abs(d) * spread).sum(axis=0)
+            scale = ratio**phi_power / square
+            value = scale * total
+            bound = scale * (d_abs * (spread + rho * cross)).sum(axis=0)
         if not (np.isfinite(value).all() and np.isfinite(bound).all()):
             raise ToleranceError(
                 f"mode 'direct': the integrand overflows near a sector edge at {p}; "

@@ -13,6 +13,7 @@ one, both flags of ``ParamPoint`` (defined in ``hyper``, which loads no numpy).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,8 +47,10 @@ def c_norm(p: ParamPoint) -> float:
     return math.cos(math.pi * p.k0) * math.cos(math.pi * p.k1) / (2.0 * math.pi)
 
 
+@functools.lru_cache(maxsize=8)
 def d_consts(p: ParamPoint) -> tuple[float, float]:
-    """The two diagonal constants entering K = L^T diag(d1, d2) L."""
+    """The two diagonal constants entering K = L^T diag(d1, d2) L, kept for
+    the last eight points, whose pairings and weight evaluations all use them."""
     if not p.positive_definite:
         raise RegionError(f"diagonal constants need the positive-definite region; got {p}")
     c = c_norm(p)
@@ -78,7 +81,7 @@ def eval_L(
             raise RegionError(f"eval_L requires 0 < u < 1, got u = {u}")
         u_sq_complement = 1.0 - u * u
     ell, _ = _eval_L_bounded(np.array([float(u)]), np.array([float(u_sq_complement)]), p, tol)
-    return ell[:, :, 0].copy()
+    return ell[:, :, 0]
 
 
 def _eval_L_bounded(
@@ -101,38 +104,37 @@ def _eval_L_bounded(
     k0 and k1 moves c - a - b by less than 2 (1 + |k0| + |k1|) eps; that
     factor turns it into a relative error |log(1 - u^2)| times as large.
     """
-    if not (np.all((0.0 < u) & (u <= 1.0)) and np.all((0.0 < w) & (w <= 1.0))):
+    slopes, complements = u.tolist(), w.tolist()
+    if not (all(0.0 < x <= 1.0 for x in slopes) and all(0.0 < y <= 1.0 for y in complements)):
         raise RegionError("eval_L requires 0 < u <= 1 with 0 < 1-u^2 <= 1")
     if not p.integrable:
         raise RegionError(f"eval_L needs the integrable region; got {p}")
     k0, k1 = p.k0, p.k1
-    log_u = np.array([
-        math.log(x) if y >= 0.5 else 0.5 * math.log1p(-y) for x, y in zip(u.tolist(), w.tolist())
-    ])
-    log_w = np.array([math.log(y) for y in w.tolist()])
-    up = np.array([math.exp(k1 * x) for x in log_u.tolist()])
-    um = np.array([math.exp(-k1 * x) for x in log_u.tolist()])
-    pref = np.array([math.exp(-k0 * y) for y in log_w.tolist()])
-    rel = 2.0 * np.abs(k1 * log_u) + 2.0 * (1.0 + 2.0 * abs(k0) + abs(k1)) * np.abs(log_w)
-    rel = (rel + 16.0) * _EPS
+    # per slope, the prefactors of L11, L12, L21 and L22 and the relative
+    # rounding, each rounding as the same operations on arrays would
+    c12, c21 = (0.0, 0.0) if k0 == 0.0 else (-(k0 / (k1 + 0.5)), -(k0 / (0.5 - k1)))
+    scale = 2.0 * (1.0 + 2.0 * abs(k0) + abs(k1))
+    rows = []
+    for x, y in zip(slopes, complements):
+        log_u = math.log(x) if y >= 0.5 else 0.5 * math.log1p(-y)
+        log_w = math.log(y)
+        up, um, pref = math.exp(k1 * log_u), math.exp(-k1 * log_u), math.exp(-k0 * log_w)
+        rel = (2.0 * abs(k1 * log_u) + scale * abs(log_w) + 16.0) * _EPS
+        rows.append((up * pref, c12 * up * pref * x, c21 * um * pref * x, um * pref, rel))
+    table = np.array(rows).reshape(-1, 5).T
+    pref, rel = table[:4], table[4]
 
     params = [(-k0, 0.5 - k0 + k1, k1 + 0.5), (-k0, 0.5 - k0 - k1, 0.5 - k1)]
     if k0 != 0.0:
         params += [(1 - k0, 0.5 - k0 + k1, k1 + 1.5), (1 - k0, 0.5 - k0 - k1, 1.5 - k1)]
     # _gauss_2f1_rows takes 1 - w for u^2 where w < 1/2; every triple at every slope
     series = _gauss_2f1_rows(params, [u * u] * len(params), [w] * len(params), tol)
-    ell, err = np.zeros((2, 2, len(u))), np.zeros((2, 2, len(u)))
-    (f11, t11, _), (f22, t22, _) = series[:2]
-    ell[0, 0], err[0, 0] = up * pref * f11, up * pref * t11
-    ell[1, 1], err[1, 1] = um * pref * f22, um * pref * t22
-    if k0 != 0.0:
-        (f12, t12, _), (f21, t21, _) = series[2:]
-        pref12 = -(k0 / (k1 + 0.5)) * up * pref * u
-        pref21 = -(k0 / (0.5 - k1)) * um * pref * u
-        ell[0, 1], err[0, 1] = pref12 * f12, np.abs(pref12) * t12
-        ell[1, 0], err[1, 0] = pref21 * f21, np.abs(pref21) * t21
-    err += rel * np.abs(ell)
-    return ell, err
+    (f11, t11, _), (f22, t22, _), *off = series
+    # at k0 = 0 L is diagonal: zero prefactors and series
+    (f12, t12, _), (f21, t21, _) = off or [(np.zeros(len(u)),) * 3] * 2
+    ell = pref * np.array([f11, f12, f21, f22])
+    err = np.abs(pref) * np.array([t11, t12, t21, t22]) + rel * np.abs(ell)
+    return ell.reshape(2, 2, -1), err.reshape(2, 2, -1)
 
 
 def eval_K(theta: float, p: ParamPoint) -> WeightEval:

@@ -393,6 +393,23 @@ def test_each_triple_takes_its_own_arguments():
         assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
 
 
+def test_one_call_over_mixed_triples_gives_every_argument_its_own_bits():
+    # each triple takes arguments on every branch (z = 0, forward, z = 1 and
+    # near z = 1) and two triples terminate; in one call every triple gets
+    # the bits of a call at that triple alone and of one call per argument
+    zs = [0.0, 0.3, 1.0, 0.9, 0.001, 0.99, 0.7, 0.8]
+    params = [(-2.0, 0.5, 1.1), (0.5, 0.25, 1.5), (0.3, 0.4, 1.7005), (0.7, -3.0, 2.2), (1.2, -0.3, 2.4)]
+    args = [zs, zs[::-1], zs[1:6], zs[2:], zs[:4]]
+    rest = [[1.0 - z for z in at] for at in args]
+    rows = _gauss_2f1_rows(params, args, rest, 1e-12)
+    for triple, at, ws, got in zip(params, args, rest, rows):
+        (alone,) = _gauss_2f1_rows([triple], [at], [ws], 1e-12)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in alone], triple
+        for j, (z, w) in enumerate(zip(at, ws)):
+            (one,) = _gauss_2f1_rows([triple], [[z]], [[w]], 1e-12)
+            assert [a[j:j + 1].tobytes() for a in got] == [a.tobytes() for a in one], (triple, z)
+
+
 # calls whose bound at tol = 1e-12 exceeded tol * (1 + |value|) when c - a - b
 # within 1e-5 of an integer took capped forward summation: an Euler-transformed
 # row (bound 3.8e-9 against a limit of 3.2e-9) and two plain ones (7.4e-10

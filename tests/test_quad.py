@@ -89,6 +89,25 @@ def test_singular_integral_error_estimate_bounds_the_error_at_large_beta():
     )
 
 
+def test_stacked_gauss_jacobi_rules_equal_single_rules():
+    # one stacked build gives every rule the bits of a build of its own pair:
+    # generic exponents, the Chebyshev-type s = alpha + beta = -1 of the
+    # j = 1 coefficient, and the deep endpoint powers of beta up to 800.2
+    rng = random.Random(26)
+    stacks = [
+        [(0.3, -0.4), (-0.5, -0.5), (1.7, 2.9)],
+        [(-0.25, -0.75), (-0.9, -0.1), (0.6, 0.4)],
+        [(0.2, 800.2), (-0.45, 361.0), (0.0, 0.0)],
+        [(rng.uniform(-0.99, 3.0), rng.uniform(-0.99, 3.0)) for _ in range(5)],
+    ]
+    for size, exponents in itertools.product((24, 48, 96), stacks):
+        nodes, weights = quad._gauss_jacobi_01(size, exponents)
+        assert nodes.shape == weights.shape == (len(exponents), size)
+        for pair, x, w in zip(exponents, nodes, weights):
+            (x_alone,), (w_alone,) = quad._gauss_jacobi_01(size, [pair])
+            assert (x.tobytes(), w.tobytes()) == (x_alone.tobytes(), w_alone.tobytes()), (size, pair)
+
+
 def test_singular_integral_rejects_bad_exponents():
     with pytest.raises(RegionError):
         singular_integral(-1.0, 0.0, const_one)
@@ -263,6 +282,45 @@ def test_sector_pairing_region_and_argument_checks():
         sector_inner_numeric(-1, "p12", ParamPoint(0.1, 0.1))
     with pytest.raises(ValueError):
         sector_inner_numeric(0, "p12", ParamPoint(0.1, 0.1), mode="bogus")
+
+
+def test_a_nan_or_negative_tol_is_refused_before_any_rule(count_calls):
+    # a NaN tol ran the Gauss-Jacobi doubling up to 3072 nodes, seconds of
+    # solves, before its ToleranceError, and a negative one was taken silently
+    solves = count_calls(np.linalg, "eigh")
+    series = count_calls(hyper, "_gauss_2f1_rows")
+    evaluated = []
+
+    def smooth(v):
+        evaluated.append(v)
+        return np.ones_like(v)
+
+    def integrand(v, s):
+        evaluated.append(v)
+        return np.ones_like(v), 0.0
+
+    _h_point.cache_clear()
+    _direct_rule.cache_clear()
+    p = ParamPoint(0.3, 0.1)
+    calls = [
+        lambda tol: sector_inner_numeric(0, "p12", p, tol=tol),
+        lambda tol: sector_inner_numeric(0, "p14", p, tol=tol, mode="direct"),
+        lambda tol: singular_integral(0.3, -0.4, smooth, tol=tol),
+        lambda tol: tanh_sinh(integrand, tol=tol),
+        lambda tol: hyper.gauss_2f1(0.5, 0.5, 1.5, 0.25, tol=tol),
+        lambda tol: hyper.h_func(1, 0.5, 0.3, 0.1, tol=tol),
+    ]
+    for call, tol in itertools.product(calls, (math.nan, -1e-9, -math.inf)):
+        with pytest.raises(ValueError, match="^tol must be a non-negative number, got "):
+            call(tol)
+    assert solves == [] and series == [] and evaluated == []
+    # tol = 0 keeps its meaning: a rule stops at its level's own error term,
+    # and a series must certify a zero bound
+    for call in calls[:4]:
+        assert math.isfinite(call(0.0).error_estimate)
+    with pytest.raises(ToleranceError):
+        hyper.gauss_2f1(0.5, 0.5, 1.5, 0.25, tol=0.0)
+    assert hyper.gauss_2f1(0.5, 0.5, 1.5, 0.0, tol=0.0) == hyper.HypResult(1.0, 0.0, 1)
 
 
 def test_sector_pairing_direct_mode_near_the_sector_edge():
@@ -496,7 +554,7 @@ def test_h_rule_values_equal_per_node_h_func():
     points = ((-0.35, 0.08), (0.3, 0.1), (0.0, 0.45), (1e-6, 0.1), (1e-9, 0.1))
     for (k0, k1), size in itertools.product(points, (24, 96)):
         for i, j in ((1, 1), (2, 2), (1, 3), (2, 4)):
-            v, s, w, hprod, hprod_bound = _h_rule(k0, k1, i, j, size, htol)
+            v, s, _, ratio, square, hprod, hprod_abs, hprod_bound = _h_rule(k0, k1, i, j, size, htol)
 
             def per_node(k):
                 params = [_H_PARAMS[k](k0, k1)]
@@ -505,6 +563,9 @@ def test_h_rule_values_equal_per_node_h_func():
 
             (vi, ti), (vj, tj) = per_node(i), per_node(j)
             assert hprod.tobytes() == (vi * vj).tobytes()
+            assert hprod_abs.tobytes() == np.abs(vi * vj).tobytes()
+            assert ratio.tobytes() == (s / (1.0 + v)).tobytes()
+            assert square.tobytes() == ((1.0 + v) * (1.0 + v)).tobytes()
             assert hprod_bound.tobytes() == (np.abs(vi) * tj + np.abs(vj) * ti + ti * tj).tobytes()
 
 

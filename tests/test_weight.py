@@ -132,6 +132,22 @@ def test_eval_l_bounds_hold_within_1e300_of_the_sector_edge():
                     assert error <= bound, (k0, k1, w, float(error), float(bound))
 
 
+def test_eval_l_at_one_slope_equals_its_column_in_a_batch():
+    # one slope alone gets the bits of its column in a batch of many: slopes
+    # on the forward branch, near the sector edge (1 - u^2 as s (2 - s)) and
+    # within 1e-300 of it, at a point with k0 = 0 (a diagonal L) and others
+    s = np.array([0.999, 0.9, 0.5, 0.2, 0.1, 0.03, 1e-3, 1e-9, 1e-300])
+    u, w = 1.0 - s, s * (2.0 - s)
+    for k0, k1 in ((0.0, 0.2), (0.3, 0.1), (-0.45, 0.0), (1e-9, -0.3)):
+        p = ParamPoint(k0, k1)
+        batch = _eval_L_bounded(u, w, p, 1e-11)
+        for j in range(len(s)):
+            alone = _eval_L_bounded(u[j:j + 1], w[j:j + 1], p, 1e-11)
+            for whole, one in zip(batch, alone):
+                assert whole[:, :, j].tobytes() == one[:, :, 0].tobytes(), (k0, k1, s[j])
+        assert eval_L(u[4], p, u_sq_complement=w[4]).tobytes() == batch[0][:, :, 4].tobytes()
+
+
 def test_eval_k_identity_at_zero_parameters():
     ev = eval_K(0.5, ParamPoint(0.0, 0.0))
     assert np.allclose(ev.K, np.eye(2) / (2 * math.pi), atol=1e-14)
