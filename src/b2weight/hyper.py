@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateParameterError, RegionError, ToleranceError
-from .ring import K0, K1, ParamPoly, _ratio, poch
+from .ring import K0, K1, ParamPoly, _dense_ratio, _ratio, poch
 
 HALF = Fraction(1, 2)
 Exact = Union[int, Fraction]
@@ -633,17 +633,21 @@ def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
     started from alpha_0 = 1.  With the default symbolic k0, k1 the values lie
     in Q[k0, k1]; with rational k0, k1 they are the Fraction values there.
 
-    It runs in integers (ints at a point, integer coefficients for the
-    symbolic K0, K1).  With H = D/2 for the even D of ``_integral_scale``, so
-    that H, 2H k0 = D k0 and 2H k1 are integral (H = 1 in Q[k0, k1]),
-    alpha_n = A_n / (H^{2n} (2n+1)!) and beta_n = B_n / (H^{2n+1} (2n+2)!) with
+    It runs in integers: ints at a point, and for a ParamPoly parameter the
+    dense integer rows of ``ring._Dense`` that ``_integral_scale`` returns;
+    the loop is the same for both.  With H = D/2 for the even D of
+    ``_integral_scale``, so that H, 2H k0 = D k0 and 2H k1 are integral
+    (H = 1 for the symbolic K0, K1), alpha_n = A_n / (H^{2n} (2n+1)!) and
+    beta_n = B_n / (H^{2n+1} (2n+2)!) with
 
         A_0 = 1,  B_0 = -H(1+2k1-2k0),
         A_n = 2nH((2n-1)H - 2Hk0) A_{n-1} - H(1+2k0+2k1) B_{n-1},
         B_n = 2nH((2n+1)H + 2Hk0) B_{n-1} - H(1+2k1-2k0) A_n,
 
-    and each entry is one division at the end.  H rather than D keeps the
-    symbolic A_n, B_n free of a common integer factor.
+    so each step multiplies A and B by linear forms of two or three terms.
+    Each entry is one division at the end, into a Fraction or a canonical
+    ParamPoly.  H rather than D keeps the symbolic A_n, B_n free of a common
+    integer factor.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -665,16 +669,19 @@ def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
 
 
 def _times_ratio(value, p: int, q: int):
-    """value * p / q, exact, for an int or ParamPoly value, an int p and an int q > 0;
-    an int value makes one Fraction, reduced once, not a product of two."""
-    return Fraction(value * p, q) if isinstance(value, int) else value * Fraction(p, q)
+    """value * p / q, exact, for an int or ``ring._Dense`` value, an int p and an
+    int q > 0: one Fraction or one canonical ParamPoly, reduced once."""
+    return Fraction(value * p, q) if isinstance(value, int) else value.times_ratio(p, q)
 
 
 def _integral_scale(k0, k1):
     """(D, D k0, D k1) for an even D that makes D k0, D k1 integral:
-    D = 2 lcm(den k0, den k1), a symbolic K0 or K1 counting as itself over 1
-    (D = 2 in Q[k0, k1]); a rational parameter comes out as an int."""
-    (p0, q0), (p1, q1) = ((k, 1) if isinstance(k, ParamPoly) else _ratio(k) for k in (k0, k1))
+    D = 2 lcm(den k0, den k1), where the den of a ParamPoly is the common
+    denominator of its coefficients (D = 2 for the symbolic K0, K1, and 4
+    for K0/2).  A rational parameter comes out as an int and a ParamPoly as
+    a ``ring._Dense`` in Z[k0, k1], so the loops of ``_closed_sum`` and
+    ``alpha_beta_recurrence`` run unchanged on ints or on dense integer rows."""
+    (p0, q0), (p1, q1) = (_dense_ratio(k) if isinstance(k, ParamPoly) else _ratio(k) for k in (k0, k1))
     d = 2 * math.lcm(q0, q1)
     return d, p0 * (d // q0), p1 * (d // q1)
 
@@ -690,30 +697,32 @@ def _closed_sum(n: int, e: int, b: Fraction, m: int, k0, k1):
     form, P_0 = 1, P_{j+1} = P_j q_j + r_{j+1} (-k1)_{j+1}, sum = P_n (F)_{m-n} (S)_e,
     with F = b+k0+k1, S = 1/2+k1-k0, the integer r_j = (-n)_j (-n-e)_j / j! and
     q_j = (F + m-j-1)(S + n+e-j-1), and in integers: for the even D of
-    ``_integral_scale``, D F, D S, D^2 q_j (built from (D F)(D S), computed
-    once), U_j = D^{2j} (-k1)_j and every T_j = D^{2j} P_j in
+    ``_integral_scale``, D F, D S, D^2 q_j = (D F + D(m-j-1))(D S + D(n+e-j-1)),
+    U_j = D^{2j} (-k1)_j and every T_j = D^{2j} P_j in
 
         T_0 = 1,  T_{j+1} = T_j (D^2 q_j) + r_{j+1} U_{j+1}
 
-    are integral (ints at a point, integer coefficients for the symbolic K0,
-    K1); (F)_{m-n}, (S)_e, (b)_m, (n+e)! and the powers of D meet in one division.
+    are integral: ints at a point, and for a ParamPoly parameter the dense
+    integer rows of ``ring._Dense``, where a step multiplies T_j by a
+    quadratic of six terms and U_j by a linear form.  (F)_{m-n}, (S)_e,
+    (b)_m, (n+e)! and the powers of D meet in one division at the end, into
+    a Fraction or a canonical ParamPoly.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     d, a0, a1 = _integral_scale(k0, k1)
-    first, second = int(d * b) + a0 + a1, d // 2 + a1 - a0  # D F, D S
-    product, shift = first * second, d * a1  # (D F)(D S), D^2 k1
+    twice_b = int(2 * b)  # 2^m (b)_m = twice_b (twice_b + 2) ... (twice_b + 2m - 2)
+    first, second = d // 2 * twice_b + a0 + a1, d // 2 + a1 - a0  # D F, D S
+    shift = -d * a1  # -D^2 k1
     total = lower = first * 0 + 1  # T_j and U_j
     rational = 1  # r_j
     for j in range(n):
-        p, s = d * (m - j - 1), d * (n + e - j - 1)
-        lower = lower * (d * d * j - shift)
+        lower = lower * (d * d * j + shift)
         rational = rational * (j - n) * (j - n - e) // (j + 1)
-        step = product + s * first + p * second + p * s
+        step = (first + d * (m - j - 1)) * (second + d * (n + e - j - 1))
         total = total * step + rational * lower
     for factor in [first + d * i for i in range(m - n)] + [second + d * i for i in range(e)]:
         total = total * factor
-    twice_b = int(2 * b)  # 2^m (b)_m = twice_b (twice_b + 2) ... (twice_b + 2m - 2)
     scale = math.factorial(n + e) * d ** (n + m + e) * math.prod(range(twice_b, twice_b + 2 * m, 2))
     return _times_ratio(total, (-1) ** e * 2**m, scale)
 

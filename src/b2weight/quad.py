@@ -34,7 +34,8 @@ reaches it, its nodes again in one batch.  Mode "direct" likewise needs L
 only at the slope: a second bounded memo keeps, per point and tanh-sinh
 batch (levels 0 to 3, then each later level), every part of the integrand
 but the power of w / q that carries n (``_direct_rule``), so every n and
-kind at one point sums L's series once.
+kind at one point sums L's series once; the six gamma values of its edge
+bound are likewise kept per point (``_edge_gammas``).
 """
 
 from __future__ import annotations
@@ -163,6 +164,19 @@ def _tanh_sinh_nodes(level: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _tanh_sinh_batch(batch: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The nodes of tanh-sinh batch ``batch`` (an index into ``_TS_BATCHES``):
+    the tables of its levels concatenated and transposed to the rows dist0,
+    dist1 and dv/dt, read-only, and the number of nodes of each level.  Built
+    once per batch (at most _TS_LEVELS - 2 tables).
+    """
+    added = [_tanh_sinh_nodes(level) for level in _TS_BATCHES[batch]]
+    table = np.concatenate(added).T.copy()
+    table.flags.writeable = False
+    return table, tuple(len(rows) for rows in added)
+
+
 def _refine(levels: Iterable, tol: float, rule: str, first: int = 1) -> QuadResult:
     """The stopping rule of both quadrature rules.
 
@@ -213,21 +227,24 @@ def tanh_sinh(
 
     def levels():
         sums, nodes = np.zeros(3), 0  # running sums of the terms, bounds and |terms|
-        for batch in _TS_BATCHES:
-            added = [_tanh_sinh_nodes(level) for level in batch]
-            dist0, dist1, dvdt = np.concatenate(added).T
-            values, bounds = f(dist0, dist1)
-            terms = values * dvdt
+        for index, batch in enumerate(_TS_BATCHES):
+            table, counts = _tanh_sinh_batch(index)
+            dvdt = table[2]
+            values, bounds = f(*table[:2].copy())  # f may write to its nodes
             # all three running sums in node order, as one term at a time
-            columns = np.column_stack((terms, bounds * dvdt, np.abs(terms)))
-            running = np.add.accumulate(np.vstack((sums, columns)))
+            block = np.empty((len(dvdt) + 1, 3))
+            block[0] = sums
+            terms = block[1:, 0] = values * dvdt
+            block[1:, 1] = bounds * dvdt
+            block[1:, 2] = np.abs(terms)
+            running = np.add.accumulate(block)
             start = nodes  # running[0] holds the sums over the nodes of earlier batches
-            for level, rows in zip(batch, added):
-                nodes += len(rows)
+            for level, count in zip(batch, counts):
+                nodes += count
                 h = 1.0 / 2**level
                 total, bound, mass = running[nodes - start].tolist()
                 # the sum of `nodes` terms rounds at most once per term
-                yield total * h, bound * h + (nodes + 2) * _EPS * mass * h, len(rows)
+                yield total * h, bound * h + (nodes + 2) * _EPS * mass * h, count
             sums = running[-1]
 
     return _refine(levels(), tol, "tanh-sinh", first=3)
@@ -494,8 +511,7 @@ def _direct_rule(k0: float, k1: float, batch: int) -> tuple[np.ndarray, ...]:
     bounds the error of y and of z: L's bounds, and three roundings of each
     product and of the sum.  All arrays are read-only.
     """
-    levels = _TS_BATCHES[batch]
-    u, s, _ = np.concatenate([_tanh_sinh_nodes(level) for level in levels]).T
+    u, s, _ = _tanh_sinh_batch(batch)[0]
     w, q = s * (2.0 - s), 1.0 + u * u
     p = ParamPoint(k0, k1)
     (l0, l1), (e0, e1) = (part.swapaxes(0, 1) for part in _eval_L_bounded(u, w, p, 1e-11))
@@ -547,6 +563,16 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
     return QuadResult(8.0 * de.value, 8.0 * (de.error_estimate + edges), de.nodes)
 
 
+@functools.lru_cache(maxsize=_DIRECT_RULE_CACHE)
+def _edge_gammas(k0: float, k1: float) -> tuple[float, float]:
+    """g_+ and g_- of ``_edge_mass`` at |k0| = k0 and k1: six gamma values,
+    computed once per point."""
+    ratio = gamma_fn(1.0 + 2.0 * k0) / (2.0 * gamma_fn(1.0 + k0))
+    g_plus = ratio * gamma_fn(0.5 + k1) / gamma_fn(0.5 + k1 + k0)
+    g_minus = ratio * gamma_fn(0.5 - k1) / gamma_fn(0.5 - k1 + k0)
+    return g_plus, g_minus
+
+
 def _edge_mass(
     p: ParamPoint, d1: float, d2: float, phi_power: int, u_c: float, s_c: float
 ) -> float:
@@ -574,9 +600,7 @@ def _edge_mass(
     k0, k1 = abs(p.k0), p.k1
     row1 = abs(d1) * (1.0 + k0 / (0.5 + k1)) ** 2 * u_c ** (3.0 + 2.0 * k1) / (3.0 + 2.0 * k1)
     row2 = abs(d2) * u_c ** (1.0 - 2.0 * k1) / (1.0 - 2.0 * k1)
-    ratio = gamma_fn(1.0 + 2.0 * k0) / (2.0 * gamma_fn(1.0 + k0))
-    g_plus = ratio * gamma_fn(0.5 + k1) / gamma_fn(0.5 + k1 + k0)
-    g_minus = ratio * gamma_fn(0.5 - k1) / gamma_fn(0.5 - k1 + k0)
+    g_plus, g_minus = _edge_gammas(k0, k1)
     power = phi_power - 2.0 * k0
     near_one = (abs(d1) * (1.0 + g_plus) ** 2 + abs(d2) * (1.0 + g_minus) ** 2) * 2.0**phi_power
     return row1 + row2 + near_one * s_c ** (power + 1.0) / (power + 1.0)

@@ -19,6 +19,17 @@ one ParamPoly per head.  Only this module reads numerators and denominators.
 Coefficients go in and come out as exact ``fractions.Fraction`` (or
 ParamPoly), so identities over the rationals are tested with zero tolerance.
 Instances are immutable, so values can be shared or cached freely.
+
+``SparsePoly`` stays the public form of all three types.  Beside it, the
+private ``_Dense`` holds a polynomial in Z[k0, k1] as rows of ints, one row
+per power of k0 indexed by the power of k1, with ``+``, ``-`` and ``*`` by
+an int or another ``_Dense`` only.  It is the working form of the loops of
+``hyper._closed_sum`` and ``hyper.alpha_beta_recurrence``: there each step
+multiplies a growing polynomial by a linear or quadratic form, which in rows
+is a few shifted, scaled row additions rather than a dict product with a
+tuple key per term pair.  ``_dense_ratio`` turns a ParamPoly into integer
+rows over a denominator, and ``_Dense.times_ratio`` turns the loops' result
+back into a canonical ParamPoly with one gcd.
 """
 
 from __future__ import annotations
@@ -329,6 +340,96 @@ K0 = ParamPoly({(1, 0): 1})
 K1 = ParamPoly({(0, 1): 1})
 ONE = ParamPoly.const(1)
 ZERO = _make(ParamPoly, {}, 1)
+
+
+class _Dense:
+    """A polynomial in Z[k0, k1] in dense rows, for the loops of the closed
+    forms and the recurrence in ``hyper``.
+
+    ``rows[e0][e1]`` is the coefficient of k0^e0 k1^e1.  A row ends at the
+    last slot that its inputs can fill, so a polynomial of total degree t
+    fits in the triangle of rows at most t + 1, t, ..., 1 long, and a
+    polynomial in k0 alone in rows of one slot.  It supports ``+``, ``-``
+    and ``*`` by an int or another ``_Dense``, nothing else.  A product adds,
+    for each nonzero term of the operand with fewer slots, a scaled copy of
+    the other operand's rows, shifted by the term's exponents, one entry at a
+    time (faster in CPython than slices or ``map`` on rows this short): a
+    product by a quadratic is six shifted row additions per row.  Rows are
+    never changed once a value is made, so values share them.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[list[int]]):
+        self.rows = rows
+
+    def __add__(self, other: "_Dense | int") -> "_Dense":
+        if isinstance(other, int):
+            rows = list(self.rows) or [[0]]
+            rows[0] = [rows[0][0] + other, *rows[0][1:]] if rows[0] else [other]
+            return _Dense(rows)
+        rows, short = self.rows, other.rows
+        if len(rows) < len(short):
+            rows, short = short, rows
+        rows = list(rows)
+        for e0, low in enumerate(short):
+            high = rows[e0]
+            if len(high) < len(low):
+                high, low = low, high
+            rows[e0] = [x + y for x, y in zip(high, low)] + high[len(low) :]
+        return _Dense(rows)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Dense":
+        return self * -1
+
+    def __sub__(self, other: "_Dense | int") -> "_Dense":
+        return self + -other
+
+    def __rsub__(self, other: int) -> "_Dense":
+        return -self + other
+
+    def __mul__(self, other: "_Dense | int") -> "_Dense":
+        if isinstance(other, int):
+            return _Dense([[other * x for x in row] for row in self.rows] if other else [])
+        small, large = self.rows, other.rows
+        if sum(map(len, small)) > sum(map(len, large)):
+            small, large = large, small
+        terms = [(e0, e1, c) for e0, row in enumerate(small) for e1, c in enumerate(row) if c]
+        if not terms:
+            return _Dense([])
+        # row e0 + i of the product ends where the longest shifted row i ends
+        widths = [0] * (terms[-1][0] + len(large))
+        for e0, e1, _ in terms:
+            for i, row in enumerate(large, e0):
+                if e1 + len(row) > widths[i]:
+                    widths[i] = e1 + len(row)
+        out = [[0] * width for width in widths]
+        for e0, e1, c in terms:
+            for acc, row in zip(out[e0:], large):
+                i = e1
+                for x in row:
+                    acc[i] += c * x
+                    i += 1
+        return _Dense(out)
+
+    __rmul__ = __mul__
+
+    def times_ratio(self, p: int, q: int) -> ParamPoly:
+        """The canonical ParamPoly of self * p / q, for ints p != 0 and q > 0."""
+        num = {(e0, e1): c * p for e0, row in enumerate(self.rows) for e1, c in enumerate(row) if c}
+        return _make(ParamPoly, num, q)
+
+
+def _dense_ratio(p: ParamPoly) -> tuple[_Dense, int]:
+    """(N, q) with N in Z[k0, k1] as a ``_Dense`` and the int q with p = N / q."""
+    rows: list[list[int]] = [[] for _ in range(1 + max((e0 for e0, _ in p._num), default=-1))]
+    for (e0, e1), c in p._num.items():
+        row = rows[e0]
+        row += [0] * (e1 + 1 - len(row))
+        row[e1] = c
+    return _Dense(rows), p._den
 
 
 def poch(a, n: int):

@@ -770,6 +770,52 @@ def test_mixed_symbolic_and_point_arguments_in_either_order():
             assert s_inner_closed(n, "p14", *point) == one_plus * seq.beta[n]
 
 
+def _substitute(poly, k0, k1):
+    """poly with k0 and k1 replaced by the given ParamPoly or rational values,
+    composed exactly in ParamPoly arithmetic."""
+    total = ParamPoly.zero()
+    for (e0, e1), c in poly:
+        total = total + c * k0**e0 * k1**e1
+    return total
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(K0, Fraction(1, 3)), (K0 / 2, K1), (K0 / 3 + Fraction(1, 4), -K1 / 2)],
+    ids=["K0,1/3", "K0/2,K1", "K0/3+1/4,-K1/2"],
+)
+def test_parameters_with_denominators_equal_the_substituted_symbolic_results(point):
+    # a rational next to a symbol, and a ParamPoly with a denominator, which
+    # _integral_scale folds into D: every result is the full symbolic one
+    # with the same values put in
+    symbolic, seq = _symbolic_closed_forms(12), alpha_beta_recurrence(8)
+    at = alpha_beta_recurrence(8, *point)
+    for n in range(9):
+        for got, poly in zip(_closed_forms(n, *point), symbolic[n]):
+            assert got == _substitute(poly, *point), f"n={n}"
+        assert at.alpha[n] == _substitute(seq.alpha[n], *point), f"alpha n={n}"
+        assert at.beta[n] == _substitute(seq.beta[n], *point), f"beta n={n}"
+
+
+def test_closed_forms_and_recurrence_do_not_use_the_generic_product(count_calls):
+    # the loops multiply dense integer rows (ring._Dense); ParamPoly's own
+    # product may only appear a fixed number of times, whatever n is
+    calls = [count_calls(ParamPoly, name) for name in ("__mul__", "__rmul__")]
+    runs = {
+        "alpha_closed": alpha_closed,
+        "s_inner_closed p14": lambda n: s_inner_closed(n, "p14"),
+        "alpha_beta_recurrence": alpha_beta_recurrence,
+    }
+    for label, run in runs.items():
+        counts = []
+        for n in (2, 20):
+            for seen in calls:
+                seen.clear()
+            run(n)
+            counts.append(sum(map(len, calls)))
+        assert counts[0] == counts[1] <= 1, (label, counts)
+
+
 def test_point_values_take_exact_parameters_only():
     seq = alpha_beta_recurrence(3, 1, 0)
     assert all(isinstance(v, Fraction) for v in seq.alpha + seq.beta)

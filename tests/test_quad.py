@@ -195,6 +195,51 @@ def test_tanh_sinh_node_tables_are_built_once_and_read_only():
     )
 
 
+def test_tanh_sinh_batches_are_built_once_and_read_only():
+    # each batch's levels, concatenated once, for tanh_sinh and _direct_rule
+    for index, levels in enumerate(quad._TS_BATCHES):
+        table, counts = quad._tanh_sinh_batch(index)
+        assert quad._tanh_sinh_batch(index)[0] is table and not table.flags.writeable
+        added = [_tanh_sinh_nodes(level) for level in levels]
+        assert counts == tuple(len(rows) for rows in added)
+        assert np.array_equal(table, np.concatenate(added).T)
+
+
+def _edge_mass_reference(p, d1, d2, phi_power, u_c, s_c):
+    """``quad._edge_mass`` with its six gamma values computed on every call."""
+    k0, k1 = abs(p.k0), p.k1
+    row1 = abs(d1) * (1.0 + k0 / (0.5 + k1)) ** 2 * u_c ** (3.0 + 2.0 * k1) / (3.0 + 2.0 * k1)
+    row2 = abs(d2) * u_c ** (1.0 - 2.0 * k1) / (1.0 - 2.0 * k1)
+    ratio = gamma_fn(1.0 + 2.0 * k0) / (2.0 * gamma_fn(1.0 + k0))
+    g_plus = ratio * gamma_fn(0.5 + k1) / gamma_fn(0.5 + k1 + k0)
+    g_minus = ratio * gamma_fn(0.5 - k1) / gamma_fn(0.5 - k1 + k0)
+    power = phi_power - 2.0 * k0
+    near_one = (abs(d1) * (1.0 + g_plus) ** 2 + abs(d2) * (1.0 + g_minus) ** 2) * 2.0**phi_power
+    return row1 + row2 + near_one * s_c ** (power + 1.0) / (power + 1.0)
+
+
+def test_direct_pairings_at_a_cached_point_compute_no_gamma_value(count_calls):
+    # the edge bound's six gamma values are kept per point, like d1, d2 and
+    # the rule's parts: repeating the pairings at a point calls gamma_fn no
+    # more, and each point reads its own values (with corners at 1/2 and
+    # d1 != d2 the bound is large enough, and tells g_+ from g_-, for them
+    # to show)
+    points = [ParamPoint(0.2113, -0.1307), ParamPoint(-0.2113, 0.1307), ParamPoint(0.1307, 0.2113)]
+    pairings = [(n, kind) for n in (0, 3, 7) for kind in ("p12", "p14")]
+    edge = (1.0, 2.0, 3, 0.5, 0.5)
+
+    def sweep(p):
+        results = [_bits(sector_inner_numeric(n, kind, p, mode="direct")) for n, kind in pairings]
+        return results, quad._edge_mass(p, *edge)
+
+    quad._edge_gammas.cache_clear()
+    cold = [sweep(p) for p in points]
+    calls = count_calls(hyper, "gamma_fn")
+    warm = [sweep(p) for p in points]
+    assert calls == [] and warm == cold
+    assert [mass for _, mass in warm] == [_edge_mass_reference(p, *edge) for p in points]
+
+
 def test_tanh_sinh_refuses_a_non_finite_value_or_estimate():
     # a bound that is NaN, everywhere or only at the outermost nodes, or
     # infinite must not come back as the error estimate; a value that is not

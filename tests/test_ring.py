@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b2weight.hyper import alpha_beta_recurrence, alpha_closed, beta_closed, s_inner_closed
-from b2weight.ring import K0, K1, ONE, ParamPoly, poch, poly_eval
+from b2weight.ring import K0, K1, ONE, ParamPoly, _dense_ratio, poch, poly_eval
 from b2weight.vpoly import VPoly, XPoly
 
 
@@ -254,6 +254,53 @@ def test_x_and_v_kernels_match_fraction_reference(x, y, v, w, p, s):
             assert a == b and hash(a) == hash(b)
     assert_matches(X * Y, ref_mul(rx, ry))
     assert_matches(V.scale_x(X), ref_mul(rx, rv, times_x))
+
+
+# the dense integer rows of the closed forms and the recurrence
+int_term_maps = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-50, 50), max_size=6
+)
+
+
+def assert_in_triangle(dense, degree: int) -> None:
+    """Rows of a polynomial of total degree <= degree: at most degree + 1 of
+    them, row e0 at most degree - e0 + 1 long."""
+    assert len(dense.rows) <= degree + 1
+    assert all(len(row) <= degree - e0 + 1 for e0, row in enumerate(dense.rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=int_term_maps, q=int_term_maps, s=st.integers(-30, 30), f=fractions.filter(bool), r=term_maps)
+def test_dense_rows_match_the_sparse_product_and_sum(p, q, s, f, r):
+    P, Q, R = ParamPoly(p), ParamPoly(q), ParamPoly(r)
+    (A, den_a), (B, den_b) = _dense_ratio(P), _dense_ratio(Q)
+    assert den_a == den_b == 1
+    dp, dq = P.degree(), Q.degree()
+    dpq = dp + dq if P and Q else -1  # the degree zero has is -1
+    cases = [
+        (A, P, dp),
+        (A + B, P + Q, max(dp, dq)),
+        (A - B, P - Q, max(dp, dq)),
+        (-A, -P, dp),
+        (A * B, P * Q, dpq),
+        (B * A, P * Q, dpq),
+        (A * s, P * s, dp),
+        (s * A, P * s, dp),
+        (A + s, P + s, max(dp, 0)),
+        (s + A, P + s, max(dp, 0)),
+        (A - s, P - s, max(dp, 0)),
+        (s - A, s - P, max(dp, 0)),
+        (A * B * B + s * A, P * Q * Q + s * P, max(dpq + dq, dp)),
+    ]
+    for got, want, degree in cases:
+        assert_matches(got.times_ratio(1, 1), want.terms)
+        assert_in_triangle(got, degree)
+    # the conversion: one canonical ParamPoly of value * p / q
+    p_, q_ = f.as_integer_ratio()
+    assert_matches(A.times_ratio(p_, q_), ref_scale(ref(p), f))
+    # any ParamPoly is integer rows over its denominator
+    C, den = _dense_ratio(R)
+    assert_matches(C.times_ratio(1, den), ref(r))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
