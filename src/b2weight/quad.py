@@ -7,14 +7,14 @@ one-dimensional integrals
 
 with algebraic endpoint singularities carried entirely by the explicit
 exponents.  Gauss-Jacobi carries exactly those exponents and doubles its node
-count; it serves mode "h" of the pairings and ``singular_integral``.  Mode "h"
+count from 24 to 384; it serves mode "h" of the pairings alone.  Mode "h"
 builds its rules in the graded variable x of 1 - v = (1 - x)^2 (1 + x): the
 h-values carry non-integer powers of 1 - v at v = 1, on which Gauss-Jacobi in
-v converges only algebraically, and the map doubles them.  Mode "direct",
-the independent cross-check, integrates the raw matrix form over
-the slope u = tan(theta) in (0, 1) with a tanh-sinh rule, which supplies each
-node u with 1 - u exactly, so 1 - u^2 is formed without cancellation and no
-node needs trigonometry.  Both rules stop by one test, in ``_refine``: at the
+v converges only algebraically, and the map doubles them.  Tanh-sinh, which
+supplies each node with its distance to 1 exactly, serves the rest:
+``singular_integral`` and mode "direct", the independent cross-check, over
+the slope u = tan(theta) in (0, 1), where 1 - u^2 then forms without
+cancellation.  Both rules stop by one test, in ``_refine``: at the
 tolerance or at the level's own error term.  The radial half of the plane
 integral is folded in analytically (a factor 2^l l! in the pairing
 normalization), so no infinite-domain quadrature appears anywhere.
@@ -51,10 +51,10 @@ from .errors import RegionError, ToleranceError
 from .hyper import _EPS, _GAMMA_RELERR, _H_PARAMS, _check_tol, _gauss_2f1_rows, gamma_fn
 from .weight import ParamPoint, _eval_L_bounded, d_consts
 
-# node counts of Gauss-Jacobi doubling, 24 to 3072; tanh-sinh levels and node
+# node counts of Gauss-Jacobi doubling, 24 to 384; tanh-sinh levels and node
 # range, and the batches of levels whose nodes tanh-sinh passes to its integrand
 # in one call: levels 0 to 3, where the rule cannot stop yet, then one level each
-_GJ_SIZES = tuple(24 << k for k in range(8))
+_GJ_SIZES = tuple(24 << k for k in range(5))
 _TS_LEVELS, _TS_T_MAX = 9, 6.2
 _TS_BATCHES = ((0, 1, 2, 3),) + tuple((level,) for level in range(4, _TS_LEVELS + 1))
 
@@ -70,11 +70,12 @@ class QuadResult:
     ``error_estimate`` is the difference between the last two refinements,
     a heuristic for the quadrature error, plus the accepted level's error
     term: the integrand's error bounds carried through the rule (those of
-    the h-values in mode "h", of L's entries in mode "direct", none for
-    ``singular_integral``'s ``smooth``) plus the rounding of the rule's
-    weighted sum, and in the Gauss-Jacobi rules of its weights' first moment
-    (and in mode "h" of their graded factor).  Refinement stops once that
-    difference is within tol * (1 + |value|) or within the error term.
+    the h-values in mode "h", of L's entries in mode "direct", of the weight
+    in ``singular_integral``) plus the rounding of the rule's weighted sum,
+    and in mode "h" of its weights' first moment and graded factor.
+    Refinement stops once that difference is within tol * (1 + |value|) or
+    within the error term.  The tanh-sinh rules of mode "direct" and
+    ``singular_integral`` then add the mass beyond their outermost nodes.
     The actual error can exceed the estimate by a small factor.  Value and
     estimate are always finite.
     """
@@ -96,13 +97,11 @@ def _gauss_jacobi_01(
     row of each per pair (alpha, beta) of ``exponents``.
 
     Golub-Welsch, n >= 2: one numpy eigen-solve of the stacked tridiagonal
-    recurrence matrices, O(n^3) each, 4.8 s at n = 3072 on one thread.  The
+    recurrence matrices, O(n^3) each, 16 ms at n = 384 on one thread.  The
     recurrence coefficients of all rules are formed at once, on (rules, n)
     arrays, and written into the stacked matrices by index; every entry
     rounds as in a rule of its own, and a stack gives each rule the bits of
-    its own solve.  The first moment is formed through lgamma, so very large
-    exponents (deep endpoint powers such as (1-v)^n with n in the hundreds)
-    stay inside float range.
+    its own solve.  The first moment is formed through lgamma.
     """
     # per rule, in the [-1, 1] convention: the exponents a of (1-x) and b of
     # (1+x), s = a + b, b^2 - a^2, the first diagonal entry, the j = 1
@@ -205,12 +204,11 @@ def tanh_sinh(
 ) -> QuadResult:
     """Double-exponential rule on (0, 1) for endpoint-singular integrands.
 
-    The integrand receives arrays of nodes, as ``singular_integral``'s
-    ``smooth`` does: it is called as f(v, 1 - v), each node with its distance
-    to 1 supplied exactly, so algebraic endpoint factors can be formed from
-    the two without catastrophic cancellation.  Neither array holds 0.  It
-    returns an array of values and an array (or a scalar) of bounds on the
-    error of each value (0.0 for a value exact up to rounding).
+    The integrand is called on arrays of nodes as f(v, 1 - v), each node with
+    its distance to 1 supplied exactly, so algebraic endpoint factors can be
+    formed from the two without catastrophic cancellation.  Neither array
+    holds 0.  It returns an array of values and an array (or a scalar) of
+    bounds on the error of each value (0.0 for a value exact up to rounding).
 
     Level L has step 2^-L and floor(6.2 * 2^L) nodes on each side, for L up
     to 9; its even-indexed nodes are exactly the nodes of level L - 1, so
@@ -256,31 +254,43 @@ def singular_integral(
     smooth: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-10,
 ) -> QuadResult:
-    """int_0^1 v^alpha (1-v)^beta smooth(v) dv by Gauss-Jacobi node doubling.
+    """int_0^1 v^alpha (1-v)^beta smooth(v) dv by tanh-sinh.
 
-    ``smooth`` must accept a numpy array of nodes in (0, 1).  Exponents must
-    exceed -1.  The doubling stops as ``_refine`` says, the error term being
-    the sum's rounding.  Declare every algebraic endpoint power in alpha and
-    beta, where the rule carries it exactly: a smooth factor with an endpoint
-    kink, such as (1 - v)^0.5, stalls the doubling up to the 3072-node rule,
-    seconds of O(n^3) solve, and raises ToleranceError.  A NaN or negative
-    tol raises ValueError before any rule is built.
+    ``smooth`` must accept a numpy array of nodes in (0, 1) and counts as
+    exact; an endpoint power left in it, such as (1 - v)^0.5, is integrated
+    too.  Exponents must exceed -1.  The weight is exp(alpha log v + beta log s)
+    from the pair v, s = 1 - v that ``tanh_sinh`` supplies; the error term
+    carries its rounding, and the estimate the mass beyond the outermost
+    nodes.  An exponent near -1 overflows the weight at those nodes, 1e-300
+    from an end, and raises ToleranceError: below -0.965 at tol 1e-12.  A NaN
+    or negative tol raises ValueError before ``smooth`` is called.
     """
     if alpha <= -1.0 or beta <= -1.0:
         raise RegionError(f"endpoint exponents must exceed -1, got ({alpha}, {beta})")
-    _check_tol(tol)
-    # every weight carries the relative rounding of the rule's first moment
-    moment = _moment_rounding(alpha, beta)
 
-    def levels():
-        for size in _GJ_SIZES:
-            (v,), (w,) = _gauss_jacobi_01(size, [(alpha, beta)])
-            values = np.asarray(smooth(v), dtype=float)
-            # the weights are positive; the sum rounds at most once per term
-            rounding = (size + 2 + moment) * _EPS * float(np.dot(w, np.abs(values)))
-            yield float(np.dot(w, values)), rounding, size
+    outermost = [(1.0, 0.0)] * 2  # per end: the nearest node's distance and |value|
 
-    return _refine(levels(), tol, "Gauss-Jacobi")
+    def integrand(v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a_log, b_log = alpha * np.log(v), beta * np.log(s)
+        with np.errstate(over="ignore"):
+            weight = np.exp(a_log + b_log)
+        if not np.isfinite(weight).all():
+            raise ToleranceError(f"v^{alpha} (1-v)^{beta} overflows at the outermost tanh-sinh nodes")
+        values = weight * np.asarray(smooth(v), dtype=float)
+        for end, dist in enumerate((v, s)):
+            i = np.argmin(dist)
+            outermost[end] = min(outermost[end], (float(dist[i]), abs(float(values[i]))))
+        # three roundings in the exponent per unit of each of its terms (two
+        # logs, products, sum), one of each node per unit of its exponent,
+        # exp's and the product's
+        rounding = 3.0 * (np.abs(a_log) + np.abs(b_log)) + abs(alpha) + abs(beta) + 3.0
+        return values, rounding * _EPS * np.abs(values)
+
+    result = tanh_sinh(integrand, tol)
+    # the mass beyond the outermost nodes, where the weight's power of the
+    # distance d to the end dominates: |value| d / (1 + exponent)
+    edges = sum(dist * size / (1.0 + power) for (dist, size), power in zip(outermost, (alpha, beta)))
+    return QuadResult(result.value, result.error_estimate + edges, result.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +316,9 @@ def sector_inner_numeric(
     factored route.
     Both carry the tail bounds of their series values into the error estimate,
     and stop once two levels agree within the tolerance or that error term
-    (see ``QuadResult``): at tol 1e-12 and 1e-13 mode "h" built no rule, an
-    O(n^3) solve, past 384 nodes at the points tested.  Both modes compute
-    near k0 = 0 too, where c - a - b of their series is nearly an integer.
+    (see ``QuadResult``); mode "h" raises ToleranceError after its 384-node
+    level, an O(n^3) solve.  Both modes compute near k0 = 0 too, where
+    c - a - b of their series is nearly an integer.
     A NaN or negative tol raises ValueError before any rule is built.
     """
     if n < 0:
@@ -326,8 +336,8 @@ def sector_inner_numeric(
 
 
 # Points kept at once, each with every rule its pairings reached: four
-# families (two kinds times two slots) of at most eight doubling levels each
-# (24 to 3072 nodes).  On the graded rule, for n <= 20 over the step-1/20
+# families (two kinds times two slots) of at most five doubling levels each
+# (24 to 384 nodes).  On the graded rule, for n <= 20 over the step-1/20
 # grid, no family goes past 96 nodes at tol 1e-9 or past 384 at tol 1e-11.
 _H_POINT_CACHE = 4
 
@@ -344,15 +354,6 @@ def _h_exponents(k0: float, k1: float, i: int, j: int) -> tuple[float, float]:
     """The exponents (a, b0) of mode "h"'s weight v^a (1-v)^b0 for h_i h_j."""
     a = k1 + 0.5 if i == 1 else -k1 - 0.5
     return a, (-2.0 * k0 if j == i else 0.0)
-
-
-@functools.lru_cache(maxsize=16)
-def _moment_rounding(alpha: float, beta: float) -> float:
-    """The relative rounding, in units of eps, of the first moment
-    exp(lgamma(alpha+1) + lgamma(beta+1) - lgamma(alpha+beta+2)) of a
-    Gauss-Jacobi rule: that of the lgamma sum, which grows with beta, and of exp."""
-    lgammas = (math.lgamma(alpha + 1.0), math.lgamma(beta + 1.0), math.lgamma(alpha + beta + 2.0))
-    return sum(map(abs, lgammas)) + 4.0
 
 
 @functools.lru_cache(maxsize=_H_POINT_CACHE)
@@ -446,7 +447,10 @@ def _h_integral(
     graded factor) and of forming and summing the terms.
     """
     a, b0 = _h_exponents(k0, k1, i, j)
-    per_term = 9 * e + 8 + _GRADED_ROUNDING + _moment_rounding(a, 2.0 * b0 + 1.0)
+    b = 2.0 * b0 + 1.0  # the rule's exponent of 1 - x
+    # the rounding of the rule's first moment: of its lgamma sum, and of exp
+    moment = abs(math.lgamma(a + 1.0)) + abs(math.lgamma(b + 1.0)) + abs(math.lgamma(a + b + 2.0)) + 4.0
+    per_term = 9 * e + 8 + _GRADED_ROUNDING + moment
 
     def levels():
         for size in _GJ_SIZES:

@@ -27,9 +27,10 @@ an int or another ``_Dense`` only.  It is the working form of the loops of
 ``hyper._closed_sum`` and ``hyper.alpha_beta_recurrence``: there each step
 multiplies a growing polynomial by a linear or quadratic form, which in rows
 is a few shifted, scaled row additions rather than a dict product with a
-tuple key per term pair.  ``_dense_ratio`` turns a ParamPoly into integer
-rows over a denominator, and ``_Dense.times_ratio`` turns the loops' result
-back into a canonical ParamPoly with one gcd.
+tuple key per term pair.  ``ParamPoly``'s own product runs on it too.
+``_dense_ratio`` turns a ParamPoly into integer rows over a denominator, and
+``_Dense.times_ratio`` turns a result back into a canonical ParamPoly with
+one gcd.
 """
 
 from __future__ import annotations
@@ -284,13 +285,8 @@ class ParamPoly(SparsePoly):
             p, q = _ratio(other)
             num = {mono: c * p for mono, c in self._num.items()} if p else {}
             return _make(ParamPoly, num, self._den * q)
-        out: dict[Monomial, int] = {}
-        get = out.get
-        for (a0, a1), ca in self._num.items():
-            for (b0, b1), cb in other._num.items():
-                mono = (a0 + b0, a1 + b1)
-                out[mono] = get(mono, 0) + ca * cb
-        return _make(ParamPoly, {mono: c for mono, c in out.items() if c}, self._den * other._den)
+        (a, p), (b, q) = _dense_ratio(self), _dense_ratio(other)
+        return (a * b).times_ratio(1, p * q)
 
     __rmul__ = __mul__
 

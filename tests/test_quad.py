@@ -81,9 +81,9 @@ def test_singular_integral_error_estimate_bounds_the_error():
 
 
 def test_singular_integral_error_estimate_bounds_the_error_at_large_beta():
-    # endpoint powers up to 800.2, the range asym_integral_check reaches: each
-    # lgamma of the rule's first moment is about 4.5e3 at beta = 800, and the
-    # rounding of their sum is part of the error
+    # endpoint powers up to 800.2, the range asym_integral_check reaches: the
+    # weight's exponent beta log s reaches about -6e5 at the outermost nodes,
+    # and its rounding is part of the error
     _assert_estimates_bound_the_error(
         (-0.9, -0.5, 0.0, 0.25, 0.5, 0.9, 2.5), (50.2, 100.2, 200.0, 400.2, 800.2)
     )
@@ -115,18 +115,37 @@ def test_singular_integral_rejects_bad_exponents():
         singular_integral(0.0, -1.5, const_one)
 
 
-def test_singular_integral_needs_declared_endpoint_powers():
-    # an endpoint kink left in the smooth factor stalls the doubling
-    with pytest.raises(ToleranceError):
-        singular_integral(0.0, 0.0, lambda v: (1 - v) ** 0.5, tol=1e-12)
-    # declared as an exponent, the rule carries it exactly
-    res = singular_integral(0.0, 0.5, const_one, tol=1e-12)
-    assert abs(res.value - 2.0 / 3.0) <= 1e-12
+def test_singular_integral_computes_declared_and_undeclared_endpoint_powers():
+    # tanh-sinh integrates an endpoint kink left in the smooth factor, and
+    # the same power declared as an exponent, within their estimates
+    for beta, smooth in ((0.5, const_one), (0.0, lambda v: (1 - v) ** 0.5)):
+        res = singular_integral(0.0, beta, smooth, tol=1e-12)
+        assert abs(res.value - 2.0 / 3.0) <= res.error_estimate <= 1e-12
+
+
+def test_singular_integral_near_minus_one_counts_the_mass_past_its_nodes():
+    # at exponents near -1 the mass beyond the outermost tanh-sinh nodes
+    # exceeds the refinement difference; nearer -1 the weight overflows there
+    with mpmath.workdps(40):
+        for alpha, beta in ((-0.97, 0.5), (0.5, -0.97), (-0.97, -0.96)):
+            got = singular_integral(alpha, beta, const_one, tol=1e-9)
+            exact = mpmath.beta(mpmath.mpf(alpha) + 1, mpmath.mpf(beta) + 1)
+            assert abs(mpmath.mpf(got.value) - exact) <= got.error_estimate, (alpha, beta)
+    for alpha, beta in ((-0.99, 0.0), (0.0, -0.99)):
+        with pytest.raises(ToleranceError, match="overflows"):
+            singular_integral(alpha, beta, const_one, tol=1e-12)
+
+
+def test_singular_integral_builds_no_gauss_jacobi_rule(count_calls):
+    solves = count_calls(np.linalg, "eigh")
+    singular_integral(0.3, -0.4, const_one, tol=1e-12)
+    asym_integral_check(0.25, -0.3, 0.2, 800)
+    assert solves == []
 
 
 def test_singular_integral_never_accepts_a_non_finite_value():
-    # the 24-node level is finite and the 48-node level infinite; inf - 1 is
-    # within any tolerance relative to |inf|, so the stop test alone passes it
+    # infinite from the first level on; inf - previous is within any
+    # tolerance relative to |inf|, so the stop test alone could pass it
     with pytest.raises(ToleranceError):
         singular_integral(0.0, 0.0, lambda v: np.where(v > 0.999, np.inf, 1.0))
 
@@ -330,8 +349,8 @@ def test_sector_pairing_region_and_argument_checks():
 
 
 def test_a_nan_or_negative_tol_is_refused_before_any_rule(count_calls):
-    # a NaN tol ran the Gauss-Jacobi doubling up to 3072 nodes, seconds of
-    # solves, before its ToleranceError, and a negative one was taken silently
+    # a NaN tol ran the quadrature through its largest rules before its
+    # ToleranceError, and a negative one was taken silently
     solves = count_calls(np.linalg, "eigh")
     series = count_calls(hyper, "_gauss_2f1_rows")
     evaluated = []

@@ -277,23 +277,25 @@ def test_dense_rows_match_the_sparse_product_and_sum(p, q, s, f, r):
     assert den_a == den_b == 1
     dp, dq = P.degree(), Q.degree()
     dpq = dp + dq if P and Q else -1  # the degree zero has is -1
+    # ParamPoly's product runs on the rows, so products meet the reference
+    pq = ref_mul(ref(p), ref(q))
     cases = [
-        (A, P, dp),
-        (A + B, P + Q, max(dp, dq)),
-        (A - B, P - Q, max(dp, dq)),
-        (-A, -P, dp),
-        (A * B, P * Q, dpq),
-        (B * A, P * Q, dpq),
-        (A * s, P * s, dp),
-        (s * A, P * s, dp),
-        (A + s, P + s, max(dp, 0)),
-        (s + A, P + s, max(dp, 0)),
-        (A - s, P - s, max(dp, 0)),
-        (s - A, s - P, max(dp, 0)),
-        (A * B * B + s * A, P * Q * Q + s * P, max(dpq + dq, dp)),
+        (A, P.terms, dp),
+        (A + B, (P + Q).terms, max(dp, dq)),
+        (A - B, (P - Q).terms, max(dp, dq)),
+        (-A, (-P).terms, dp),
+        (A * B, pq, dpq),
+        (B * A, pq, dpq),
+        (A * s, (P * s).terms, dp),
+        (s * A, (P * s).terms, dp),
+        (A + s, (P + s).terms, max(dp, 0)),
+        (s + A, (P + s).terms, max(dp, 0)),
+        (A - s, (P - s).terms, max(dp, 0)),
+        (s - A, (s - P).terms, max(dp, 0)),
+        (A * B * B + s * A, ref_add(ref_mul(pq, ref(q)), ref_scale(ref(p), s)), max(dpq + dq, dp)),
     ]
     for got, want, degree in cases:
-        assert_matches(got.times_ratio(1, 1), want.terms)
+        assert_matches(got.times_ratio(1, 1), want)
         assert_in_triangle(got, degree)
     # the conversion: one canonical ParamPoly of value * p / q
     p_, q_ = f.as_integer_ratio()
