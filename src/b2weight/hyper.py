@@ -18,14 +18,13 @@ m with limit 1, so the ratio of consecutive terms from index m on is at most
 and if r < 1 the whole tail from t_m on is at most |t_m| / (1 - r).
 
 The float path works on arrays: ``_gauss_2f1_rows`` takes several parameter
-triples, each at its own array of arguments.  Away from z = 1 it sums all their
-series in one ``_sum_series`` call, which runs every row in the order of a
-one-term-at-a-time loop.  Near z = 1 each triple takes one series in
-w = 1 - z, uniform in the distance of c - a - b from the nearest integer
-(``_connection_series``): its coefficients do not depend on w, so they are
-formed once per triple, and the bound there is a tail bound of the same
-kind plus a running bound on the rounding.  ``gauss_2f1`` calls it with one
-argument, and ``h_func`` is ``gauss_2f1`` at its parameter triple.
+triples, each at its own array of arguments, and sums all series away from
+z = 1 in one ``_sum_series`` call, in the order of a one-term-at-a-time loop.
+Near z = 1 each triple takes one series in w = 1 - z, uniform in the
+distance of c - a - b from the nearest integer (``_connection_series``): its
+coefficients do not depend on w, so they are formed once per triple, and the
+bound there is a tail bound of the same kind plus a running bound on the
+rounding.  ``h_func`` is ``gauss_2f1`` at its parameter triple.
 ``_gauss_2f1_rows`` and its helpers import numpy when they run, so the
 exact paths never load it.
 """
@@ -126,24 +125,28 @@ _FIRST_BLOCK = 32
 _BLOCK_FLOATS = 65_536
 
 
+def _terminates(x: np.ndarray) -> np.ndarray:
+    """Where the parameters x are 0, -1, -2, ...: the series they enter terminates."""
+    return (x <= 0.0) & (x == x.round())
+
+
 def _sum_series(
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
     z: np.ndarray,
     tol: float,
-    max_terms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward summation of F(a_k, b_k; c_k; z_k), 0 <= z_k < 1, for every row k.
 
     Returns the arrays (value, tail_bound, terms_used).  Each row stops at the
-    first index m <= max_terms where its term is zero (a terminating series,
-    bounded by rounding alone) or where, from the first index past every
-    negative parameter on, the tail bound of the module docstring is at most
-    tol; a row with no such index raises ToleranceError.  The terms, the
-    partial sums and the sums of absolute values are formed in blocks of
-    indices by ``multiply.accumulate`` and ``add.accumulate``, which run in
-    sequence, so every row rounds exactly as a one-term-at-a-time loop would.
+    first index m, up to 10^6 if the row terminates and 2 000 if not, where
+    its term is zero (bounded by rounding alone) or where, from the first
+    index past every negative parameter on, the tail bound of the module
+    docstring is at most tol; a row with no such index raises ToleranceError.
+    The terms, the partial sums and the sums of absolute values are formed in
+    blocks of indices by ``multiply.accumulate`` and ``add.accumulate``, which
+    run in sequence, so every row rounds as a one-term-at-a-time loop would.
     A block shifts a, b and c of its live rows by its indices in one addition
     and forms each |term| once, for the sums of absolute values and the tail
     bounds; only rows still going carry their term and sums to the next block.
@@ -151,6 +154,7 @@ def _sum_series(
     import numpy as np
 
     rows = len(a)
+    max_terms = np.where(_terminates(a) | _terminates(b), 10**6, 2_000)
     value, bound = np.ones(rows), np.zeros(rows)
     terms = np.ones(rows, dtype=np.int64)
     # the first index past every negative parameter
@@ -428,15 +432,16 @@ def _connection_series(a: float, b: float, c: float) -> tuple:
 
 
 def _connection_rows(
-    a: float, b: float, c: float, w: np.ndarray, logs: list
+    a: float, b: float, c: float, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """F(a, b; c; 1 - w) for 0 < w < 1/4 from ``_connection_series``, with its
     bound: the tail, the rounding of every row, of E(w) and of w^d after an
-    Euler transform, and the relative error of Gamma(c).  ``logs`` holds
-    log(w) per argument, taken with ``math``, whose accuracy the bound assumes.
-    Returns (value, bound, terms)."""
+    Euler transform, and the relative error of Gamma(c).  log(w) is taken
+    with ``math``, whose accuracy the bound assumes.  Returns (value, bound,
+    terms)."""
     import numpy as np
 
+    logs = [math.log(x) for x in w.tolist()]
     m, eps, euler, gamma_c, table, (tail_a, tail_b), ratio = _connection_series(a, b, c)
     count = len(table)
     powers = np.ones((len(w), count + 1))
@@ -481,17 +486,11 @@ def _gauss_2f1_rows(
     ``w`` holds 1 - z, possibly to better accuracy than the subtraction.
     Callers that share their arguments pass the same array for each triple.
     Returns one (value, tail_bound, terms_used) triple of arrays per
-    parameter triple.  The branches are those ``gauss_2f1`` documents, chosen
-    per triple and argument: one mask pass over all arguments gives each its
-    branch (z = 1, forward, or near z = 1 where 1 - z < 1/4), and each triple
-    declares one series row per branch (factor, the factor's relative
-    rounding, series parameters; a terminating triple the same row on every
-    branch), from which every argument gathers its own once.  All arguments
-    but the near ones of non-terminating triples are summed in one
-    ``_sum_series`` call: the value is factor * series, the bound |factor| *
-    tail plus |factor * series| times the rounding.  The near ones take
-    ``_connection_rows``, one call per triple.  A bound over tol * (1 +
-    |value|), or one that is not finite, raises ToleranceError.
+    parameter triple.  The branches are those ``gauss_2f1`` documents, picked
+    per argument by mask: z = 1 takes Gauss's quotient, 1 - z < 1/4
+    ``_connection_rows`` (one call per triple), and the rest, terminating
+    triples at every argument, one ``_sum_series`` call.  A bound over
+    tol * (1 + |value|), or one that is not finite, raises ToleranceError.
     """
     import numpy as np
 
@@ -499,54 +498,35 @@ def _gauss_2f1_rows(
     ends = np.cumsum(sizes).tolist()
     z, w = np.concatenate(z, dtype=float), np.concatenate(w, dtype=float)
     owner = np.repeat(np.arange(len(params)), sizes)
+    triples = np.array(params, dtype=float).reshape(-1, 3)
+    for triple in triples.tolist():
+        for name, x in zip("abc", triple):
+            if not math.isfinite(x):
+                raise RegionError(f"gauss_2f1 parameter {name} = {x} is not finite")
+        if _is_nonpositive_integer(triple[2]):
+            raise RegionError(f"gauss_2f1 parameter c = {triple[2]} is a non-positive integer")
     # the better-conditioned representation of the argument wins
     z_eff = np.where(w >= 0.5, z, 1.0 - w)
-    unit = w == 0.0
-    branch = np.where(unit, 0, np.where(z_eff <= 0.75, 1, 2))
-    at_unit = set(owner[unit].tolist())
-    # per triple, one row per branch (z = 1, forward, near): a, b, c, factor,
-    # its relative rounding, max_terms, and the argument summed (0: z, 1:
-    # w = 1 - z, 2: none, the near-1 series takes it)
-    table = []
-    for k, (a, b, c) in enumerate(params):
-        a, b, c = float(a), float(b), float(c)
-        if _is_nonpositive_integer(c, tol=0.0):
-            raise RegionError(f"gauss_2f1 parameter c = {c} is a non-positive integer")
-        if (a <= 0 and a == round(a)) or (b <= 0 and b == round(b)):
-            table += [(a, b, c, 1.0, 0.0, 10**6, 0)] * 3
-            continue
-        unit_row = (a, b, c, 1.0, 0.0, 1, 1)
-        if k in at_unit:
-            d = c - a - b
-            if d <= 0:
-                raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {d} is not positive")
-            # Gauss's sum of five rounded gamma values; the series at w = 0 is exactly 1
-            unit_row = (a, b, c, _gauss_sum(a, b, c), 5.0 * _GAMMA_RELERR, 1, 1)
-        table += [unit_row, (a, b, c, 1.0, 0.0, 2_000, 0), (a, b, c, 1.0, 0.0, 0, 2)]
-    rows = np.array(table)[3 * owner + branch]
+    other = ~_terminates(triples[owner, :2]).any(axis=1)
+    unit = other & (w == 0.0)
+    near = other & (w != 0.0) & (z_eff > 0.75)
     value, bound = np.zeros((2, len(z)))
-    terms = np.zeros(len(z), dtype=np.int64)
-    near = np.flatnonzero(rows[:, 6] == 2.0)
-    if near.size:
-        # each triple's near arguments, in order
-        bounds = np.searchsorted(owner[near], np.arange(len(params) + 1)).tolist()
-        for (a, b, c, *_), first, last in zip(table[::3], bounds, bounds[1:]):
-            if first < last:
-                at = near[first:last]
-                logs = [math.log(x) for x in w[at].tolist()]
-                value[at], bound[at], terms[at] = _connection_rows(a, b, c, w[at], logs)
-    series = np.flatnonzero(rows[:, 6] != 2.0)
-    a, b, c, factor, rounding, max_terms, source = rows[series].T
-    x = np.where(source == 1.0, w[series], z_eff[series])
-    summed, tail, count = _sum_series(a, b, c, x, tol, max_terms)
-    part = factor * summed
-    value[series] = part
-    bound[series] = np.abs(factor) * tail + np.abs(part) * rounding
-    terms[series] = count
+    terms = np.ones(len(z), dtype=np.int64)
+    for j in np.flatnonzero(unit).tolist():
+        p, q, r = triples[owner[j]].tolist()
+        if r - p - q <= 0:
+            raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {r - p - q} is not positive")
+        value[j] = _gauss_sum(p, q, r)
+    bound[unit] = np.abs(value[unit]) * (5.0 * _GAMMA_RELERR)
+    for k in dict.fromkeys(owner[near].tolist()):
+        at = near & (owner == k)
+        value[at], bound[at], terms[at] = _connection_rows(*triples[k].tolist(), w[at])
+    rest = ~(unit | near)
+    value[rest], bound[rest], terms[rest] = _sum_series(*triples[owner[rest]].T, z_eff[rest], tol)
     over = np.flatnonzero(~(bound <= tol * (1.0 + np.abs(value))) | ~np.isfinite(value))
     if over.size:
         j = over[0]
-        place = "at z=1" if w[j] == 0.0 else "near z=1" if branch[j] == 2 else f"at z={float(z[j])}"
+        place = "at z=1" if w[j] == 0.0 else "near z=1" if near[j] else f"at z={float(z[j])}"
         best = f"best bound {bound[j]:.3e}"
         raise ToleranceError(f"tol={tol} unreachable for 2F1 {place} ({best})")
     return [(value[i:j], bound[i:j], terms[i:j]) for i, j in zip([0, *ends], ends)]
@@ -571,7 +551,8 @@ def gauss_2f1(
     summation; z > 3/4 uses the two connection series in 1 - z as one series
     that stays well conditioned for every c - a - b, integer or nearly so
     (``_connection_series``, after an Euler transform when c - a - b is
-    nearer a negative integer).  A NaN or negative tol raises ValueError.
+    nearer a negative integer).  A parameter that is not finite raises
+    RegionError, and a NaN or negative tol ValueError.
     """
     a, b, c, z = float(a), float(b), float(c), float(z)
     if not 0.0 <= z <= 1.0:

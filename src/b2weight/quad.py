@@ -32,10 +32,11 @@ together: one stacked eigen-solve per size and one series call for every
 h-value at their nodes.  A later level is built when a family first
 reaches it, its nodes again in one batch.  Mode "direct" likewise needs L
 only at the slope: a second bounded memo keeps, per point and tanh-sinh
-batch (levels 0 to 3, then each later level), every part of the integrand
-but the power of w / q that carries n (``_direct_rule``), so every n and
-kind at one point sums L's series once; the six gamma values of its edge
-bound are likewise kept per point (``_edge_gammas``).
+level, every part of the integrand but the power of w / q that carries n
+(``_direct_rule``), so every n and kind at one point sums L's series once;
+the six gamma values of its edge bound are likewise kept per point
+(``_edge_gammas``).  Both modes sum their series to ``_SERIES_TOL``, so
+pairings at every tolerance share one memo per point.
 """
 
 from __future__ import annotations
@@ -51,12 +52,11 @@ from .errors import RegionError, ToleranceError
 from .hyper import _EPS, _GAMMA_RELERR, _H_PARAMS, _check_tol, _gauss_2f1_rows, gamma_fn
 from .weight import ParamPoint, _eval_L_bounded, d_consts
 
-# node counts of Gauss-Jacobi doubling, 24 to 384; tanh-sinh levels and node
-# range, and the batches of levels whose nodes tanh-sinh passes to its integrand
-# in one call: levels 0 to 3, where the rule cannot stop yet, then one level each
+# node counts of Gauss-Jacobi doubling, 24 to 384; tanh-sinh levels and node range
 _GJ_SIZES = tuple(24 << k for k in range(5))
 _TS_LEVELS, _TS_T_MAX = 9, 6.2
-_TS_BATCHES = ((0, 1, 2, 3),) + tuple((level,) for level in range(4, _TS_LEVELS + 1))
+# the tolerance of the h series of mode "h" and of L's series in mode "direct"
+_SERIES_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def _gauss_jacobi_01(
 
 @functools.cache
 def _tanh_sinh_nodes(level: int) -> np.ndarray:
-    """The nodes tanh-sinh level ``level`` adds, as rows (dist0, dist1, dv/dt).
+    """The nodes tanh-sinh level ``level`` adds: the rows dist0, dist1 and dv/dt.
 
     Level 0 takes every node, later levels the odd-indexed ones; nodes whose
     weight or distance to the nearer endpoint underflows are left out.  Built
@@ -158,22 +158,9 @@ def _tanh_sinh_nodes(level: int) -> np.ndarray:
         dvdt = 0.25 * math.pi * math.cosh(t) * sech_sq
         if dvdt != 0.0 and near != 0.0:
             rows.append((dist0, dist1, dvdt))
-    table = np.array(rows).reshape(-1, 3)
+    table = np.array(rows).T.copy()
     table.flags.writeable = False
     return table
-
-
-@functools.cache
-def _tanh_sinh_batch(batch: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The nodes of tanh-sinh batch ``batch`` (an index into ``_TS_BATCHES``):
-    the tables of its levels concatenated and transposed to the rows dist0,
-    dist1 and dv/dt, read-only, and the number of nodes of each level.  Built
-    once per batch (at most _TS_LEVELS - 2 tables).
-    """
-    added = [_tanh_sinh_nodes(level) for level in _TS_BATCHES[batch]]
-    table = np.concatenate(added).T.copy()
-    table.flags.writeable = False
-    return table, tuple(len(rows) for rows in added)
 
 
 def _refine(levels: Iterable, tol: float, rule: str, first: int = 1) -> QuadResult:
@@ -212,9 +199,8 @@ def tanh_sinh(
 
     Level L has step 2^-L and floor(6.2 * 2^L) nodes on each side, for L up
     to 9; its even-indexed nodes are exactly the nodes of level L - 1, so
-    each level adds only its odd-indexed nodes to the running sums.  The rule
-    cannot stop before level 3, so f is called once for the nodes of levels
-    0 to 3 and once for each later level.  ``nodes`` counts the integrand
+    each level adds only its odd-indexed nodes to the running sums, and f is
+    called once per level, in order.  ``nodes`` counts the integrand
     evaluations over all levels.  ``error_estimate`` is the difference of the
     last two levels, plus the integrand's bounds integrated by the same rule,
     plus the rounding of the sum.  The rule stops once that difference is
@@ -225,8 +211,8 @@ def tanh_sinh(
 
     def levels():
         sums, nodes = np.zeros(3), 0  # running sums of the terms, bounds and |terms|
-        for index, batch in enumerate(_TS_BATCHES):
-            table, counts = _tanh_sinh_batch(index)
+        for level in range(_TS_LEVELS + 1):
+            table = _tanh_sinh_nodes(level)
             dvdt = table[2]
             values, bounds = f(*table[:2].copy())  # f may write to its nodes
             # all three running sums in node order, as one term at a time
@@ -235,15 +221,12 @@ def tanh_sinh(
             terms = block[1:, 0] = values * dvdt
             block[1:, 1] = bounds * dvdt
             block[1:, 2] = np.abs(terms)
-            running = np.add.accumulate(block)
-            start = nodes  # running[0] holds the sums over the nodes of earlier batches
-            for level, count in zip(batch, counts):
-                nodes += count
-                h = 1.0 / 2**level
-                total, bound, mass = running[nodes - start].tolist()
-                # the sum of `nodes` terms rounds at most once per term
-                yield total * h, bound * h + (nodes + 2) * _EPS * mass * h, count
-            sums = running[-1]
+            sums = np.add.accumulate(block)[-1]
+            nodes += len(dvdt)
+            h = 1.0 / 2**level
+            total, bound, mass = sums.tolist()
+            # the sum of `nodes` terms rounds at most once per term
+            yield total * h, bound * h + (nodes + 2) * _EPS * mass * h, len(dvdt)
 
     return _refine(levels(), tol, "tanh-sinh", first=3)
 
@@ -263,10 +246,11 @@ def singular_integral(
     carries its rounding, and the estimate the mass beyond the outermost
     nodes.  An exponent near -1 overflows the weight at those nodes, 1e-300
     from an end, and raises ToleranceError: below -0.965 at tol 1e-12.  A NaN
-    or negative tol raises ValueError before ``smooth`` is called.
+    or infinite exponent raises RegionError, and a NaN or negative tol
+    ValueError, before ``smooth`` is called.
     """
-    if alpha <= -1.0 or beta <= -1.0:
-        raise RegionError(f"endpoint exponents must exceed -1, got ({alpha}, {beta})")
+    if not (alpha > -1.0 and beta > -1.0 and math.isfinite(alpha) and math.isfinite(beta)):
+        raise RegionError(f"endpoint exponents must be finite and exceed -1, got ({alpha}, {beta})")
 
     outermost = [(1.0, 0.0)] * 2  # per end: the nearest node's distance and |value|
 
@@ -357,7 +341,7 @@ def _h_exponents(k0: float, k1: float, i: int, j: int) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=_H_POINT_CACHE)
-def _h_point(k0: float, k1: float, htol: float) -> dict:
+def _h_point(k0: float, k1: float) -> dict:
     """The memo of mode "h" rules at one point, keyed (i, j, size).
 
     It starts with the 24- and 48-node rules of all four families, which
@@ -365,21 +349,19 @@ def _h_point(k0: float, k1: float, htol: float) -> dict:
     built together by one ``_h_build``; ``_h_rule`` adds each later level
     when a family first reaches it.
     """
-    return _h_build(k0, k1, htol, [(i, j, size) for size in _GJ_SIZES[:2] for i, j in _H_FAMILIES])
+    return _h_build(k0, k1, [(i, j, size) for size in _GJ_SIZES[:2] for i, j in _H_FAMILIES])
 
 
-def _h_rule(
-    k0: float, k1: float, i: int, j: int, size: int, htol: float
-) -> tuple[np.ndarray, ...]:
+def _h_rule(k0: float, k1: float, i: int, j: int, size: int) -> tuple[np.ndarray, ...]:
     """The ``size``-node rule of family (i, j) at (k0, k1), from the point's
     memo, built there on first use (see ``_h_build``)."""
-    rules = _h_point(k0, k1, htol)
+    rules = _h_point(k0, k1)
     if (i, j, size) not in rules:
-        rules.update(_h_build(k0, k1, htol, [(i, j, size)]))
+        rules.update(_h_build(k0, k1, [(i, j, size)]))
     return rules[i, j, size]
 
 
-def _h_build(k0: float, k1: float, htol: float, keys: list[tuple[int, int, int]]) -> dict:
+def _h_build(k0: float, k1: float, keys: list[tuple[int, int, int]]) -> dict:
     """The rules (i, j, size) of ``keys``: the ``size``-node rule for
     v^a (1-v)^b0 with h_i h_j at its nodes.
 
@@ -389,13 +371,13 @@ def _h_build(k0: float, k1: float, htol: float, keys: list[tuple[int, int, int]]
     Gauss-Jacobi, times (1 + 3x)(1 + x)^b0 (1 + x(1 - x))^a, folded into the
     weights.  The map doubles every non-integer power of 1 - v that h_i h_j
     carries at v = 1 and keeps v ~ x near 0.  The rules of one size take one
-    stacked eigen-solve, and every h_k is summed to htol in one series call
-    at the nodes of the rules whose family carries it.  Each rule maps to
-    read-only v, s = 1 - v (from the map, without cancellation), the weights,
-    the two factors of ``_h_integral``'s explicit factor that do not depend
-    on e, s / (1 + v) and (1 + v)^2, the product h_i h_j, its absolute value
-    and, last, a bound on its error from the certified tail bounds of the
-    two series.
+    stacked eigen-solve, and every h_k is summed to ``_SERIES_TOL`` in one
+    series call at the nodes of the rules whose family carries it.  Each
+    rule maps to read-only v, s = 1 - v (from the map, without cancellation),
+    the weights, the two factors of ``_h_integral``'s explicit factor that do
+    not depend on e, s / (1 + v) and (1 + v)^2, the product h_i h_j, its
+    absolute value and, last, a bound on its error from the certified tail
+    bounds of the two series.
     """
     nodes = {}  # (i, j, size) -> v, s, w
     for size in dict.fromkeys(size for *_, size in keys):
@@ -414,7 +396,7 @@ def _h_build(k0: float, k1: float, htol: float, keys: list[tuple[int, int, int]]
     zs, ws = (
         [np.concatenate([nodes[key][part] for key in carriers[k]]) for k in used] for part in (0, 1)
     )
-    series = _gauss_2f1_rows([_H_PARAMS[k](k0, k1) for k in used], zs, ws, htol)
+    series = _gauss_2f1_rows([_H_PARAMS[k](k0, k1) for k in used], zs, ws, _SERIES_TOL)
     h = {}  # (key, k) -> h_k at the nodes of rule key, and its bound
     for k, (value, bound, _) in zip(used, series):
         ends = np.cumsum([size for *_, size in carriers[k]])[:-1]
@@ -433,9 +415,7 @@ def _h_build(k0: float, k1: float, htol: float, keys: list[tuple[int, int, int]]
     return rules
 
 
-def _h_integral(
-    k0: float, k1: float, i: int, j: int, e: int, htol: float, tol: float
-) -> QuadResult:
+def _h_integral(k0: float, k1: float, i: int, j: int, e: int, tol: float) -> QuadResult:
     """int_0^1 v^a (1-v)^b0 (1-v)^e (1+v)^(-e-2) h_i h_j dv on a shared rule.
 
     The weight v^a (1-v)^b0 is ``_h_rule``'s.  Only the explicit factor
@@ -454,7 +434,7 @@ def _h_integral(
 
     def levels():
         for size in _GJ_SIZES:
-            rule = _h_rule(k0, k1, i, j, size, htol)
+            rule = _h_rule(k0, k1, i, j, size)
             _, _, w, ratio, square, hprod, hprod_abs, hprod_bound = rule
             explicit = ratio**e / square
             weighted = w * explicit
@@ -472,7 +452,6 @@ def _h_integral(
 def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
     k0, k1 = p.k0, p.k1
     d1, d2 = d_consts(p)
-    htol = max(1e-11, tol * 1e-3)
     sub_tol = tol / 8.0
     if kind == "p12":
         # (1-v)^(2n - 2k0): the rule's weight keeps -2k0, the explicit factor 2n
@@ -486,7 +465,7 @@ def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
         # elementary value -1/2 of the first odd pairing, which pins them
         coeff1 = 4.0 * d1 * (1 - 2 * k0 + 2 * k1) * (1 + 2 * k0 + 2 * k1) / (1 + 2 * k1) ** 2
         coeff2 = -4.0 * d2
-    i1, i2 = (_h_integral(k0, k1, i, j, e, htol, sub_tol) for i, j in pairs)
+    i1, i2 = (_h_integral(k0, k1, i, j, e, sub_tol) for i, j in pairs)
     part1, part2 = coeff1 * i1.value, coeff2 * i2.value
     # d1 and d2 each carry four gamma values; the coefficients and the sum a
     # few roundings more
@@ -495,30 +474,30 @@ def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
     return QuadResult(part1 + part2, err, i1.nodes + i2.nodes)
 
 
-# Batches kept at once.  A point has seven, of 99 to 3154 nodes and 6309 in
-# all; with the parts of both kinds a node takes 96 bytes, so a point's
-# batches take 0.61 MB, and the memo holds all of two points and at most 4.8 MB.
-_DIRECT_RULE_CACHE = 16
+# Levels kept at once.  A point has ten, of 12 to 3154 nodes and 6309 in all;
+# with the parts of both kinds a node takes 96 bytes, so a point's levels
+# take 0.61 MB, and the memo holds all of two points.
+_DIRECT_RULE_CACHE = 2 * (_TS_LEVELS + 1)
 
 
 @functools.lru_cache(maxsize=_DIRECT_RULE_CACHE)
-def _direct_rule(k0: float, k1: float, batch: int) -> tuple[np.ndarray, ...]:
-    """The parts of mode "direct"'s integrand on tanh-sinh batch ``batch`` (an
-    index into ``_TS_BATCHES``) that do not depend on n.
+def _direct_rule(k0: float, k1: float, level: int) -> tuple[np.ndarray, ...]:
+    """The parts of mode "direct"'s integrand on the nodes tanh-sinh level
+    ``level`` adds that do not depend on n.
 
     In theta the form is sum_r d_r y_r z_r / q with y = L (-u, +-1) (+ for
     p12, - for p14) and z = L (-u, 1), one row r per entry of d, over the
     slopes u with q = 1 + u^2 and d theta = du / q; w = 1 - u^2 is formed as
     s (2 - s) from s = 1 - u, without cancellation.  Returns the smallest u
-    and s of the batch, w / q and q^2, and for p12 and then p14 the sum over r
+    and s of the level, w / q and q^2, and for p12 and then p14 the sum over r
     of d_r y_r z_r, and per row dev (|y| + |z| + dev) and |y z|, where dev
     bounds the error of y and of z: L's bounds, and three roundings of each
     product and of the sum.  All arrays are read-only.
     """
-    u, s, _ = _tanh_sinh_batch(batch)[0]
+    u, s, _ = _tanh_sinh_nodes(level)
     w, q = s * (2.0 - s), 1.0 + u * u
     p = ParamPoint(k0, k1)
-    (l0, l1), (e0, e1) = (part.swapaxes(0, 1) for part in _eval_L_bounded(u, w, p, 1e-11))
+    (l0, l1), (e0, e1) = (part.swapaxes(0, 1) for part in _eval_L_bounded(u, w, p, _SERIES_TOL))
     d = np.array(d_consts(p))[:, None]
     arrays = [np.array([u.min(), s.min()]), w / q, q * q]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -542,12 +521,12 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
     # products a few times more
     rho = 4.0 * _GAMMA_RELERR + (5 * phi_power + 12) * _EPS
     outermost = [1.0, 1.0]  # the smallest u and s summed
-    batches = iter(range(len(_TS_BATCHES)))
+    levels = iter(range(_TS_LEVELS + 1))
 
     def integrand(_u: np.ndarray, _s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # tanh_sinh passes the batches in order, one per call: the memo holds
+        # tanh_sinh passes the levels in order, one per call: the memo holds
         # all but the power of w / q there
-        edges, ratio, square, *kinds = _direct_rule(p.k0, p.k1, next(batches))
+        edges, ratio, square, *kinds = _direct_rule(p.k0, p.k1, next(levels))
         total, spread, cross = kinds[own]
         u_min, s_min = edges.tolist()
         outermost[:] = min(outermost[0], u_min), min(outermost[1], s_min)
@@ -626,11 +605,13 @@ def asym_integral_check(
     its large-n asymptote (2n)^(-alpha-1) Gamma(alpha+1) g(0).
 
     Returns (numerical value, asymptote); their ratio tends to 1.  Requires
-    alpha, gamma > -1 and n >= 2.  The substitution t = v/(2-v) turns the
-    n-dependent factor into (1-v)^n, so the quadrature cost stays flat in n.
+    finite exponents with alpha, gamma > -1, and n >= 2.  The substitution
+    t = v/(2-v) turns the n-dependent factor into (1-v)^n, so the quadrature
+    cost stays flat in n.
     """
-    if alpha <= -1.0 or gamma_exp <= -1.0:
-        raise RegionError("exponents alpha and gamma must exceed -1")
+    exponents = (alpha, beta, gamma_exp)
+    if not (alpha > -1.0 and gamma_exp > -1.0 and all(map(math.isfinite, exponents))):
+        raise RegionError(f"exponents must be finite, alpha and gamma above -1, got {exponents}")
     if n < 2:
         raise ValueError("n must be at least 2")
     g = smooth if smooth is not None else (lambda _t: 1.0)

@@ -132,6 +132,22 @@ def test_2f1_rejects_bad_arguments():
         gauss_2f1(0.5, 0.5, -2.0, 0.3)
 
 
+def test_2f1_refuses_non_finite_parameters():
+    # a NaN parameter ran the series to its term cap, and c = inf gave 1.0;
+    # each is refused with its name, on every branch, also in a batch
+    for z in (0.0, 0.3, 0.9, 1.0):
+        for bad in (math.nan, math.inf, -math.inf):
+            for name, params in (("a", (bad, 0.5, 1.5)), ("b", (0.5, bad, 1.5)), ("c", (0.5, 0.5, bad))):
+                with pytest.raises(RegionError, match=f"^gauss_2f1 parameter {name} = .* is not finite$"):
+                    gauss_2f1(*params, z)
+                with pytest.raises(RegionError, match=f"parameter {name} = "):
+                    _gauss_2f1_rows([(0.5, 0.5, 1.5), params], [[z], [z]], [[1.0 - z], [1.0 - z]], 1e-12)
+    # k1 enters b and c of every h series
+    for i in (1, 2, 3, 4):
+        with pytest.raises(RegionError, match="is not finite"):
+            h_func(i, 0.5, 0.1, math.nan)
+
+
 def test_euler_transform_prefactor_trivia():
     assert euler_transform(0.3, 0.4, 1.1, 0.0)[4] == 1.0
     a, b = 0.3, 0.7

@@ -115,6 +115,28 @@ def test_singular_integral_rejects_bad_exponents():
         singular_integral(0.0, -1.5, const_one)
 
 
+def test_non_finite_exponents_are_refused_before_any_work():
+    # a NaN exponent passed the comparison with -1 and an infinite one
+    # overflowed the weight: both ran the rule to a ToleranceError after a
+    # RuntimeWarning
+    evaluated = []
+
+    def smooth(v):
+        evaluated.append(v)
+        return np.ones_like(v)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in (math.nan, math.inf, -math.inf):
+            for alpha, beta in ((bad, 0.0), (0.0, bad)):
+                with pytest.raises(RegionError, match="finite"):
+                    singular_integral(alpha, beta, smooth)
+            for exponents in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+                with pytest.raises(RegionError, match="finite"):
+                    asym_integral_check(*exponents, 10, smooth=lambda t: evaluated.append(t) or 1.0)
+    assert evaluated == []
+
+
 def test_singular_integral_computes_declared_and_undeclared_endpoint_powers():
     # tanh-sinh integrates an endpoint kink left in the smooth factor, and
     # the same power declared as an exponent, within their estimates
@@ -171,9 +193,8 @@ def test_tanh_sinh_handles_endpoint_singularities():
     assert isinstance(res, QuadResult)
 
 
-def test_tanh_sinh_calls_the_integrand_once_per_batch_of_levels():
-    # one call for levels 0 to 3, where the rule cannot stop yet, then one
-    # call per level
+def test_tanh_sinh_calls_the_integrand_once_per_level():
+    # one call per level, in order, each on the nodes that level adds
     def counted(integrand):
         sizes = []
 
@@ -186,12 +207,14 @@ def test_tanh_sinh_calls_the_integrand_once_per_batch_of_levels():
     f, sizes = counted(np.ones_like)
     res = tanh_sinh(f, tol=1e-12)
     assert abs(res.value - 1.0) <= 1e-12
-    assert sizes == [res.nodes]
+    # the rule cannot stop before level 3
+    assert sizes == [_tanh_sinh_nodes(level).shape[1] for level in range(4)]
+    assert sum(sizes) == res.nodes
     # a jump at an irrational point never converges: all ten levels run
     f, sizes = counted(lambda v: (v < 1 / math.sqrt(2)).astype(float))
     with pytest.raises(ToleranceError):
         tanh_sinh(f, tol=1e-14)
-    assert len(sizes) == 1 + 6
+    assert sizes == [_tanh_sinh_nodes(level).shape[1] for level in range(10)]
     assert all(later > earlier for earlier, later in zip(sizes[1:], sizes[2:]))
 
 
@@ -212,16 +235,6 @@ def test_tanh_sinh_node_tables_are_built_once_and_read_only():
         first.error_estimate.hex(),
         first.nodes,
     )
-
-
-def test_tanh_sinh_batches_are_built_once_and_read_only():
-    # each batch's levels, concatenated once, for tanh_sinh and _direct_rule
-    for index, levels in enumerate(quad._TS_BATCHES):
-        table, counts = quad._tanh_sinh_batch(index)
-        assert quad._tanh_sinh_batch(index)[0] is table and not table.flags.writeable
-        added = [_tanh_sinh_nodes(level) for level in levels]
-        assert counts == tuple(len(rows) for rows in added)
-        assert np.array_equal(table, np.concatenate(added).T)
 
 
 def _edge_mass_reference(p, d1, d2, phi_power, u_c, s_c):
@@ -408,15 +421,19 @@ def test_mode_direct_calls_tanh_sinh_once(count_calls):
             assert len(calls) == 1, (n, kind)
 
 
-def test_mode_direct_evaluates_L_once_per_batch(count_calls):
-    # L does not depend on n or kind: the four pairings share its two batches
+def test_mode_direct_evaluates_L_once_per_level_reached(count_calls):
+    # L does not depend on n or kind: the four pairings share its levels,
+    # one evaluation of L on each level the first of them reached
     calls = count_calls(quad, "_eval_L_bounded")
     _direct_rule.cache_clear()
     p = ParamPoint(1 / 60, 13 / 31)
+    reached = 0
     for n in (1, 2):
         for kind in ("p12", "p14"):
             sector_inner_numeric(n, kind, p, mode="direct")
-    assert len(calls) == 2
+            reached = max(reached, _direct_rule.cache_info().currsize)
+    assert 4 <= len(calls) == reached
+    assert [len(u) for u, *_ in calls] == [_tanh_sinh_nodes(level).shape[1] for level in range(reached)]
 
 
 def test_numeric_route_never_calls_the_scalar_series(count_calls):
@@ -513,7 +530,7 @@ GRID_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11])
 def test_mode_h_error_estimate_bounds_the_error_over_the_grid(tol):
     # zero slack, compared in exact arithmetic, and no pairing refuses
     assert len(GRID_POINTS) == 181
@@ -545,7 +562,7 @@ def test_mode_h_computes_near_k0_zero(tol):
 @pytest.mark.parametrize("tol", [1e-12, 1e-13])
 def test_mode_h_computes_at_tight_tolerance_without_large_rules(tol):
     # below tol 1e-11 the difference of two levels settles at the error term
-    # each level carries (the h series are summed to 1e-11 at the least), and
+    # each level carries (the h series are summed to 1e-11), and
     # refinement stops there rather than climbing to rules that cannot resolve
     # it: every pairing computes, within its estimate, with no rule past 384
     # nodes (1488 nodes for the pairing's two integrals).  Zero slack against
@@ -614,11 +631,11 @@ def test_h_rule_values_equal_per_node_h_func():
     # same tolerance, which every node certifies: at 24 nodes from the build
     # of all four families' first two levels, at 96 from a family's own;
     # (1e-6, 0.1) and (1e-9, 0.1) put c - a - b within 2e-6 of 1
-    htol = 1e-11
+    htol = quad._SERIES_TOL
     points = ((-0.35, 0.08), (0.3, 0.1), (0.0, 0.45), (1e-6, 0.1), (1e-9, 0.1))
     for (k0, k1), size in itertools.product(points, (24, 96)):
         for i, j in ((1, 1), (2, 2), (1, 3), (2, 4)):
-            v, s, _, ratio, square, hprod, hprod_abs, hprod_bound = _h_rule(k0, k1, i, j, size, htol)
+            v, s, _, ratio, square, hprod, hprod_abs, hprod_bound = _h_rule(k0, k1, i, j, size)
 
             def per_node(k):
                 params = [_H_PARAMS[k](k0, k1)]
@@ -646,6 +663,19 @@ def test_shared_rule_cache_stays_bounded(count_calls):
         for n, kind in PAIRINGS_TO_20:
             sector_inner_numeric(n, kind, p)
         assert len(builds) == built
+
+
+def test_pairings_at_any_tolerance_share_one_memo_per_point(count_calls):
+    # the h series are summed to one tolerance whatever the pairing's, so a
+    # sweep at a looser tolerance reads the rules an earlier sweep built
+    builds = count_calls(quad, "_h_build")
+    _h_point.cache_clear()
+    p = ParamPoint(0.3, 0.1)
+    for tol in (1e-9, 1e-6):
+        builds.clear()
+        for n, kind in PAIRINGS_TO_20:
+            sector_inner_numeric(n, kind, p, tol=tol)
+        assert len(builds) == (1 if tol == 1e-9 else 0), tol
 
 
 def test_a_fresh_point_builds_its_first_two_levels_at_once(count_calls):
