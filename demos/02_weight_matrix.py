@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from b2weight import ParamPoint, c_norm, combo_forms, d_consts, eval_K, eval_L
+from b2weight import ParamPoint, c_norm, d_consts, eval_K, eval_L
 from b2weight.weight import det_k_closed_form
 
 p = ParamPoint(0.3, 0.1)
@@ -41,12 +41,6 @@ print(f"\nfactor matrix L at u = {u}:")
 print(f"  [{ell[0,0]:+.9f}  {ell[0,1]:+.9f}]")
 print(f"  [{ell[1,0]:+.9f}  {ell[1,1]:+.9f}]")
 print(f"  |det L| = {abs(np.linalg.det(ell)):.12f}  (unimodular)")
-
-print("\nslope combinations of L entries, assembled vs factored series form:")
-for u in (0.2, 0.6, 0.95):
-    forms = combo_forms(u, p)
-    diff = max(abs(a - b) for a, b in zip(forms.from_entries, forms.factored))
-    print(f"  u = {u:4}: max |difference| = {diff:.2e}")
 
 print("\nnear the positive-definiteness boundary the smallest eigenvalue "
       "shrinks but stays positive:")

@@ -39,7 +39,6 @@ from .hyper import (
     h_func,
     s_inner_closed,
     squeeze_check,
-    stirling_ratio,
 )
 from .ring import ParamPoly, poch, poly_eval
 from .vpoly import (
@@ -52,7 +51,6 @@ from .vpoly import (
     alpha_beta_via_laplacian,
     dunkl_d,
     group_act,
-    inner_product_S_exact,
     laplacian,
     laplacian_power,
     product_rule_residual,
@@ -60,9 +58,9 @@ from .vpoly import (
 
 # name -> the float module that defines it
 _FLOAT_NAMES = dict.fromkeys(
-    ("QuadResult", "asym_integral_check", "sector_inner_numeric", "singular_integral"), "quad"
+    ("QuadResult", "sector_inner_numeric", "singular_integral"), "quad"
 ) | dict.fromkeys(
-    ("WeightEval", "c_norm", "combo_forms", "d_consts", "eval_K", "eval_L"), "weight"
+    ("WeightEval", "c_norm", "d_consts", "eval_K", "eval_L"), "weight"
 )
 
 
@@ -101,11 +99,9 @@ __all__ = [
     "alpha_beta_via_laplacian",
     "alpha_closed",
     "asym_f_check",
-    "asym_integral_check",
     "beta_closed",
     "c_norm",
     "chu_vandermonde",
-    "combo_forms",
     "d_consts",
     "dunkl_d",
     "euler_transform",
@@ -116,7 +112,6 @@ __all__ = [
     "gauss_2f1",
     "group_act",
     "h_func",
-    "inner_product_S_exact",
     "laplacian",
     "laplacian_power",
     "poch",
@@ -126,6 +121,5 @@ __all__ = [
     "sector_inner_numeric",
     "singular_integral",
     "squeeze_check",
-    "stirling_ratio",
     "__version__",
 ]

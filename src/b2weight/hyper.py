@@ -843,22 +843,8 @@ def squeeze_check(n: int, a: Exact, b: Exact, c: Exact) -> SqueezeReport:
 
 
 # ---------------------------------------------------------------------------
-# ratio asymptotics
+# normalized unit-argument sums
 # ---------------------------------------------------------------------------
-
-
-def stirling_ratio(a: float, b: float, n: int) -> tuple[float, float]:
-    """((a)_n / (b)_n computed as a direct product, its large-n asymptote).
-
-    The asymptote is Gamma(b)/Gamma(a) * n^(a-b).
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    ratio = 1.0
-    for i in range(n):
-        ratio *= (a + i) / (b + i)
-    asymptote = gamma_fn(b) / gamma_fn(a) * float(n) ** (a - b) if n > 0 else 1.0
-    return ratio, asymptote
 
 
 def asym_f_check(n: int, k0: float, k1: float) -> tuple[float, float]:

@@ -585,43 +585,9 @@ def _edge_mass(
     row2 = abs(d2) * u_c ** (1.0 - 2.0 * k1) / (1.0 - 2.0 * k1)
     g_plus, g_minus = _edge_gammas(k0, k1)
     power = phi_power - 2.0 * k0
-    near_one = (abs(d1) * (1.0 + g_plus) ** 2 + abs(d2) * (1.0 + g_minus) ** 2) * 2.0**phi_power
-    return row1 + row2 + near_one * s_c ** (power + 1.0) / (power + 1.0)
+    # 2^p s_c^(p + 1 - 2|k0|) as (2 s_c)^p s_c^(1 - 2|k0|): 2 s_c < 1, so
+    # neither power overflows at any p
+    near_one = (2.0 * s_c) ** phi_power * s_c ** (1.0 - 2.0 * k0)
+    gammas = abs(d1) * (1.0 + g_plus) ** 2 + abs(d2) * (1.0 + g_minus) ** 2
+    return row1 + row2 + gammas * near_one / (power + 1.0)
 
-
-# ---------------------------------------------------------------------------
-# asymptotic integral comparison
-# ---------------------------------------------------------------------------
-
-
-def asym_integral_check(
-    alpha: float,
-    beta: float,
-    gamma_exp: float,
-    n: int,
-    smooth: Callable[[float], float] | None = None,
-) -> tuple[float, float]:
-    """Integral int_0^1 t^alpha (1-t)^(n+gamma) (1+t)^(beta-n) g(t) dt versus
-    its large-n asymptote (2n)^(-alpha-1) Gamma(alpha+1) g(0).
-
-    Returns (numerical value, asymptote); their ratio tends to 1.  Requires
-    finite exponents with alpha, gamma > -1, and n >= 2.  The substitution
-    t = v/(2-v) turns the n-dependent factor into (1-v)^n, so the quadrature
-    cost stays flat in n.
-    """
-    exponents = (alpha, beta, gamma_exp)
-    if not (alpha > -1.0 and gamma_exp > -1.0 and all(map(math.isfinite, exponents))):
-        raise RegionError(f"exponents must be finite, alpha and gamma above -1, got {exponents}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    g = smooth if smooth is not None else (lambda _t: 1.0)
-    residual_exp = -alpha - beta - gamma_exp - 2.0
-
-    def transformed(v: np.ndarray) -> np.ndarray:
-        t = v / (2.0 - v)
-        return (1.0 - v / 2.0) ** residual_exp * np.array([g(ti) for ti in t])
-
-    result = singular_integral(alpha, n + gamma_exp, transformed, tol=1e-12)
-    numeric = 2.0 ** (-alpha - 1.0) * result.value
-    asymptote = (2.0 * n) ** (-alpha - 1.0) * gamma_fn(alpha + 1.0) * g(0.0)
-    return numeric, asymptote

@@ -274,18 +274,6 @@ class VPoly(_XForm):
 
         return self._rekey(image)
 
-    def homogeneous_degree(self) -> int | None:
-        """Common total x-degree, None for the zero polynomial.
-
-        Raises ValueError when terms of different degrees are mixed.
-        """
-        degrees = {a + b for a, b, _s in self.terms}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError(f"mixed homogeneous degrees {sorted(degrees)}")
-        return degrees.pop()
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "VPoly(0)"
@@ -499,15 +487,3 @@ def beta_prime_scale(n: int) -> Fraction:
     """2^(4n+2) (2n+1)! (2n+2)! relating beta_n to its operator-route value."""
     return Fraction(2 ** (4 * n + 2) * math.factorial(2 * n + 1) * math.factorial(2 * n + 2))
 
-
-def inner_product_S_exact(n: int, kind: str) -> ParamPoly:
-    """Exact sphere-pairing value as an element of Q[k0, k1], by the operator route.
-
-    kind "p12" returns alpha_n * (1 + 2k1 + 2k0), kind "p14" the beta variant,
-    recomputed from the Laplacian chain of that kind alone.  The same values
-    come far faster from ``hyper.s_inner_closed``.
-    """
-    if kind not in ("p12", "p14"):
-        raise ValueError(f"kind must be 'p12' or 'p14', got {kind!r}")
-    scale = alpha_prime_scale(n) if kind == "p12" else beta_prime_scale(n)
-    return (_scaled_pairing(n, kind) / scale) * (1 + 2 * K1 + 2 * K0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegionError
-from .hyper import _EPS, _H_PARAMS, ParamPoint, _gauss_2f1_rows, gamma_fn
+from .hyper import _EPS, ParamPoint, _gauss_2f1_rows, gamma_fn
 
 _HALF_SECTOR = math.pi / 4
 
@@ -152,53 +152,6 @@ def eval_K(theta: float, p: ParamPoint) -> WeightEval:
     d1, d2 = d_consts(p)
     kmat = ell.T @ np.diag([d1, d2]) @ ell
     return WeightEval(u=u, L=ell, K=kmat, d1=d1, d2=d2)
-
-
-@dataclass(frozen=True)
-class ComboForms:
-    """The four slope combinations of L entries, computed two ways.
-
-    Order: (x2 L11 - x1 L12, x1 L22 - x2 L21, -x2 L11 - x1 L12,
-    -x2 L21 - x1 L22).  ``from_entries`` assembles them from eval_L;
-    ``factored`` uses the equivalent single-series product forms.  The two
-    must agree to roundoff, which pins the contiguous-series reductions.
-    """
-
-    from_entries: tuple[float, float, float, float]
-    factored: tuple[float, float, float, float]
-
-
-def combo_forms(u: float, p: ParamPoint, tol: float = 1e-11) -> ComboForms:
-    if not 0.0 < u < 1.0:
-        raise RegionError(f"combo_forms requires 0 < u < 1, got u = {u}")
-    k0, k1 = p.k0, p.k1
-    z = u * u
-    w = 1.0 - z
-    norm = math.sqrt(1.0 + z)
-    x1 = 1.0 / norm
-    x2 = u / norm
-
-    ell = eval_L(u, p, tol=tol)
-    from_entries = (
-        x2 * ell[0, 0] - x1 * ell[0, 1],
-        x1 * ell[1, 1] - x2 * ell[1, 0],
-        -x2 * ell[0, 0] - x1 * ell[0, 1],
-        -x2 * ell[1, 0] - x1 * ell[1, 1],
-    )
-
-    minus = w**-k0 / norm
-    plus = w**k0 / norm
-    triples = [_H_PARAMS[i](float(k0), float(k1)) for i in (1, 2, 3, 4)]
-    h1, h2, h3, h4 = (
-        float(h[0]) for h, _, _ in _gauss_2f1_rows(triples, [[z]] * 4, [[w]] * 4, tol)
-    )
-    factored = (
-        u ** (k1 + 1) * minus * (1 + 2 * k0 + 2 * k1) / (1 + 2 * k1) * h1,
-        u**-k1 * minus * h2,
-        -(u ** (k1 + 1)) * plus * (1 - 2 * k0 + 2 * k1) / (1 + 2 * k1) * h3,
-        -(u**-k1) * plus * h4,
-    )
-    return ComboForms(from_entries=from_entries, factored=factored)
 
 
 def det_k_closed_form(p: ParamPoint) -> float:

@@ -1,10 +1,14 @@
 """Command-line contract: exit codes, report formats, determinism."""
 
+import ast
+import functools
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,7 +412,7 @@ def test_exact_routes_leave_scipy_unimported():
     """numpy is imported on the first float computation; the exact routes and
     commands, ``verify asym`` and the region flags do not load it, and no
     route loads scipy: neither rule of mode "h" or "direct" nor
-    ``singular_integral`` or ``asym_integral_check``."""
+    ``singular_integral``."""
     script = (
         "import sys, contextlib, io, b2weight\n"
         "from b2weight import cli\n"
@@ -428,7 +432,6 @@ def test_exact_routes_leave_scipy_unimported():
         "b2weight.singular_integral(0.5, -0.5, lambda v: v)\n"
         "b2weight.sector_inner_numeric(3, 'p14', b2weight.ParamPoint(0.3, 0.1))\n"
         "b2weight.sector_inner_numeric(2, 'p12', b2weight.ParamPoint(0.3, 0.1), mode='direct')\n"
-        "b2weight.asym_integral_check(0.5, 0.0, 0.0, 40)\n"
         "loaded()\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(b2weight.__file__)))
@@ -445,13 +448,11 @@ PUBLIC_NAMES = [
     "InexactDivisionError", "InvarianceError", "NotProportionalError", "P12", "P14",
     "PHI", "ParamPoint", "ParamPoly", "QuadResult", "RegionError", "SqueezeReport",
     "ToleranceError", "VPoly", "WeightEval", "XPoly", "alpha_beta_recurrence",
-    "alpha_beta_via_laplacian", "alpha_closed", "asym_f_check", "asym_integral_check",
-    "beta_closed", "c_norm", "chu_vandermonde", "combo_forms", "d_consts", "dunkl_d",
-    "euler_transform", "eval_K", "eval_L", "f_values", "gamma_fn", "gauss_2f1",
-    "group_act", "h_func", "inner_product_S_exact", "laplacian", "laplacian_power",
-    "poch", "poly_eval", "product_rule_residual", "s_inner_closed",
-    "sector_inner_numeric", "singular_integral", "squeeze_check", "stirling_ratio",
-    "__version__",
+    "alpha_beta_via_laplacian", "alpha_closed", "asym_f_check", "beta_closed", "c_norm",
+    "chu_vandermonde", "d_consts", "dunkl_d", "euler_transform", "eval_K", "eval_L",
+    "f_values", "gamma_fn", "gauss_2f1", "group_act", "h_func", "laplacian",
+    "laplacian_power", "poch", "poly_eval", "product_rule_residual", "s_inner_closed",
+    "sector_inner_numeric", "singular_integral", "squeeze_check", "__version__",
 ]
 
 
@@ -469,3 +470,78 @@ def test_public_names_resolve_through_their_modules():
     assert b2weight.ParamPoint is weight.ParamPoint is hyper.ParamPoint
     with pytest.raises(AttributeError):
         b2weight.no_such_name
+
+
+# the public functions no CLI command calls, each kept for one reason
+KEPT_REFERENCES = {
+    "dunkl_d": "the first-order operators the Laplacian's closed form is tested against",
+    "euler_transform": "acceptance criterion 10 compares the Gauss series against it",
+    "gauss_2f1": "the subject of the Hypothesis oracle test; the CLI sums series in batches",
+    "group_act": "the group action the Laplacian's equivariance is tested with",
+    "h_func": 'the per-node reference of mode "h" and of the h-products of L\'s entries',
+    "poly_eval": "bench/tracer.py traces it, and BENCHMARK.json names its metrics",
+    "singular_integral": "bench/tracer.py traces it, and acceptance criterion 09 tests it",
+}
+
+# small versions of the commands that cover every report: in and outside the
+# region, at a point within 1e-10 of its edge, and at a tight tolerance
+PROBED_COMMANDS = [
+    ["verify", "all", "--nmax", "2"],
+    ["verify", "all", "--k0", "0.3", "--k1", "0.3"],
+    ["verify", "exact", "--nmax", "2"],
+    ["verify", "asym", "--k0=0", "--k1=-9/20"],
+    ["verify", "quad", "--nmax", "1", "--k0", "0.4999999999", "--k1", "0"],
+    ["verify", "quad", "--nmax", "1", "--tol", "1e-13"],
+    ["table", "--nmax", "2"],
+    ["table", "--nmax", "2", "--k0=-7/20", "--k1=2/25", "--format", "csv"],
+    ["eval-k", "--theta", "0.4"],
+]
+
+
+def test_every_public_function_is_called_by_a_command_or_kept_as_a_reference():
+    """The CLI commands run under ``sys.setprofile`` in a fresh process, so
+    no memo of an earlier test hides a call; every function in
+    ``b2weight.__all__`` must be called, or be one of ``KEPT_REFERENCES``."""
+    script = (
+        "import contextlib, inspect, io, json, sys\n"
+        "import b2weight\n"
+        "from b2weight import cli\n"
+        "public = {}\n"
+        "for name in b2weight.__all__:\n"
+        "    target = inspect.unwrap(getattr(b2weight, name))\n"
+        "    if inspect.isfunction(target):\n"
+        "        public[target.__code__] = name\n"
+        "seen = set()\n"
+        "sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code) if event == 'call' else None)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    for argv in {PROBED_COMMANDS!r}:\n"
+        "        cli.main(argv)\n"
+        "sys.setprofile(None)\n"
+        "print(json.dumps(sorted(name for code, name in public.items() if code not in seen)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(b2weight.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == sorted(KEPT_REFERENCES)
+
+
+def test_every_traced_name_resolves():
+    """``Tracer.install`` in bench/tracer.py looks up each (module, attribute)
+    of its ``TRACED`` table with ``getattr``; a name deleted from the package
+    would break the traced benchmark.  The table is read from the file's
+    source, without importing the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "TRACED" for target in node.targets)
+    ]
+    assert traced
+    for span, module, attr in traced:
+        owner = importlib.import_module(f"b2weight.{module}")
+        assert callable(functools.reduce(getattr, attr.split("."), owner)), span

@@ -34,7 +34,6 @@ from b2weight.hyper import (
     h_func,
     s_inner_closed,
     squeeze_check,
-    stirling_ratio,
 )
 from b2weight.ring import K0, K1, ParamPoly, poch, poly_eval
 
@@ -996,15 +995,6 @@ def test_gamma_pole_raises():
         gamma_fn(0.0)
     with pytest.raises(RegionError):
         gamma_fn(-3.0)
-
-
-def test_stirling_ratio_basics():
-    ratio, asym = stirling_ratio(0.7, 0.7, 25)
-    assert ratio == 1.0 and asym == 1.0
-    ratio, asym = stirling_ratio(1.25, 1.5, 10_000)
-    assert 0.99 <= ratio / asym <= 1.01
-    ratio, _ = stirling_ratio(2.0, 5.0, 1)
-    assert ratio == 2.0 / 5.0
 
 
 def test_asym_f_normalization_exact_at_k1_zero():

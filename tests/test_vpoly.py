@@ -31,7 +31,6 @@ from b2weight.vpoly import (
     divide_by_linear,
     dunkl_d,
     group_act,
-    inner_product_S_exact,
     laplacian,
     laplacian_power,
     product_rule_residual,
@@ -264,7 +263,7 @@ def test_laplacian_drops_degree_by_two():
         f = random_homogeneous(rng, deg)
         out = laplacian(f)
         if not out.is_zero():
-            assert out.homogeneous_degree() == deg - 2
+            assert {a + b for a, b, _s in out.terms} == {deg - 2}
 
 
 def test_laplacian_commutes_with_group_action():
@@ -367,37 +366,32 @@ def test_operator_route_matches_recurrence():
         assert beta_scaled == seq.beta[n] * beta_prime_scale(n), f"beta n={n}"
 
 
-def test_inner_product_values():
-    assert inner_product_S_exact(0, "p12") == ONE_PLUS
-    assert inner_product_S_exact(0, "p14") == (-1 * ONE_MINUS * ONE_PLUS) / 2
-    assert poly_eval(inner_product_S_exact(1, "p12"), 0, 0) == Fraction(1, 2)
+def _sphere_pairings(n: int) -> tuple[ParamPoly, ParamPoly]:
+    """The two sphere-pairing values by the operator route: alpha_n and
+    beta_n, unscaled, times the anchor 1 + 2k1 + 2k0."""
+    alpha_scaled, beta_scaled = alpha_beta_via_laplacian(n)
+    return (
+        alpha_scaled / alpha_prime_scale(n) * ONE_PLUS,
+        beta_scaled / beta_prime_scale(n) * ONE_PLUS,
+    )
 
 
 def test_inner_product_backends_agree():
-    # the operator route against the two-term recurrence times the anchor
+    # the operator route, the two-term recurrence times the anchor and the
+    # closed form give the same element of Q[k0, k1]
     seq = alpha_beta_recurrence(4)
     for n in range(5):
-        assert inner_product_S_exact(n, "p12") == seq.alpha[n] * ONE_PLUS, f"p12 n={n}"
-        assert inner_product_S_exact(n, "p14") == seq.beta[n] * ONE_PLUS, f"p14 n={n}"
+        p12, p14 = _sphere_pairings(n)
+        assert p12 == seq.alpha[n] * ONE_PLUS == s_inner_closed(n, "p12"), f"p12 n={n}"
+        assert p14 == seq.beta[n] * ONE_PLUS == s_inner_closed(n, "p14"), f"p14 n={n}"
 
 
 def test_inner_product_past_the_checked_depth():
     # no cap on n: the operator route goes on matching the closed forms
     for n in (vpoly.OPERATOR_NMAX + 1, vpoly.OPERATOR_NMAX + 2):
-        for kind in ("p12", "p14"):
-            assert inner_product_S_exact(n, kind) == s_inner_closed(n, kind), f"{kind} n={n}"
-
-
-def test_inner_product_unsupported_cases():
-    with pytest.raises(ValueError):
-        inner_product_S_exact(1, "p15")
-
-
-def test_homogeneous_degree_query():
-    assert VPoly().homogeneous_degree() is None
-    assert P12.homogeneous_degree() == 1
-    with pytest.raises(ValueError):
-        VPoly({(0, 0, 1): 1, (1, 0, 2): 1}).homogeneous_degree()
+        p12, p14 = _sphere_pairings(n)
+        assert p12 == s_inner_closed(n, "p12"), f"p12 n={n}"
+        assert p14 == s_inner_closed(n, "p14"), f"p14 n={n}"
 
 
 def test_operator_route_applies_the_laplacian_4n_plus_1_times(count_calls):

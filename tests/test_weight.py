@@ -1,4 +1,4 @@
-"""Weight matrix assembly, determinant, positivity, factored combinations."""
+"""Weight matrix assembly, determinant, positivity, the h-product link to mode "h"."""
 
 import math
 import random
@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from b2weight.errors import RegionError
+from b2weight.hyper import h_func
 from b2weight.weight import (
-    ComboForms,
     ParamPoint,
     _eval_L_bounded,
     c_norm,
-    combo_forms,
     d_consts,
     det_k_closed_form,
     eval_K,
@@ -211,29 +210,55 @@ def test_eval_k_domain_error():
         eval_K(-0.2, ParamPoint(0.1, 0.1))
 
 
+def _slope_combinations(u: float, p: ParamPoint):
+    """The four slope combinations (x2 L11 - x1 L12, x1 L22 - x2 L21,
+    -x2 L11 - x1 L12, -x2 L21 - x1 L22) at the unit vector of slope u, from
+    ``eval_L``'s entries and as the single h-series products that mode "h"
+    integrates."""
+    k0, k1 = p.k0, p.k1
+    z, w = u * u, 1.0 - u * u
+    norm = math.sqrt(1.0 + z)
+    x1, x2 = 1.0 / norm, u / norm
+    ell = eval_L(u, p)
+    from_entries = (
+        x2 * ell[0, 0] - x1 * ell[0, 1],
+        x1 * ell[1, 1] - x2 * ell[1, 0],
+        -x2 * ell[0, 0] - x1 * ell[0, 1],
+        -x2 * ell[1, 0] - x1 * ell[1, 1],
+    )
+    h1, h2, h3, h4 = (h_func(i, z, k0, k1).value for i in (1, 2, 3, 4))
+    minus, plus = w**-k0 / norm, w**k0 / norm
+    products = (
+        u ** (k1 + 1) * minus * (1 + 2 * k0 + 2 * k1) / (1 + 2 * k1) * h1,
+        u**-k1 * minus * h2,
+        -(u ** (k1 + 1)) * plus * (1 - 2 * k0 + 2 * k1) / (1 + 2 * k1) * h3,
+        -(u**-k1) * plus * h4,
+    )
+    return from_entries, products
+
+
 def test_combo_forms_agree():
+    # the link between mode "h" and K: L's slope combinations are the
+    # h-products, at slopes from near 0 to near the sector edge
     p = ParamPoint(0.3, 0.1)
     for u in (1e-3, 0.35, 0.6, 0.95):
-        forms = combo_forms(u, p)
-        assert isinstance(forms, ComboForms)
-        for got, want in zip(forms.from_entries, forms.factored):
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        for got, want in zip(*_slope_combinations(u, p)):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), u
 
 
 def test_combo_forms_k0_zero_collapse():
-    # with k0 = 0 all four series factors are 1 and both routes coincide
-    p = ParamPoint(0.0, 0.2)
+    # with k0 = 0 every h-series is 1 and L is diagonal: both sides collapse
+    # to the power prefactors
     u = 0.4
-    forms = combo_forms(u, p)
-    norm = math.sqrt(1 + u * u)
-    assert abs(forms.factored[1] - u**-0.2 / norm) < 1e-14
-    for got, want in zip(forms.from_entries, forms.factored):
+    from_entries, products = _slope_combinations(u, ParamPoint(0.0, 0.2))
+    assert abs(products[1] - u**-0.2 / math.sqrt(1 + u * u)) < 1e-14
+    for got, want in zip(from_entries, products):
         assert abs(got - want) <= 1e-13
 
 
 def test_combo_forms_small_slope_scaling():
     # the slot-2 combination grows like u^(-k1) as u -> 0
     p = ParamPoint(0.3, 0.1)
-    c_small = combo_forms(1e-4, p).factored[1]
-    c_smaller = combo_forms(1e-6, p).factored[1]
-    assert c_smaller / c_small == pytest.approx(100 ** p.k1, rel=1e-3)
+    _, small = _slope_combinations(1e-4, p)
+    _, smaller = _slope_combinations(1e-6, p)
+    assert smaller[1] / small[1] == pytest.approx(100**p.k1, rel=1e-3)
