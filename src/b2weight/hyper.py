@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateParameterError, RegionError, ToleranceError
-from .ring import K0, K1, ParamPoly, _dense_ratio, _ratio, poch
+from .ring import K0, K1, ParamPoly, _Dense, _make, _ratio, poch
 
 HALF = Fraction(1, 2)
 Exact = Union[int, Fraction]
@@ -652,7 +652,7 @@ def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
 def _times_ratio(value, p: int, q: int):
     """value * p / q, exact, for an int or ``ring._Dense`` value, an int p and an
     int q > 0: one Fraction or one canonical ParamPoly, reduced once."""
-    return Fraction(value * p, q) if isinstance(value, int) else value.times_ratio(p, q)
+    return Fraction(value * p, q) if isinstance(value, int) else _make(ParamPoly, {(): (value * p).rows}, q)
 
 
 def _integral_scale(k0, k1):
@@ -662,7 +662,9 @@ def _integral_scale(k0, k1):
     for K0/2).  A rational parameter comes out as an int and a ParamPoly as
     a ``ring._Dense`` in Z[k0, k1], so the loops of ``_closed_sum`` and
     ``alpha_beta_recurrence`` run unchanged on ints or on dense integer rows."""
-    (p0, q0), (p1, q1) = (_dense_ratio(k) if isinstance(k, ParamPoly) else _ratio(k) for k in (k0, k1))
+    (p0, q0), (p1, q1) = (
+        (_Dense(k._rows), k._den) if isinstance(k, ParamPoly) else _ratio(k) for k in (k0, k1)
+    )
     d = 2 * math.lcm(q0, q1)
     return d, p0 * (d // q0), p1 * (d // q1)
 
@@ -759,20 +761,28 @@ def _unit_sum(n: int, upper, lower, tiny=0):
 def f_values(n: int, k0, k1):
     """The two terminating 3F2-type sums at unit argument.
 
-    With Fraction (or int) parameters the computation is exact; with floats it
-    is done in floats.  All terms share one sign, so the float path loses no
-    accuracy to cancellation.  Raises DegenerateParameterError when a lower
-    Pochhammer factor vanishes (parameters with -k1 +/- k0 in 1/2 + N_0).
+    They are ``squeeze_check``'s two sums at a = 1/2+k1+k0, b = -1/2+k1-k0,
+    c = -k1.  With Fraction (or int) parameters the computation is exact;
+    with floats it is done in floats.  All terms share one sign, so the float
+    path loses no accuracy to cancellation.  Raises DegenerateParameterError
+    when a lower Pochhammer factor vanishes (parameters with -k1 +/- k0 in
+    1/2 + N_0), or in floats comes within 1e-12 of 0.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     exact = isinstance(k0, (Fraction, int)) and isinstance(k1, (Fraction, int))
     half, tiny = (HALF, 0) if exact else (0.5, 1e-12)
-    m = -n + k0 * 0  # -n in the parameters' arithmetic
-    low = -n - half - k1 - k0
-    f1 = _unit_sum(n, (m, m, -k1), (low, -n + half - k1 + k0), tiny)
-    f2 = _unit_sum(n, (m, m - 1, -k1), (low, -n - half - k1 + k0), tiny)
-    return f1, f2
+    return _balanced_sums(n, half + k1 + k0, -half + k1 - k0, -k1, tiny)
+
+
+def _balanced_sums(n: int, a, b, c, tiny=0):
+    """(plain, shifted): the terminating sums at unit argument with upper
+    parameters -n, -n, c and lower -n-a, -n-b, and with upper -n, -n-1, c
+    and lower -n-a, -n-b-1, in the parameters' arithmetic."""
+    m = -n + c * 0  # -n in the parameters' arithmetic
+    plain = _unit_sum(n, (m, m, c), (m - a, m - b), tiny)
+    shifted = _unit_sum(n, (m, m - 1, c), (m - a, m - b - 1), tiny)
+    return plain, shifted
 
 
 def chu_vandermonde(n: int, k1: Exact) -> tuple[Fraction, Fraction]:
@@ -830,8 +840,7 @@ def squeeze_check(n: int, a: Exact, b: Exact, c: Exact) -> SqueezeReport:
             f"squeeze_check requires 0<a<1, -1<b<0, c>-1; got a={a}, b={b}, c={c}"
         )
 
-    plain = _unit_sum(n, (-n, -n, c), (-n - a, -n - b))
-    shifted = _unit_sum(n, (-n, -n - 1, c), (-n - a, -n - b - 1))
+    plain, shifted = _balanced_sums(n, a, b, c)
     middle = poch(1 + a + b + c, n) / poch(1 + a + b, n)
     if c >= 0:
         branch = "c>=0"

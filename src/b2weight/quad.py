@@ -34,9 +34,9 @@ reaches it, its nodes again in one batch.  Mode "direct" likewise needs L
 only at the slope: a second bounded memo keeps, per point and tanh-sinh
 level, every part of the integrand but the power of w / q that carries n
 (``_direct_rule``), so every n and kind at one point sums L's series once;
-the six gamma values of its edge bound are likewise kept per point
-(``_edge_gammas``).  Both modes sum their series to ``_SERIES_TOL``, so
-pairings at every tolerance share one memo per point.
+only the six gamma values of its edge bound are computed per pairing.  Both
+modes sum their series to ``weight._SERIES_TOL``, so pairings at every
+tolerance share one memo per point.
 """
 
 from __future__ import annotations
@@ -50,13 +50,11 @@ import numpy as np
 
 from .errors import RegionError, ToleranceError
 from .hyper import _EPS, _GAMMA_RELERR, _H_PARAMS, _check_tol, _gauss_2f1_rows, gamma_fn
-from .weight import ParamPoint, _eval_L_bounded, d_consts
+from .weight import _SERIES_TOL, ParamPoint, _eval_L_bounded, d_consts
 
 # node counts of Gauss-Jacobi doubling, 24 to 384; tanh-sinh levels and node range
 _GJ_SIZES = tuple(24 << k for k in range(5))
 _TS_LEVELS, _TS_T_MAX = 9, 6.2
-# the tolerance of the h series of mode "h" and of L's series in mode "direct"
-_SERIES_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -497,7 +495,7 @@ def _direct_rule(k0: float, k1: float, level: int) -> tuple[np.ndarray, ...]:
     u, s, _ = _tanh_sinh_nodes(level)
     w, q = s * (2.0 - s), 1.0 + u * u
     p = ParamPoint(k0, k1)
-    (l0, l1), (e0, e1) = (part.swapaxes(0, 1) for part in _eval_L_bounded(u, w, p, _SERIES_TOL))
+    (l0, l1), (e0, e1) = (part.swapaxes(0, 1) for part in _eval_L_bounded(u, w, p))
     d = np.array(d_consts(p))[:, None]
     arrays = [np.array([u.min(), s.min()]), w / q, q * q]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -546,16 +544,6 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
     return QuadResult(8.0 * de.value, 8.0 * (de.error_estimate + edges), de.nodes)
 
 
-@functools.lru_cache(maxsize=_DIRECT_RULE_CACHE)
-def _edge_gammas(k0: float, k1: float) -> tuple[float, float]:
-    """g_+ and g_- of ``_edge_mass`` at |k0| = k0 and k1: six gamma values,
-    computed once per point."""
-    ratio = gamma_fn(1.0 + 2.0 * k0) / (2.0 * gamma_fn(1.0 + k0))
-    g_plus = ratio * gamma_fn(0.5 + k1) / gamma_fn(0.5 + k1 + k0)
-    g_minus = ratio * gamma_fn(0.5 - k1) / gamma_fn(0.5 - k1 + k0)
-    return g_plus, g_minus
-
-
 def _edge_mass(
     p: ParamPoint, d1: float, d2: float, phi_power: int, u_c: float, s_c: float
 ) -> float:
@@ -583,7 +571,9 @@ def _edge_mass(
     k0, k1 = abs(p.k0), p.k1
     row1 = abs(d1) * (1.0 + k0 / (0.5 + k1)) ** 2 * u_c ** (3.0 + 2.0 * k1) / (3.0 + 2.0 * k1)
     row2 = abs(d2) * u_c ** (1.0 - 2.0 * k1) / (1.0 - 2.0 * k1)
-    g_plus, g_minus = _edge_gammas(k0, k1)
+    ratio = gamma_fn(1.0 + 2.0 * k0) / (2.0 * gamma_fn(1.0 + k0))
+    g_plus = ratio * gamma_fn(0.5 + k1) / gamma_fn(0.5 + k1 + k0)
+    g_minus = ratio * gamma_fn(0.5 - k1) / gamma_fn(0.5 - k1 + k0)
     power = phi_power - 2.0 * k0
     # 2^p s_c^(p + 1 - 2|k0|) as (2 s_c)^p s_c^(1 - 2|k0|): 2 s_c < 1, so
     # neither power overflows at any p

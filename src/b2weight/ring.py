@@ -1,47 +1,50 @@
-"""Exact sparse polynomials over Q[k0, k1]: one integer kernel for every type.
+"""Exact sparse polynomials over Q[k0, k1]: one integer form for every type.
 
-Every exact polynomial is stored as integer numerators over one shared
-denominator, keyed by a tuple of exponents whose last two entries are the
-powers of k0 and k1.  The rest of the key is the term's *head*:
+Every exact polynomial is stored as integer rows over one shared
+denominator, grouped by the term's *head*, the part of the term that is not
+a power of k0 or k1:
 
-    ParamPoly  {(e0, e1): c}           head ()
-    XPoly      {(a, b, e0, e1): c}     head (a, b)      x1^a x2^b      (vpoly)
-    VPoly      {(a, b, s, e0, e1): c}  head (a, b, s)   x1^a x2^b t_s  (vpoly)
+    ParamPoly  {(): rows}                            one head, ()
+    XPoly      {(a, b): rows}       x1^a x2^b        (vpoly)
+    VPoly      {(a, b, s): rows}    x1^a x2^b t_s    (vpoly)
 
-The form is canonical: no numerator is zero, den > 0, and the gcd of den and
-all numerators is 1 (zero is the empty map over 1), so equality and hashing
-are structural, and each operation ends with one gcd, not one per term.
-``SparsePoly`` holds all that does not depend on the key shape: construction
-from exact coefficients, ``+``, ``-``, negation, ``==``/``hash``, products
-with a key combiner, maps of the heads with integer factors (``_rekey``, and
-``_rekey_shifted`` where they also multiply by k0 or k1) and the split into
-one ParamPoly per head.  Only this module reads numerators and denominators.
+``rows[e0][e1]`` is the numerator of head k0^e0 k1^e1: one list of ints per
+power of k0, indexed by the power of k1.  The form is canonical: den > 0, no
+row ends in a zero, no head has an empty last row or no rows, and the gcd of
+den and all numerators is 1 (zero is the empty map over 1), so equality and
+hashing are structural, and each operation ends with one gcd, not one per
+term.  ``SparsePoly`` holds all that does not depend on the head shape:
+construction from exact coefficients, ``+``, ``-``, negation,
+``==``/``hash``, products with a head combiner, one map of the heads
+(``_rekey``) whose entries multiply by an integer times k0^d0 k1^d1, and
+the split into one ParamPoly per head.  Each of them adds shifted, scaled
+rows in place into a fresh accumulator per head (``_add_into``) and ends in
+``_make``.  Only this module and the loops of ``hyper`` read the rows.
 Coefficients go in and come out as exact ``fractions.Fraction`` (or
 ParamPoly), so identities over the rationals are tested with zero tolerance.
-Instances are immutable, so values can be shared or cached freely.
+Instances are immutable, and rows are never changed once a value holds them,
+so values can share rows and be cached freely.
 
-``SparsePoly`` stays the public form of all three types.  Beside it, the
-private ``_Dense`` holds a polynomial in Z[k0, k1] as rows of ints, one row
-per power of k0 indexed by the power of k1, with ``+``, ``-`` and ``*`` by
-an int or another ``_Dense`` only.  It is the working form of the loops of
-``hyper._closed_sum`` and ``hyper.alpha_beta_recurrence``: there each step
-multiplies a growing polynomial by a linear or quadratic form, which in rows
-is a few shifted, scaled row additions rather than a dict product with a
-tuple key per term pair.  ``ParamPoly``'s own product runs on it too.
-``_dense_ratio`` turns a ParamPoly into integer rows over a denominator, and
-``_Dense.times_ratio`` turns a result back into a canonical ParamPoly with
-one gcd.
+``_Dense`` wraps the same rows, not trimmed, with ``+``, ``-`` and ``*`` by
+an int or another ``_Dense`` only: the working form of the loops of
+``hyper._closed_sum`` and ``hyper.alpha_beta_recurrence``.  There each step
+multiplies a growing polynomial by a linear or quadratic form, a few
+shifted, scaled row additions into rows of the exact final width.
+``_Dense(p._rows)`` reads a ParamPoly p as rows over ``p._den``, and
+``_make(ParamPoly, {(): rows}, q)`` makes a result canonical with one gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Monomial = tuple[int, int]
 Scalar = Union[int, Fraction]
+# rows[e0][e1]: the integer coefficient of k0^e0 k1^e1
+Rows = list[list[int]]
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -57,16 +60,53 @@ def _ratio(value: Scalar) -> tuple[int, int]:
     return (value, 1) if isinstance(value, int) else _as_fraction(value).as_integer_ratio()
 
 
-def _make(cls: type, num: dict[tuple, int], den: int):
-    """The canonical ``cls`` of num/den, for den > 0 and no zero in num."""
-    g = gcd(den, *num.values())
-    if g != 1:
-        num = {key: c // g for key, c in num.items()}
-        den //= g
+def _make(cls: type, num: dict[tuple, Rows], den: int):
+    """The canonical ``cls`` of num/den, for den > 0.
+
+    Trims, in place, zeros at row ends, empty rows at the end and heads left
+    with no row, then divides den and every entry by their gcd (skipped at
+    den 1).  So num's rows must be fresh, or canonical already (those are
+    kept as they are).
+    """
+    for head, rows in list(num.items()):
+        for row in rows:
+            while row and not row[-1]:
+                row.pop()
+        while rows and not rows[-1]:
+            rows.pop()
+        if not rows:
+            del num[head]
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(chain.from_iterable(num.values())))
+        if g != 1:
+            num = {head: [[c // g for c in row] for row in rows] for head, rows in num.items()}
+            den //= g
     result = cls.__new__(cls)
     result._num = num
     result._den = den
     return result
+
+
+def _add_into(acc: Rows, rows: Rows, k: int, d0: int = 0, d1: int = 0) -> None:
+    """acc += k k0^d0 k1^d1 rows, in place, growing acc as needed.
+
+    acc must be a fresh accumulator that no value holds yet.  Plain loops,
+    one entry at a time: CPython runs them faster than comprehensions,
+    slices or ``map`` on rows this short.
+    """
+    while len(acc) < d0 + len(rows):
+        acc.append([])
+    e0 = d0
+    for row in rows:
+        out = acc[e0]
+        e0 += 1
+        grow = d1 + len(row) - len(out)
+        if grow > 0:
+            out += [0] * grow
+        i = d1
+        for x in row:
+            out[i] += k * x
+            i += 1
 
 
 def _power(base, n: int, one):
@@ -83,20 +123,23 @@ def _power(base, n: int, one):
 
 
 class SparsePoly:
-    """Integer numerators over one shared denominator, keyed by exponent tuples.
+    """Integer rows per head over one shared denominator.
 
     The base of ``ParamPoly``, ``XPoly`` and ``VPoly``; a subclass fixes the
-    key shape and adds what is its own.
+    head shape and adds what is its own.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
+        """From {head + (e0, e1): exact coefficient}."""
         fracs = {key: _as_fraction(c) for key, c in (terms or {}).items()}
-        fracs = {key: f for key, f in fracs.items() if f}
-        # over the lcm of reduced denominators the form is already canonical
-        self._den = lcm(*(f.denominator for f in fracs.values()))
-        self._num = {key: f.numerator * (self._den // f.denominator) for key, f in fracs.items()}
+        den = lcm(*(f.denominator for f in fracs.values()))
+        num: dict[tuple, Rows] = {}
+        for key, f in fracs.items():
+            _add_into(num.setdefault(key[:-2], []), [[f.numerator]], den // f.denominator, *key[-2:])
+        canonical = _make(type(self), num, den)
+        self._num, self._den = canonical._num, canonical._den
 
     def is_zero(self) -> bool:
         return not self._num
@@ -110,7 +153,8 @@ class SparsePoly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._num.items())))
+        heads = frozenset((head, tuple(map(tuple, rows))) for head, rows in self._num.items())
+        return hash((self._den, heads))
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -121,101 +165,51 @@ class SparsePoly:
             return other
         da, db = self._den, other._den
         g = gcd(da, db)
-        fa, fb = db // g, da // g
-        out = {key: c * fa for key, c in self._num.items()} if fa != 1 else dict(self._num)
-        for key, c in other._num.items():
-            new = out.get(key, 0) + c * fb
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return _make(type(self), out, da * fa)
+        out: dict[tuple, Rows] = {}
+        for poly, k in ((self, db // g), (other, da // g)):
+            for head, rows in poly._num.items():
+                _add_into(out.setdefault(head, []), rows, k)
+        return _make(type(self), out, da // g * db)
 
     def __neg__(self):
-        return _make(type(self), {key: -c for key, c in self._num.items()}, self._den)
+        num = {head: [[-c for c in row] for row in rows] for head, rows in self._num.items()}
+        return _make(type(self), num, self._den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def _product(self, other: "SparsePoly", combine: Callable[[tuple, tuple], tuple], cls: type):
-        """The product whose term ka * kb has the key combine(ka, kb), as a ``cls``."""
-        out: dict[tuple, int] = {}
-        get = out.get
-        for ka, ca in self._num.items():
-            for kb, cb in other._num.items():
-                key = combine(ka, kb)
-                out[key] = get(key, 0) + ca * cb
-        return _make(cls, {key: c for key, c in out.items() if c}, self._den * other._den)
+        """The product whose term ha * hb has the head combine(ha, hb), as a ``cls``."""
+        out: dict[tuple, Rows] = {}
+        for ha, ra in self._num.items():
+            terms = [(e0, e1, c) for e0, row in enumerate(ra) for e1, c in enumerate(row) if c]
+            for hb, rb in other._num.items():
+                acc = out.setdefault(combine(ha, hb), [])
+                for e0, e1, c in terms:
+                    _add_into(acc, rb, c, e0, e1)
+        return _make(cls, out, self._den * other._den)
 
     def _rekey(self, image: Callable[[tuple], Iterable], cls: type | None = None):
-        """The image of self under a map of the heads with integer factors, as a ``cls``.
+        """The image of self under a map of the heads, as a ``cls``.
 
-        ``image(head)`` lists pairs (new head, k): the term c head k0^e0 k1^e1
-        goes to the sum of k c new k0^e0 k1^e1.
+        ``image(head)`` lists entries (new head, (d0, d1), k) with d0, d1 >= 0:
+        the term c head k0^e0 k1^e1 goes to the sum of k c new k0^(e0+d0)
+        k1^(e1+d1), added in place into one accumulator per new head, over
+        self's denominator.
         """
-        out: dict[tuple, int] = {}
+        out: dict[tuple, Rows] = {}
         get = out.get
-        for key, c in self._num.items():
-            mono = key[-2:]
-            for new, k in image(key[:-2]):
-                new += mono
-                out[new] = get(new, 0) + k * c
-        return _make(cls or type(self), {key: c for key, c in out.items() if c}, self._den)
-
-    def _rekey_shifted(self, image: Callable[[tuple], Iterable]):
-        """``_rekey`` with factors k k0^d0 k1^d1, summed densely: the hot loop of
-        the operator route.
-
-        ``image(head)`` lists entries (new head, (d0, d1), k), d0, d1 >= 0: the
-        term c head k0^e0 k1^e1 goes to the sum of k c new k0^(e0+d0) k1^(e1+d1).
-        The terms are grouped by head; each new head sums its numerators in
-        integers over self's denominator, in a dense list indexed by
-        e0 * width + e1, read back at its nonzero slots only; the result is
-        made canonical once.
-        """
-        num = self._num
-        groups: dict[tuple, list[tuple[int, int, int]]] = {}
-        top0 = top1 = 0  # the largest exponents of k0 and k1 in self
-        for key, c in num.items():
-            e0, e1 = key[-2:]
-            if e0 > top0:
-                top0 = e0
-            if e1 > top1:
-                top1 = e1
-            groups.setdefault(key[:-2], []).append((e0, e1, c))
-        images = {head: tuple(image(head)) for head in groups}
-        shifts = [shift for entries in images.values() for _, shift, _ in entries]
-        if not shifts:
-            return _make(type(self), {}, 1)
-        width = top1 + max(d1 for _, d1 in shifts) + 1
-        size = (top0 + max(d0 for d0, _ in shifts) + 1) * width
-        out: dict[tuple, list[int]] = {}
-        for head, params in groups.items():
-            params = [(e0 * width + e1, c) for e0, e1, c in params]
-            for new, (d0, d1), k in images[head]:
-                acc = out.get(new)
+        for head, rows in self._num.items():
+            for new, (d0, d1), k in image(head):
+                acc = get(new)
                 if acc is None:
-                    acc = out[new] = [0] * size
-                step = d0 * width + d1
-                for i, c in params:
-                    acc[i + step] += k * c
-        slots = range(size)
-        return _make(
-            type(self),
-            {
-                new + divmod(i, width): acc[i]
-                for new, acc in out.items()
-                for i in compress(slots, acc)  # the nonzero slots
-            },
-            self._den,
-        )
+                    acc = out[new] = []
+                _add_into(acc, rows, k, d0, d1)
+        return _make(cls or type(self), out, self._den)
 
     def _by_head(self) -> dict[tuple, "ParamPoly"]:
         """The ParamPoly coefficient of each head present."""
-        groups: dict[tuple, dict[Monomial, int]] = {}
-        for key, c in self._num.items():
-            groups.setdefault(key[:-2], {})[key[-2:]] = c
-        return {head: _make(ParamPoly, num, self._den) for head, num in groups.items()}
+        return {head: _make(ParamPoly, {(): rows}, self._den) for head, rows in self._num.items()}
 
 
 class ParamPoly(SparsePoly):
@@ -232,7 +226,7 @@ class ParamPoly(SparsePoly):
     @classmethod
     def const(cls, value: Scalar) -> "ParamPoly":
         p, q = _ratio(value)
-        return _make(ParamPoly, {(0, 0): p} if p else {}, q)
+        return _make(ParamPoly, {(): [[p]]}, q)
 
     @staticmethod
     def coerce(value: "ParamPoly | Scalar") -> "ParamPoly":
@@ -243,25 +237,36 @@ class ParamPoly(SparsePoly):
     # -- inspection ----------------------------------------------------------
 
     @property
+    def _rows(self) -> Rows:
+        """The numerator rows over ``_den``; zero has none."""
+        return self._num.get((), [])
+
+    @property
     def terms(self) -> dict[Monomial, Fraction]:
         """The sparse term map with Fraction coefficients (a fresh dict)."""
         return dict(self)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self._num.get(mono, 0), self._den)
+        return self.terms.get(mono, Fraction(0))
 
     def constant_value(self) -> Fraction:
-        if any(mono != (0, 0) for mono in self._num):
+        if self.degree() > 0:
             raise ValueError(f"{self} is not a constant polynomial")
         return self.coefficient((0, 0))
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        return max((e0 + e1 for e0, e1 in self._num), default=-1)
+        # a row ends in a nonzero entry, so its last slot has its top degree
+        return max((e0 + len(row) - 1 for e0, row in enumerate(self._rows) if row), default=-1)
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         den = self._den
-        return ((mono, Fraction(c, den)) for mono, c in self._num.items())
+        return (
+            ((e0, e1), Fraction(c, den))
+            for e0, row in enumerate(self._rows)
+            for e1, c in enumerate(row)
+            if c
+        )
 
     # -- ring operations: the kernel's, with scalars coerced; its own product --
 
@@ -282,11 +287,8 @@ class ParamPoly(SparsePoly):
 
     def __mul__(self, other: "ParamPoly | Scalar") -> "ParamPoly":
         if not isinstance(other, ParamPoly):
-            p, q = _ratio(other)
-            num = {mono: c * p for mono, c in self._num.items()} if p else {}
-            return _make(ParamPoly, num, self._den * q)
-        (a, p), (b, q) = _dense_ratio(self), _dense_ratio(other)
-        return (a * b).times_ratio(1, p * q)
+            other = ParamPoly.const(other)
+        return self._product(other, lambda ha, hb: (), ParamPoly)
 
     __rmul__ = __mul__
 
@@ -339,24 +341,25 @@ ZERO = _make(ParamPoly, {}, 1)
 
 
 class _Dense:
-    """A polynomial in Z[k0, k1] in dense rows, for the loops of the closed
-    forms and the recurrence in ``hyper``.
+    """Integer rows in Z[k0, k1] with ``+``, ``-`` and ``*`` by an int or
+    another ``_Dense``, nothing else: the arithmetic of the loops of the
+    closed forms and the recurrence in ``hyper``.
 
-    ``rows[e0][e1]`` is the coefficient of k0^e0 k1^e1.  A row ends at the
-    last slot that its inputs can fill, so a polynomial of total degree t
-    fits in the triangle of rows at most t + 1, t, ..., 1 long, and a
-    polynomial in k0 alone in rows of one slot.  It supports ``+``, ``-``
-    and ``*`` by an int or another ``_Dense``, nothing else.  A product adds,
-    for each nonzero term of the operand with fewer slots, a scaled copy of
-    the other operand's rows, shifted by the term's exponents, one entry at a
-    time (faster in CPython than slices or ``map`` on rows this short): a
-    product by a quadratic is six shifted row additions per row.  Rows are
-    never changed once a value is made, so values share them.
+    ``rows[e0][e1]`` is the coefficient of k0^e0 k1^e1, as in ``SparsePoly``,
+    but not trimmed: a row ends at the last slot that its inputs can fill, so
+    a polynomial of total degree t fits in the triangle of rows at most
+    t + 1, t, ..., 1 long, and a polynomial in k0 alone in rows of one slot.
+    A product adds, for each nonzero term of the operand with fewer slots, a
+    scaled copy of the other operand's rows, shifted by the term's exponents,
+    into rows of the exact final width, one entry at a time: a product by a
+    quadratic is six shifted row additions per row.  Rows are never changed
+    once a value is made, so values share them with each other and with the
+    ParamPoly they are read from.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: list[list[int]]):
+    def __init__(self, rows: Rows):
         self.rows = rows
 
     def __add__(self, other: "_Dense | int") -> "_Dense":
@@ -412,21 +415,6 @@ class _Dense:
 
     __rmul__ = __mul__
 
-    def times_ratio(self, p: int, q: int) -> ParamPoly:
-        """The canonical ParamPoly of self * p / q, for ints p != 0 and q > 0."""
-        num = {(e0, e1): c * p for e0, row in enumerate(self.rows) for e1, c in enumerate(row) if c}
-        return _make(ParamPoly, num, q)
-
-
-def _dense_ratio(p: ParamPoly) -> tuple[_Dense, int]:
-    """(N, q) with N in Z[k0, k1] as a ``_Dense`` and the int q with p = N / q."""
-    rows: list[list[int]] = [[] for _ in range(1 + max((e0 for e0, _ in p._num), default=-1))]
-    for (e0, e1), c in p._num.items():
-        row = rows[e0]
-        row += [0] * (e1 + 1 - len(row))
-        row[e1] = c
-    return _Dense(rows), p._den
-
 
 def poch(a, n: int):
     """Rising product a(a+1)...(a+n-1) in the arithmetic of a (ParamPoly,
@@ -446,9 +434,10 @@ def poly_eval(p: ParamPoly, k0: Scalar, k1: Scalar) -> Fraction:
     sum c * a0^e0 b0^(E0-e0) a1^e1 b1^(E1-e1) / (den b0^E0 b1^E1): an int sum
     and one Fraction at the end."""
     (a0, b0), (a1, b1) = _ratio(k0), _ratio(k1)
-    top0 = max((e0 for e0, _ in p._num), default=0)
-    top1 = max((e1 for _, e1 in p._num), default=0)
+    rows = p._rows
+    top0 = max(len(rows) - 1, 0)
+    top1 = max(map(len, rows), default=1) - 1
     pw0 = [a0**e * b0 ** (top0 - e) for e in range(top0 + 1)]
     pw1 = [a1**e * b1 ** (top1 - e) for e in range(top1 + 1)]
-    total = sum(c * pw0[e0] * pw1[e1] for (e0, e1), c in p._num.items())
+    total = sum(pw0[e0] * sum(c * pw1[e1] for e1, c in enumerate(row)) for e0, row in enumerate(rows))
     return Fraction(total, p._den * b0**top0 * b1**top1)

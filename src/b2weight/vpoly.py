@@ -7,15 +7,16 @@ spanned by t1, t2 by the matching signed permutation:
     (w f)(x) = f(x.M) . M^{-1}
 
 A scalar polynomial ``XPoly`` (sum of c x1^a x2^b) and a vector polynomial
-``VPoly`` (sum of c x1^a x2^b t_s) are stored in ``ring``'s one integer form,
-with keys (a, b, e0, e1) and (a, b, s, e0, e1) for the term
-c k0^e0 k1^e1 x1^a x2^b (t_s).  Sums, negation and equality are the
-kernel's.  Products here combine keys (a constant factor counts as a
-constant XPoly), and ``derivative``, ``compose``, ``t_substitute``,
-``group_act`` and ``laplacian`` are linear maps of the heads x1^a x2^b (t_s)
-with integer factors.  All coefficients live in Q[k0, k1], so the operator
-identities in this module are checked as exact polynomial statements, never
-numerically.
+``VPoly`` (sum of c x1^a x2^b t_s) are stored in ``ring``'s one integer form:
+integer rows in k0, k1 per head (a, b) or (a, b, s), over one denominator.
+Sums, negation and equality are the kernel's.  Products here combine heads
+only (a constant factor counts as a constant XPoly); the kernel multiplies
+the rows of each pair.  ``derivative``, ``compose``, ``t_substitute``,
+``group_act`` and ``laplacian`` are maps of the heads x1^a x2^b (t_s) with
+integer factors, through the kernel's one head map: the Laplacian's entries
+also shift by k0 or k1, every other map's by nothing.  All coefficients
+live in Q[k0, k1], so the operator identities in this module are checked as
+exact polynomial statements, never numerically.
 
 The modified first-order operators act as a plain derivative plus, for each
 of the four positive roots v (the two coordinate directions with weight k1,
@@ -28,10 +29,10 @@ The modified Laplacian, the sum of the squares of the two first-order
 operators, is applied through its closed second-order form instead: it is
 linear with coefficients affine in (k0, k1), so the image of each basis
 monomial x1^a x2^b t_s is a short list of integer entries, computed once on
-first use and cached.  ``laplacian`` is one integer accumulation of those
-images over f's denominator.  ``dunkl_d``, ``divide_by_linear`` and the
-hand-written right-hand side of ``product_rule_residual`` stay as independent
-references for it.
+first use and cached.  ``laplacian`` is the kernel's head map with those
+images, one in-place accumulation of shifted rows over f's denominator.
+``dunkl_d``, ``divide_by_linear`` and the hand-written right-hand side of
+``product_rule_residual`` stay as independent references for it.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ Coeff = Union[ParamPoly, Fraction, int]
 
 # the operator route is checked for n up to this order (tests, ``verify exact``)
 OPERATOR_NMAX = 8
+# the (k0, k1) shift of a head map entry that multiplies by an integer only
+_NO_SHIFT = (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +140,9 @@ _ROOT_DATA = (
 # ---------------------------------------------------------------------------
 
 
-def _times_x(xkey: tuple, key: tuple) -> tuple:
-    """The key of a term times the XPoly term x1^a x2^b k0^e0 k1^e1."""
-    a, b, e0, e1 = xkey
-    return (key[0] + a, key[1] + b) + key[2:-2] + (key[-2] + e0, key[-1] + e1)
+def _times_x(xhead: XKey, head: tuple) -> tuple:
+    """The head of a term times the XPoly term of head x1^a x2^b."""
+    return (head[0] + xhead[0], head[1] + xhead[1]) + head[2:]
 
 
 class _XForm(SparsePoly):
@@ -172,7 +174,7 @@ class _XForm(SparsePoly):
     def derivative(self, i: int):
         def image(head):
             e = head[i - 1]
-            return ((head[: i - 1] + (e - 1,) + head[i:], e),) if e else ()
+            return ((head[: i - 1] + (e - 1,) + head[i:], _NO_SHIFT, e),) if e else ()
 
         return self._rekey(image)
 
@@ -194,7 +196,11 @@ class XPoly(_XForm):
 
     def compose(self, w: GroupElement) -> "XPoly":
         """p(x.M) as a polynomial in x."""
-        return self._rekey(lambda head: (w.point_image(*head),))
+        def image(head):
+            new, sign = w.point_image(*head)
+            return ((new, _NO_SHIFT, sign),)
+
+        return self._rekey(image)
 
     def is_w_invariant(self) -> bool:
         return all(self.compose(w) == self for w in ALL_ELEMENTS)
@@ -227,11 +233,11 @@ def divide_by_linear(p: XPoly, root: tuple[int, int]) -> XPoly:
 
     def quotient(head):
         eu, ew = uw(*head)
-        return [(uw(eu - 1 - j, ew + j), (-v) ** j) for j in range(eu) if v or not j]
+        return [(uw(eu - 1 - j, ew + j), _NO_SHIFT, (-v) ** j) for j in range(eu) if v or not j]
 
     def remainder(head):
         eu, ew = uw(*head)
-        return [(uw(0, eu + ew), (-v) ** eu)] if v or not eu else []
+        return [(uw(0, eu + ew), _NO_SHIFT, (-v) ** eu)] if v or not eu else []
 
     if not p._rekey(remainder).is_zero():
         raise InexactDivisionError(f"{p!r} is not divisible by the linear form {root}")
@@ -257,12 +263,12 @@ class VPoly(_XForm):
     @classmethod
     def from_components(cls, f1: XPoly, f2: XPoly) -> "VPoly":
         """f1 t1 + f2 t2."""
-        return f1._rekey(lambda head: ((head + (1,), 1),), cls) + f2._rekey(
-            lambda head: ((head + (2,), 1),), cls
+        return f1._rekey(lambda head: ((head + (1,), _NO_SHIFT, 1),), cls) + f2._rekey(
+            lambda head: ((head + (2,), _NO_SHIFT, 1),), cls
         )
 
     def component(self, s: int) -> XPoly:
-        return self._rekey(lambda head: ((head[:2], 1),) if head[2] == s else (), XPoly)
+        return self._rekey(lambda head: ((head[:2], _NO_SHIFT, 1),) if head[2] == s else (), XPoly)
 
     def t_substitute(self, images: Mapping[int, tuple[int, int]]) -> "VPoly":
         """Replace each slot t_s by sign * t_slot per ``images[s] = (sign, slot)``."""
@@ -270,7 +276,7 @@ class VPoly(_XForm):
         def image(head):
             a, b, s = head
             sign, slot = images[s]
-            return (((a, b, slot), sign),)
+            return (((a, b, slot), _NO_SHIFT, sign),)
 
         return self._rekey(image)
 
@@ -300,7 +306,7 @@ def group_act(w: GroupElement, f: VPoly) -> VPoly:
         a, b, s = head
         (a_img, b_img), x_sign = w.point_image(a, b)
         t_sign, slot = w.t_image(s)
-        return (((a_img, b_img, slot), x_sign * t_sign),)
+        return (((a_img, b_img, slot), _NO_SHIFT, x_sign * t_sign),)
 
     return f._rekey(image)
 
@@ -397,11 +403,11 @@ def _monomial_image(head: VKey) -> tuple[tuple[VKey, XKey, int], ...]:
 def laplacian(f: VPoly) -> VPoly:
     """Sum of the squares of the two modified derivatives.
 
-    Applied as a sparse linear map: every term c k0^e0 k1^e1 x1^a x2^b t_s of
-    f adds k c k0^(e0+d0) k1^(e1+d1) to each entry of the cached image of
-    x1^a x2^b t_s, summed in integers over f's denominator.
+    Applied as a map of the heads: the rows of each head x1^a x2^b t_s of f,
+    times k k0^d0 k1^d1, are added in place into the rows of each entry of
+    its cached image, in integers over f's denominator.
     """
-    return f._rekey_shifted(_monomial_image)
+    return f._rekey(_monomial_image)
 
 
 def laplacian_power(f: VPoly, m: int) -> VPoly:

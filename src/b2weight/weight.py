@@ -23,6 +23,8 @@ from .errors import RegionError
 from .hyper import _EPS, ParamPoint, _gauss_2f1_rows, gamma_fn
 
 _HALF_SECTOR = math.pi / 4
+# the tolerance of every 2F1 series of L, and of the h series of quad's mode "h"
+_SERIES_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,9 @@ def d_consts(p: ParamPoint) -> tuple[float, float]:
     return d1, d2
 
 
-def eval_L(
-    u: float,
-    p: ParamPoint,
-    tol: float = 1e-11,
-    u_sq_complement: float | None = None,
-) -> np.ndarray:
-    """The four hypergeometric entries of L(u) on the open slope range (0, 1).
+def eval_L(u: float, p: ParamPoint, u_sq_complement: float | None = None) -> np.ndarray:
+    """The four hypergeometric entries of L(u) on the open slope range (0, 1),
+    their series summed to ``_SERIES_TOL``.
 
     ``u_sq_complement`` may pass 1 - u^2 computed to better accuracy than the
     subtraction (useful when u is extremely close to 1).
@@ -80,13 +78,11 @@ def eval_L(
         if not 0.0 < u < 1.0:
             raise RegionError(f"eval_L requires 0 < u < 1, got u = {u}")
         u_sq_complement = 1.0 - u * u
-    ell, _ = _eval_L_bounded(np.array([float(u)]), np.array([float(u_sq_complement)]), p, tol)
+    ell, _ = _eval_L_bounded(np.array([float(u)]), np.array([float(u_sq_complement)]), p)
     return ell[:, :, 0]
 
 
-def _eval_L_bounded(
-    u: np.ndarray, w: np.ndarray, p: ParamPoint, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _eval_L_bounded(u: np.ndarray, w: np.ndarray, p: ParamPoint) -> tuple[np.ndarray, np.ndarray]:
     """``eval_L`` at every slope of an array, with a bound on the error of each entry.
 
     ``w`` holds 1 - u^2 and is authoritative: u itself may have rounded to 1.0
@@ -128,7 +124,7 @@ def _eval_L_bounded(
     if k0 != 0.0:
         params += [(1 - k0, 0.5 - k0 + k1, k1 + 1.5), (1 - k0, 0.5 - k0 - k1, 1.5 - k1)]
     # _gauss_2f1_rows takes 1 - w for u^2 where w < 1/2; every triple at every slope
-    series = _gauss_2f1_rows(params, [u * u] * len(params), [w] * len(params), tol)
+    series = _gauss_2f1_rows(params, [u * u] * len(params), [w] * len(params), _SERIES_TOL)
     (f11, t11, _), (f22, t22, _), *off = series
     # at k0 = 0 L is diagonal: zero prefactors and series
     (f12, t12, _), (f21, t21, _) = off or [(np.zeros(len(u)),) * 3] * 2
@@ -140,7 +136,7 @@ def _eval_L_bounded(
 def eval_K(theta: float, p: ParamPoint) -> WeightEval:
     """Assemble the weight matrix at the circle point with angle theta.
 
-    L's series are summed to tol 1e-11, also near the sector edge where
+    L's series are summed to ``_SERIES_TOL``, also near the sector edge where
     their c - a - b = 2 k0 is nearly an integer (k0 near 0).
     """
     if not 0.0 < theta < _HALF_SECTOR:

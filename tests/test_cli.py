@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import hashlib
 import importlib
 import json
 import math
@@ -295,6 +296,27 @@ def test_table_rational_substitution(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert rows[0][1] == "1"
     assert rows[1][1] == "1/2"  # the Wallis value at n = 1
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("table", "--nmax", "12", "--format", "csv"),
+            "40d1a4ebf5d3855c1d038f2d144a23f292cd106d4ad1f39609125a0fbc932033",
+        ),
+        (
+            ("table", "--nmax", "12", "--k0=-7/20", "--k1=2/25", "--format", "csv"),
+            "c054d3f92bdaaa34715d60d8518e0f8808328228fce605295de71381af10db62",
+        ),
+    ],
+    ids=["symbolic", "at-a-point"],
+)
+def test_table_csv_is_pinned_by_its_sha256(capsys, argv, digest):
+    # every printed coefficient of the first 13 rows, symbolic and at a point
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table_accepts_negative_rational_as_separate_value(capsys):

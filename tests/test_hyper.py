@@ -1,6 +1,7 @@
 """Hypergeometric layer: series with certified tails, exact sums, gamma."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -881,6 +882,23 @@ def test_f_values_consistent_with_closed_form():
 def test_f_values_degenerate_parameters_raise():
     with pytest.raises(DegenerateParameterError):
         f_values(2, Fraction(0), Fraction(-1, 2))
+
+
+def test_f_values_are_the_squeeze_sums_at_the_matching_parameters():
+    # a = 1/2+k1+k0, b = -1/2+k1-k0, c = -k1: f_values is squeeze_check's
+    # (plain_sum, shifted_sum), exactly, also at k1 = -9/20 where c is largest
+    points = [
+        (Fraction(3, 10), Fraction(1, 10)),
+        (Fraction(1, 10), Fraction(-1, 5)),
+        (Fraction(-1, 5), Fraction(1, 7)),
+        (Fraction(0), Fraction(-9, 20)),
+        (Fraction(1, 40), Fraction(-9, 20)),
+    ]
+    for (k0, k1), n in itertools.product(points, (0, 1, 4, 11)):
+        rep = squeeze_check(n, Fraction(1, 2) + k1 + k0, Fraction(-1, 2) + k1 - k0, -k1)
+        f1, f2 = f_values(n, k0, k1)
+        assert (f1, f2) == (rep.plain_sum, rep.shifted_sum), (k0, k1, n)
+        assert type(f1) is Fraction and type(f2) is Fraction
 
 
 def test_chu_vandermonde_small_cases():

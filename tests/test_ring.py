@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b2weight.hyper import alpha_beta_recurrence, alpha_closed, beta_closed, s_inner_closed
-from b2weight.ring import K0, K1, ONE, ParamPoly, _dense_ratio, poch, poly_eval
+from b2weight.ring import K0, K1, ONE, ParamPoly, _Dense, _make, poch, poly_eval
 from b2weight.vpoly import VPoly, XPoly
 
 
@@ -205,10 +205,16 @@ def assert_matches(poly, want: dict) -> None:
     else:
         assert all(type(coeff) is ParamPoly and coeff for coeff in poly.terms.values())
     assert poly.is_zero() == (not want)
+    # integer rows per head: no head without rows, no empty last row, no
+    # zero at a row end, and gcd 1 with the denominator
     num, den = poly._num, poly._den
     assert type(den) is int and den > 0
-    assert all(type(c) is int and c != 0 for c in num.values())
-    assert math.gcd(den, *num.values()) == 1
+    assert isinstance(poly, ParamPoly) <= (set(num) <= {()})
+    assert all(rows and rows[-1] for rows in num.values())
+    entries = [c for rows in num.values() for row in rows for c in row]
+    assert all(type(c) is int for c in entries)
+    assert all(row[-1] for rows in num.values() for row in rows if row)
+    assert math.gcd(den, *entries) == 1
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -262,6 +268,11 @@ int_term_maps = st.dictionaries(
 )
 
 
+def param_of(dense, p: int = 1, q: int = 1) -> ParamPoly:
+    """The canonical ParamPoly of dense * p / q, made as the hyper loops make theirs."""
+    return _make(ParamPoly, {(): (dense * p).rows}, q)
+
+
 def assert_in_triangle(dense, degree: int) -> None:
     """Rows of a polynomial of total degree <= degree: at most degree + 1 of
     them, row e0 at most degree - e0 + 1 long."""
@@ -273,7 +284,7 @@ def assert_in_triangle(dense, degree: int) -> None:
 @given(p=int_term_maps, q=int_term_maps, s=st.integers(-30, 30), f=fractions.filter(bool), r=term_maps)
 def test_dense_rows_match_the_sparse_product_and_sum(p, q, s, f, r):
     P, Q, R = ParamPoly(p), ParamPoly(q), ParamPoly(r)
-    (A, den_a), (B, den_b) = _dense_ratio(P), _dense_ratio(Q)
+    (A, den_a), (B, den_b) = (_Dense(P._rows), P._den), (_Dense(Q._rows), Q._den)
     assert den_a == den_b == 1
     dp, dq = P.degree(), Q.degree()
     dpq = dp + dq if P and Q else -1  # the degree zero has is -1
@@ -295,14 +306,13 @@ def test_dense_rows_match_the_sparse_product_and_sum(p, q, s, f, r):
         (A * B * B + s * A, ref_add(ref_mul(pq, ref(q)), ref_scale(ref(p), s)), max(dpq + dq, dp)),
     ]
     for got, want, degree in cases:
-        assert_matches(got.times_ratio(1, 1), want)
+        assert_matches(param_of(got), want)
         assert_in_triangle(got, degree)
     # the conversion: one canonical ParamPoly of value * p / q
     p_, q_ = f.as_integer_ratio()
-    assert_matches(A.times_ratio(p_, q_), ref_scale(ref(p), f))
+    assert_matches(param_of(A, p_, q_), ref_scale(ref(p), f))
     # any ParamPoly is integer rows over its denominator
-    C, den = _dense_ratio(R)
-    assert_matches(C.times_ratio(1, den), ref(r))
+    assert_matches(param_of(_Dense(R._rows), 1, R._den), ref(r))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

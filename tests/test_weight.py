@@ -109,7 +109,7 @@ def test_eval_l_bounds_hold_at_the_sliver_edges():
         for theta in (0.75, 0.78, 0.785):
             u = math.tan(theta)
             w = math.cos(2.0 * theta) / math.cos(theta) ** 2
-            ell, err = _eval_L_bounded(np.array([u]), np.array([w]), ParamPoint(k0, 0.0), 1e-11)
+            ell, err = _eval_L_bounded(np.array([u]), np.array([w]), ParamPoint(k0, 0.0))
             with mpmath.workdps(40):
                 want = _ell_reference(k0, 0.0, u, w)
                 for got, bound, exact in zip(ell.ravel(), err.ravel(), want):
@@ -122,7 +122,7 @@ def test_eval_l_bounds_hold_within_1e300_of_the_sector_edge():
     # slack against mpmath at the float parameters (u rounds to 1 here)
     ws = [1e-20, 1e-100, 1e-200, 1e-300]
     for k0, k1 in ((-0.45, 0.3), (-0.2, -0.1), (-0.1, -0.3), (0.2, 0.1)):
-        ell, err = _eval_L_bounded(np.ones(len(ws)), np.array(ws), ParamPoint(k0, k1), 1e-11)
+        ell, err = _eval_L_bounded(np.ones(len(ws)), np.array(ws), ParamPoint(k0, k1))
         for j, w in enumerate(ws):
             with mpmath.workdps(50 + round(-math.log10(w))):
                 want = _ell_reference(k0, k1, 1.0, w)
@@ -139,9 +139,9 @@ def test_eval_l_at_one_slope_equals_its_column_in_a_batch():
     u, w = 1.0 - s, s * (2.0 - s)
     for k0, k1 in ((0.0, 0.2), (0.3, 0.1), (-0.45, 0.0), (1e-9, -0.3)):
         p = ParamPoint(k0, k1)
-        batch = _eval_L_bounded(u, w, p, 1e-11)
+        batch = _eval_L_bounded(u, w, p)
         for j in range(len(s)):
-            alone = _eval_L_bounded(u[j:j + 1], w[j:j + 1], p, 1e-11)
+            alone = _eval_L_bounded(u[j:j + 1], w[j:j + 1], p)
             for whole, one in zip(batch, alone):
                 assert whole[:, :, j].tobytes() == one[:, :, 0].tobytes(), (k0, k1, s[j])
         assert eval_L(u[4], p, u_sq_complement=w[4]).tobytes() == batch[0][:, :, 4].tobytes()
