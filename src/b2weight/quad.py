@@ -33,7 +33,8 @@ h-value at their nodes.  A later level is built when a family first
 reaches it, its nodes again in one batch.  Mode "direct" likewise needs L
 only at the slope: a second bounded memo keeps, per point and tanh-sinh
 level, every part of the integrand but the power of w / q that carries n
-(``_direct_rule``), so every n and kind at one point sums L's series once;
+(``_direct_rule``), its sums over L's rows formed: three rows per kind,
+eight floats a node.  So every n and kind at one point sums L's series once;
 only the six gamma values of its edge bound are computed per pairing.  Both
 modes sum their series to ``weight._SERIES_TOL``, so pairings at every
 tolerance share one memo per point.
@@ -473,8 +474,8 @@ def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
 
 
 # Levels kept at once.  A point has ten, of 12 to 3154 nodes and 6309 in all;
-# with the parts of both kinds a node takes 96 bytes, so a point's levels
-# take 0.61 MB, and the memo holds all of two points.
+# with the parts of both kinds a node takes 64 bytes, so a point's levels
+# take 0.40 MB, and the memo holds all of two points.
 _DIRECT_RULE_CACHE = 2 * (_TS_LEVELS + 1)
 
 
@@ -487,23 +488,25 @@ def _direct_rule(k0: float, k1: float, level: int) -> tuple[np.ndarray, ...]:
     p12, - for p14) and z = L (-u, 1), one row r per entry of d, over the
     slopes u with q = 1 + u^2 and d theta = du / q; w = 1 - u^2 is formed as
     s (2 - s) from s = 1 - u, without cancellation.  Returns the smallest u
-    and s of the level, w / q and q^2, and for p12 and then p14 the sum over r
-    of d_r y_r z_r, and per row dev (|y| + |z| + dev) and |y z|, where dev
-    bounds the error of y and of z: L's bounds, and three roundings of each
-    product and of the sum.  All arrays are read-only.
+    and s of the level, w / q and q^2, and for p12 and then p14 three sums
+    over r: of d_r y_r z_r, of |d_r| dev_r (|y_r| + |z_r| + dev_r) and of
+    |d_r| |y_r z_r|, where dev bounds the error of y and of z: L's bounds, and
+    three roundings of each product and of the sum.  All arrays are read-only.
     """
     u, s, _ = _tanh_sinh_nodes(level)
     w, q = s * (2.0 - s), 1.0 + u * u
     p = ParamPoint(k0, k1)
     (l0, l1), (e0, e1) = (part.swapaxes(0, 1) for part in _eval_L_bounded(u, w, p))
     d = np.array(d_consts(p))[:, None]
+    d_abs = np.abs(d)
     arrays = [np.array([u.min(), s.min()]), w / q, q * q]
     with np.errstate(over="ignore", invalid="ignore"):
         ul0 = u * l0
         z = l1 - ul0
         dev = (e0 + 3.0 * _EPS * np.abs(l0)) * u + e1 + 3.0 * _EPS * np.abs(l1)
         for y in (z, -l1 - ul0):  # p12's y is z
-            arrays += [(d * y * z).sum(axis=0), dev * (np.abs(y) + np.abs(z) + dev), np.abs(y * z)]
+            spread = d_abs * (dev * (np.abs(y) + np.abs(z) + dev))
+            arrays += [(d * y * z).sum(axis=0), spread.sum(axis=0), (d_abs * np.abs(y * z)).sum(axis=0)]
     for array in arrays:
         array.flags.writeable = False
     return tuple(arrays)
@@ -511,7 +514,6 @@ def _direct_rule(k0: float, k1: float, level: int) -> tuple[np.ndarray, ...]:
 
 def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
     d1, d2 = d_consts(p)
-    d_abs = np.abs([[d1], [d2]])
     phi_power = 2 * n if kind == "p12" else 2 * n + 1
     own = slice(0, 3) if kind == "p12" else slice(3, 6)
     # d1 and d2 each carry four gamma values; w / q rounds five times, its
@@ -531,7 +533,7 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
         with np.errstate(over="ignore", invalid="ignore"):
             scale = ratio**phi_power / square
             value = scale * total
-            bound = scale * (d_abs * (spread + rho * cross)).sum(axis=0)
+            bound = scale * (spread + rho * cross)
         if not (np.isfinite(value).all() and np.isfinite(bound).all()):
             raise ToleranceError(
                 f"mode 'direct': the integrand overflows near a sector edge at {p}; "

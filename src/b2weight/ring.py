@@ -22,6 +22,8 @@ rows in place into a fresh accumulator per head (``_add_into``) and ends in
 ``_make``.  Only this module and the loops of ``hyper`` read the rows.
 Coefficients go in and come out as exact ``fractions.Fraction`` (or
 ParamPoly), so identities over the rationals are tested with zero tolerance.
+A ParamPoly's coefficients are read one way, by iteration: ``dict(p)`` maps
+each (e0, e1) present to its Fraction.
 Instances are immutable, and rows are never changed once a value holds them,
 so values can share rows and be cached freely.
 
@@ -241,25 +243,8 @@ class ParamPoly(SparsePoly):
         """The numerator rows over ``_den``; zero has none."""
         return self._num.get((), [])
 
-    @property
-    def terms(self) -> dict[Monomial, Fraction]:
-        """The sparse term map with Fraction coefficients (a fresh dict)."""
-        return dict(self)
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
-    def constant_value(self) -> Fraction:
-        if self.degree() > 0:
-            raise ValueError(f"{self} is not a constant polynomial")
-        return self.coefficient((0, 0))
-
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        # a row ends in a nonzero entry, so its last slot has its top degree
-        return max((e0 + len(row) - 1 for e0, row in enumerate(self._rows) if row), default=-1)
-
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
+        """The nonzero terms ((e0, e1), Fraction); ``dict(p)`` is p's term map."""
         den = self._den
         return (
             ((e0, e1), Fraction(c, den))

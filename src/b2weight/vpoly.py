@@ -41,7 +41,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import InexactDivisionError, InvarianceError, NotProportionalError
 from .ring import K0, K1, ParamPoly, SparsePoly, _power
@@ -67,14 +67,6 @@ class GroupElement:
 
     name: str
     matrix: tuple[tuple[int, int], tuple[int, int]]
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        m, n = self.matrix, other.matrix
-        prod = tuple(
-            tuple(sum(m[i][k] * n[k][j] for k in range(2)) for j in range(2))
-            for i in range(2)
-        )
-        return GroupElement(f"{self.name}*{other.name}", prod)  # type: ignore[arg-type]
 
     def column(self, j: int) -> tuple[int, int]:
         """(row, sign) of the single nonzero entry in column j (0-based)."""
@@ -126,12 +118,13 @@ REFLECTIONS: tuple[GroupElement, ...] = (
     SIGMA_D_MINUS,
 )
 
-# positive roots: (root vector, reflection, weight symbol)
+# positive roots: (root vector, reflection, the (k0, k1) exponents of its
+# weight: k1 for the coordinate directions, k0 for the diagonals)
 _ROOT_DATA = (
-    ((1, 0), SIGMA_1, K1),
-    ((0, 1), SIGMA_2, K1),
-    ((1, -1), SIGMA_D_PLUS, K0),
-    ((1, 1), SIGMA_D_MINUS, K0),
+    ((1, 0), SIGMA_1, (0, 1)),
+    ((0, 1), SIGMA_2, (0, 1)),
+    ((1, -1), SIGMA_D_PLUS, (1, 0)),
+    ((1, 1), SIGMA_D_MINUS, (1, 0)),
 )
 
 
@@ -183,9 +176,6 @@ class XPoly(_XForm):
     """Scalar polynomial in x1, x2 with ParamPoly coefficients."""
 
     __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[XKey, ParamPoly]]:
-        return iter(self.terms.items())
 
     def __pow__(self, n: int) -> "XPoly":
         return _power(self, n, XPoly({(0, 0): 1}))
@@ -317,7 +307,7 @@ def dunkl_d(i: int, f: VPoly) -> VPoly:
         raise ValueError(f"direction must be 1 or 2, got {i}")
     d = f.derivative(i)
     parts = [d.component(1), d.component(2)]
-    for root, refl, weight in _ROOT_DATA:
+    for root, refl, kappa in _ROOT_DATA:
         v_i = root[i - 1]
         if v_i == 0:
             continue
@@ -328,7 +318,7 @@ def dunkl_d(i: int, f: VPoly) -> VPoly:
                 continue
             sign, slot = refl.t_image(s)
             quotient = divide_by_linear(numerator, root)
-            parts[slot - 1] = parts[slot - 1] + quotient * (weight * (v_i * sign))
+            parts[slot - 1] = parts[slot - 1] + quotient * ParamPoly({kappa: v_i * sign})
     return VPoly.from_components(*parts)
 
 
@@ -378,8 +368,7 @@ def _monomial_image(head: VKey) -> tuple[tuple[VKey, XKey, int], ...]:
         out[((a - 2, b, s), (0, 0))] = a * (a - 1)
     if b > 1:
         out[((a, b - 2, s), (0, 0))] = b * (b - 1)
-    for root, refl, weight in _ROOT_DATA:
-        (kappa,) = weight.terms  # the one monomial k0 or k1
+    for root, refl, kappa in _ROOT_DATA:
         v1, v2 = root
         norm_sq = v1 * v1 + v2 * v2
         # the numerator, homogeneous of degree d, indexed by its x1-exponent

@@ -133,6 +133,18 @@ def test_verify_quad_compares_with_the_closed_form_at_the_float_point(capsys, k0
     assert all(c["pass"] is True for c in checks), [c["name"] for c in checks if not c["pass"]]
 
 
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 15: a pairing row holds a value near 2e-4 to tol relative, "
+    "though it is computed to tol absolute; p14 n00 is 1.45e-12 off relative",
+)
+def test_verify_quad_passes_at_a_tight_tol_where_a_pairing_is_small(capsys):
+    argv = ["--k0", "4999/10000", "--k1", "0", "--nmax", "0", "--tol", "1e-13"]
+    code, out, _ = run_cli(capsys, "verify", "quad", *argv)
+    assert code == 0, [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+
+
 _ASYM_NAMES = [
     "asym/normalized_f1/n200",
     "asym/normalized_f1/n800",
@@ -152,6 +164,17 @@ def test_verify_asym_passes(capsys):
         payload = json.loads(out)
         assert payload["overall_pass"] is True
         assert [c["name"] for c in payload["checks"]] == _ASYM_NAMES
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 1: the Stirling normalizer misses an n^-(1+2k1) term; at n = 200 "
+    "and 800 f1 reads 1.4828 and 1.4209, f2 0.5175 and 0.5792",
+)
+def test_verify_asym_passes_at_k1_minus_9_20(capsys):
+    code, out, _ = run_cli(capsys, "verify", "asym", "--k0=0", "--k1=-9/20")
+    assert code == 0, [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
 
 
 def test_verify_asym_rows_are_about_the_given_point(capsys):
@@ -494,15 +517,33 @@ def test_public_names_resolve_through_their_modules():
         b2weight.no_such_name
 
 
-# the public functions no CLI command calls, each kept for one reason
-KEPT_REFERENCES = {
-    "dunkl_d": "the first-order operators the Laplacian's closed form is tested against",
-    "euler_transform": "acceptance criterion 10 compares the Gauss series against it",
-    "gauss_2f1": "the subject of the Hypothesis oracle test; the CLI sums series in batches",
-    "group_act": "the group action the Laplacian's equivariance is tested with",
-    "h_func": 'the per-node reference of mode "h" and of the h-products of L\'s entries',
-    "poly_eval": "bench/tracer.py traces it, and BENCHMARK.json names its metrics",
-    "singular_integral": "bench/tracer.py traces it, and acceptance criterion 09 tests it",
+# the functions and methods written in src/b2weight that neither the probed
+# commands nor a round of each benchmark workload call, each kept for one
+# reason; one that no caller needs is deleted instead
+KEPT = {
+    # references the tests check the program against
+    "hyper.gauss_2f1": "the subject of the Hypothesis oracle test; the program sums series in batches",
+    "hyper.h_func": 'the per-node reference of mode "h" and of the h-products of L\'s entries',
+    "hyper.euler_transform": "acceptance criterion 10 compares the Gauss series against it",
+    "hyper._gauss_sum": "the z = 1 branch of the series rows, which only gauss_2f1 at z = 1 reaches",
+    "hyper._recip_gamma": "_gauss_sum's reciprocal gammas, and the reference of _recip_gamma_pair",
+    "vpoly.dunkl_d": "the first-order operators the Laplacian's closed form is tested against",
+    "vpoly.VPoly.component": "dunkl_d splits its argument into the two slots with it",
+    "vpoly.VPoly.from_components": "dunkl_d joins its two slots into its result with it",
+    "vpoly.group_act": "the group action the Laplacian's equivariance is tested with",
+    # targets of bench/tracer.py, whose per-layer metrics BENCHMARK.json names
+    "quad.singular_integral": "bench/tracer.py traces it, and acceptance criterion 09 tests it",
+    "ring.poly_eval": "bench/tracer.py traces it as ring.poly_eval",
+    "ring.ParamPoly.__sub__": "bench/tracer.py traces it as ring.sub",
+    "ring.ParamPoly.__truediv__": "bench/tracer.py traces it as ring.div",
+    "ring.ParamPoly.__pow__": "bench/tracer.py traces it as ring.pow",
+    # Python protocol
+    "ring.ParamPoly.__repr__": "error messages show polynomials with !r",
+    "vpoly.XPoly.__repr__": "error messages show polynomials with !r",
+    "vpoly.VPoly.__repr__": "error messages show polynomials with !r",
+    "ring.SparsePoly.__bool__": "the truth value of a polynomial, nonzero or not",
+    "ring.SparsePoly.__hash__": "equal values hash equal, so they can key a dict or a set",
+    "ring.ParamPoly.__rsub__": "a scalar minus a ParamPoly",
 }
 
 # small versions of the commands that cover every report: in and outside the
@@ -519,35 +560,77 @@ PROBED_COMMANDS = [
     ["eval-k", "--theta", "0.4"],
 ]
 
+PROBE = """
+import contextlib, importlib, inspect, io, json, pathlib, random, sys
+from collections import Counter
+
+seen = set()
+sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code) if event == "call" else None)
+import b2weight
+from b2weight import cli
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[2]):
+        cli.main(argv)
+    sys.path.insert(0, sys.argv[1])
+    import workloads
+
+    for make in workloads.WORKLOADS.values():
+        for task in next(make(random.Random(1))):
+            task.check(task.call(), Counter())
+sys.setprofile(None)
+
+# every function and method written in the package's files; the methods a
+# dataclass generates come from a string, not a file, and are left out
+def members(module):
+    for obj in vars(module).values():
+        if not inspect.isclass(obj):
+            yield obj
+        elif obj.__module__ == module.__name__:
+            for member in vars(obj).values():
+                # a staticmethod or classmethod holds its function, a property its getter
+                member = getattr(member, "__func__", member)
+                yield getattr(member, "fget", member)
+
+
+written = {}
+for path in sorted(pathlib.Path(b2weight.__file__).parent.glob("*.py")):
+    module = importlib.import_module("b2weight" + ("" if path.stem == "__init__" else "." + path.stem))
+    for obj in members(module):
+        obj = inspect.unwrap(obj)
+        if inspect.isfunction(obj) and obj.__code__.co_filename == module.__file__:
+            written[obj.__code__] = f"{path.stem}.{obj.__qualname__}"
+print(json.dumps(sorted(name for code, name in written.items() if code not in seen)))
+"""
+
 
 def test_every_public_function_is_called_by_a_command_or_kept_as_a_reference():
-    """The CLI commands run under ``sys.setprofile`` in a fresh process, so
-    no memo of an earlier test hides a call; every function in
-    ``b2weight.__all__`` must be called, or be one of ``KEPT_REFERENCES``."""
-    script = (
-        "import contextlib, inspect, io, json, sys\n"
-        "import b2weight\n"
-        "from b2weight import cli\n"
-        "public = {}\n"
-        "for name in b2weight.__all__:\n"
-        "    target = inspect.unwrap(getattr(b2weight, name))\n"
-        "    if inspect.isfunction(target):\n"
-        "        public[target.__code__] = name\n"
-        "seen = set()\n"
-        "sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code) if event == 'call' else None)\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    for argv in {PROBED_COMMANDS!r}:\n"
-        "        cli.main(argv)\n"
-        "sys.setprofile(None)\n"
-        "print(json.dumps(sorted(name for code, name in public.items() if code not in seen)))\n"
-    )
+    """The probed CLI commands, then one round of each workload of
+    bench/workloads.py (imported without writing its bytecode), run under
+    ``sys.setprofile`` in a fresh process, so no memo of an earlier test hides
+    a call and the package's import counts.  Every function and method
+    written in ``src/b2weight/*.py``, at module or class level, must be
+    called, or be one of ``KEPT`` with its reason."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(b2weight.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", PROBE, str(bench), json.dumps(PROBED_COMMANDS)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == sorted(KEPT_REFERENCES)
+    uncalled = set(json.loads(result.stdout))
+    assert uncalled == set(KEPT), (
+        f"uncalled and not kept: {sorted(uncalled - set(KEPT))}; "
+        f"kept but called: {sorted(set(KEPT) - uncalled)}"
+    )
 
 
 def test_every_traced_name_resolves():

@@ -616,6 +616,22 @@ def test_direct_rule_results_do_not_depend_on_cache_state():
     assert cold == warm == reverse
 
 
+def test_direct_mode_bits_at_the_benchmark_point():
+    # quad-sweep's direct pairings at the default tol: each value is pinned to
+    # the bit, each on 197 nodes, so a change to the memo's parts or to the
+    # integrand's arithmetic shows here first
+    p = ParamPoint(1 / 60, 13 / 31)
+    want = {
+        (1, "p12"): "0x1.a8602ef4e6082p+0",
+        (1, "p14"): "-0x1.9a3f1030581f1p+0",
+        (2, "p12"): "0x1.956561662fa46p+0",
+        (2, "p14"): "-0x1.8d4d8d88e1654p+0",
+    }
+    for (n, kind), value in want.items():
+        got = sector_inner_numeric(n, kind, p, mode="direct")
+        assert (got.value.hex(), got.nodes) == (value, 197)
+
+
 def test_direct_rule_cache_stays_bounded_and_read_only():
     _direct_rule.cache_clear()
     for k0, k1 in SHARED_RULE_POINTS:
