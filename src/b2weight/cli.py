@@ -4,8 +4,8 @@ Verbs:
 
 * ``verify {exact|quad|asym|all}`` runs a named check suite and exits 0 only
   if every check passes (1 on any failure, 2 on usage errors).
-* ``table`` prints rows (n, alpha_n, beta_n, pairing values): exact rational
-  or symbolic strings when the parameters are exact, decimals otherwise.
+* ``table`` prints rows (n, alpha_n, beta_n, pairing values) as exact
+  rationals, with each omitted ``--k0`` or ``--k1`` left symbolic.
 * ``eval-k`` evaluates the weight matrix at one angle and emits JSON.
 
 Parameters are accepted as exact rationals ("3/10") or decimal strings
@@ -264,10 +264,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
-    if args.k0 is None and args.k1 is None:
-        params = (K0, K1)
-    else:
-        params = tuple(parse_rational(getattr(args, k) or _DEFAULTS[k]) for k in ("k0", "k1"))
+    params = tuple(
+        k if text is None else parse_rational(text) for k, text in ((K0, args.k0), (K1, args.k1))
+    )
     seq = hyper.alpha_beta_recurrence(args.nmax, *params)
     rows = []
     for n in range(args.nmax + 1):
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="tabulate the coefficient sequences")
     common(p_table, cmd_table, nmax_default=8)
-    # symbolic unless a parameter is given
+    # an omitted parameter stays symbolic
     p_table.set_defaults(k0=None, k1=None)
 
     p_eval = sub.add_parser("eval-k", help="evaluate the weight matrix at one angle")

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateParameterError, RegionError, ToleranceError
-from .ring import K0, K1, ParamPoly, _Dense, _make, _ratio, poch
+from .ring import K0, K1, ParamPoly, _integral_scale, _times_ratio, poch
 
 HALF = Fraction(1, 2)
 Exact = Union[int, Fraction]
@@ -615,9 +615,9 @@ def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
     in Q[k0, k1]; with rational k0, k1 they are the Fraction values there.
 
     It runs in integers: ints at a point, and for a ParamPoly parameter the
-    dense integer rows of ``ring._Dense`` that ``_integral_scale`` returns;
-    the loop is the same for both.  With H = D/2 for the even D of
-    ``_integral_scale``, so that H, 2H k0 = D k0 and 2H k1 are integral
+    dense integer rows of ``ring._Dense`` that ``ring._integral_scale``
+    returns; the loop is the same for both.  With H = D/2 for the even D of
+    ``ring._integral_scale``, so that H, 2H k0 = D k0 and 2H k1 are integral
     (H = 1 for the symbolic K0, K1), alpha_n = A_n / (H^{2n} (2n+1)!) and
     beta_n = B_n / (H^{2n+1} (2n+2)!) with
 
@@ -649,26 +649,6 @@ def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
     return AlphaBetaSeq(n_max, tuple(alpha), tuple(beta))
 
 
-def _times_ratio(value, p: int, q: int):
-    """value * p / q, exact, for an int or ``ring._Dense`` value, an int p and an
-    int q > 0: one Fraction or one canonical ParamPoly, reduced once."""
-    return Fraction(value * p, q) if isinstance(value, int) else _make(ParamPoly, {(): (value * p).rows}, q)
-
-
-def _integral_scale(k0, k1):
-    """(D, D k0, D k1) for an even D that makes D k0, D k1 integral:
-    D = 2 lcm(den k0, den k1), where the den of a ParamPoly is the common
-    denominator of its coefficients (D = 2 for the symbolic K0, K1, and 4
-    for K0/2).  A rational parameter comes out as an int and a ParamPoly as
-    a ``ring._Dense`` in Z[k0, k1], so the loops of ``_closed_sum`` and
-    ``alpha_beta_recurrence`` run unchanged on ints or on dense integer rows."""
-    (p0, q0), (p1, q1) = (
-        (_Dense(k._rows), k._den) if isinstance(k, ParamPoly) else _ratio(k) for k in (k0, k1)
-    )
-    d = 2 * math.lcm(q0, q1)
-    return d, p0 * (d // q0), p1 * (d // q1)
-
-
 def _closed_sum(n: int, e: int, b: Fraction, m: int, k0, k1):
     """The single sum shared by the four closed forms:
 
@@ -680,7 +660,7 @@ def _closed_sum(n: int, e: int, b: Fraction, m: int, k0, k1):
     form, P_0 = 1, P_{j+1} = P_j q_j + r_{j+1} (-k1)_{j+1}, sum = P_n (F)_{m-n} (S)_e,
     with F = b+k0+k1, S = 1/2+k1-k0, the integer r_j = (-n)_j (-n-e)_j / j! and
     q_j = (F + m-j-1)(S + n+e-j-1), and in integers: for the even D of
-    ``_integral_scale``, D F, D S, D^2 q_j = (D F + D(m-j-1))(D S + D(n+e-j-1)),
+    ``ring._integral_scale``, D F, D S, D^2 q_j = (D F + D(m-j-1))(D S + D(n+e-j-1)),
     U_j = D^{2j} (-k1)_j and every T_j = D^{2j} P_j in
 
         T_0 = 1,  T_{j+1} = T_j (D^2 q_j) + r_{j+1} U_{j+1}

@@ -10,14 +10,14 @@ exponents.  Gauss-Jacobi carries exactly those exponents and doubles its node
 count from 24 to 384; it serves mode "h" of the pairings alone.  Mode "h"
 builds its rules in the graded variable x of 1 - v = (1 - x)^2 (1 + x): the
 h-values carry non-integer powers of 1 - v at v = 1, on which Gauss-Jacobi in
-v converges only algebraically, and the map doubles them.  Tanh-sinh, which
-supplies each node with its distance to 1 exactly, serves the rest:
-``singular_integral`` and mode "direct", the independent cross-check, over
-the slope u = tan(theta) in (0, 1), where 1 - u^2 then forms without
-cancellation.  Both rules stop by one test, in ``_refine``: at the
-tolerance or at the level's own error term.  The radial half of the plane
-integral is folded in analytically (a factor 2^l l! in the pairing
-normalization), so no infinite-domain quadrature appears anywhere.
+v converges only algebraically, and the map doubles them.  Tanh-sinh, whose
+read-only nodes carry their distance to 1 exactly, one level per integrand
+call, serves the rest: ``singular_integral`` and mode "direct", the
+independent cross-check, over the slope u = tan(theta) in (0, 1), where
+1 - u^2 then forms without cancellation.  Both rules stop by one test, in
+``_refine``: at the tolerance or at the level's own error term.  The radial
+half of the plane integral is folded in analytically (a factor 2^l l! in the
+pairing normalization), so no infinite-domain quadrature appears anywhere.
 
 The order n of a pairing enters only through an explicit factor
 (1 - v)^e (1 + v)^(-e-2); the weight's exponents a = +/-(k1 + 1/2) and b0
@@ -184,17 +184,15 @@ def _refine(levels: Iterable, tol: float, rule: str, first: int = 1) -> QuadResu
     raise ToleranceError(f"{rule} rule of {nodes} nodes did not reach tol={tol}")
 
 
-def tanh_sinh(
-    f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    tol: float = 1e-10,
-) -> QuadResult:
+def tanh_sinh(f: Callable[[int], tuple[np.ndarray, np.ndarray]], tol: float = 1e-10) -> QuadResult:
     """Double-exponential rule on (0, 1) for endpoint-singular integrands.
 
-    The integrand is called on arrays of nodes as f(v, 1 - v), each node with
-    its distance to 1 supplied exactly, so algebraic endpoint factors can be
-    formed from the two without catastrophic cancellation.  Neither array
-    holds 0.  It returns an array of values and an array (or a scalar) of
-    bounds on the error of each value (0.0 for a value exact up to rounding).
+    The integrand is called as f(level) and reads the nodes the level adds
+    from ``_tanh_sinh_nodes(level)``: read-only rows v and 1 - v, each node's
+    distance to 1 exact, so algebraic endpoint factors form without
+    catastrophic cancellation.  Neither row holds 0.  It returns an array of
+    values and an array (or a scalar) of bounds on the error of each value
+    (0.0 for a value exact up to rounding).
 
     Level L has step 2^-L and floor(6.2 * 2^L) nodes on each side, for L up
     to 9; its even-indexed nodes are exactly the nodes of level L - 1, so
@@ -211,9 +209,8 @@ def tanh_sinh(
     def levels():
         sums, nodes = np.zeros(3), 0  # running sums of the terms, bounds and |terms|
         for level in range(_TS_LEVELS + 1):
-            table = _tanh_sinh_nodes(level)
-            dvdt = table[2]
-            values, bounds = f(*table[:2].copy())  # f may write to its nodes
+            dvdt = _tanh_sinh_nodes(level)[2]
+            values, bounds = f(level)
             # all three running sums in node order, as one term at a time
             block = np.empty((len(dvdt) + 1, 3))
             block[0] = sums
@@ -238,22 +235,23 @@ def singular_integral(
 ) -> QuadResult:
     """int_0^1 v^alpha (1-v)^beta smooth(v) dv by tanh-sinh.
 
-    ``smooth`` must accept a numpy array of nodes in (0, 1) and counts as
-    exact; an endpoint power left in it, such as (1 - v)^0.5, is integrated
-    too.  Exponents must exceed -1.  The weight is exp(alpha log v + beta log s)
-    from the pair v, s = 1 - v that ``tanh_sinh`` supplies; the error term
-    carries its rounding, and the estimate the mass beyond the outermost
-    nodes.  An exponent near -1 overflows the weight at those nodes, 1e-300
-    from an end, and raises ToleranceError: below -0.965 at tol 1e-12.  A NaN
-    or infinite exponent raises RegionError, and a NaN or negative tol
-    ValueError, before ``smooth`` is called.
+    ``smooth`` must accept a read-only numpy array of nodes in (0, 1) and
+    counts as exact; an endpoint power left in it, such as (1 - v)^0.5, is
+    integrated too.  Exponents must exceed -1.  The weight is
+    exp(alpha log v + beta log s) at a level's nodes v, s = 1 - v; the error
+    term carries its rounding, and the estimate the mass beyond the
+    outermost nodes.  An exponent near -1 overflows the weight at those
+    nodes, 1e-300 from an end, and raises ToleranceError: below -0.965 at
+    tol 1e-12.  A NaN or infinite exponent raises RegionError, and a NaN or
+    negative tol ValueError, before ``smooth`` is called.
     """
     if not (alpha > -1.0 and beta > -1.0 and math.isfinite(alpha) and math.isfinite(beta)):
         raise RegionError(f"endpoint exponents must be finite and exceed -1, got ({alpha}, {beta})")
 
     outermost = [(1.0, 0.0)] * 2  # per end: the nearest node's distance and |value|
 
-    def integrand(v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def integrand(level: int) -> tuple[np.ndarray, np.ndarray]:
+        v, s, _ = _tanh_sinh_nodes(level)
         a_log, b_log = alpha * np.log(v), beta * np.log(s)
         with np.errstate(over="ignore"):
             weight = np.exp(a_log + b_log)
@@ -481,8 +479,8 @@ _DIRECT_RULE_CACHE = 2 * (_TS_LEVELS + 1)
 
 @functools.lru_cache(maxsize=_DIRECT_RULE_CACHE)
 def _direct_rule(k0: float, k1: float, level: int) -> tuple[np.ndarray, ...]:
-    """The parts of mode "direct"'s integrand on the nodes tanh-sinh level
-    ``level`` adds that do not depend on n.
+    """The parts of mode "direct"'s integrand that do not depend on n, on
+    the nodes of the tanh-sinh level ``level`` that ``tanh_sinh`` hands it.
 
     In theta the form is sum_r d_r y_r z_r / q with y = L (-u, +-1) (+ for
     p12, - for p14) and z = L (-u, 1), one row r per entry of d, over the
@@ -521,12 +519,10 @@ def _sector_inner_direct(n: int, kind: str, p: ParamPoint, tol: float) -> QuadRe
     # products a few times more
     rho = 4.0 * _GAMMA_RELERR + (5 * phi_power + 12) * _EPS
     outermost = [1.0, 1.0]  # the smallest u and s summed
-    levels = iter(range(_TS_LEVELS + 1))
 
-    def integrand(_u: np.ndarray, _s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # tanh_sinh passes the levels in order, one per call: the memo holds
-        # all but the power of w / q there
-        edges, ratio, square, *kinds = _direct_rule(p.k0, p.k1, next(levels))
+    def integrand(level: int) -> tuple[np.ndarray, np.ndarray]:
+        # the memo holds all but the power of w / q
+        edges, ratio, square, *kinds = _direct_rule(p.k0, p.k1, level)
         total, spread, cross = kinds[own]
         u_min, s_min = edges.tolist()
         outermost[:] = min(outermost[0], u_min), min(outermost[1], s_min)

@@ -19,7 +19,7 @@ construction from exact coefficients, ``+``, ``-``, negation,
 (``_rekey``) whose entries multiply by an integer times k0^d0 k1^d1, and
 the split into one ParamPoly per head.  Each of them adds shifted, scaled
 rows in place into a fresh accumulator per head (``_add_into``) and ends in
-``_make``.  Only this module and the loops of ``hyper`` read the rows.
+``_make``.  Only this module reads the rows.
 Coefficients go in and come out as exact ``fractions.Fraction`` (or
 ParamPoly), so identities over the rationals are tested with zero tolerance.
 A ParamPoly's coefficients are read one way, by iteration: ``dict(p)`` maps
@@ -32,8 +32,8 @@ an int or another ``_Dense`` only: the working form of the loops of
 ``hyper._closed_sum`` and ``hyper.alpha_beta_recurrence``.  There each step
 multiplies a growing polynomial by a linear or quadratic form, a few
 shifted, scaled row additions into rows of the exact final width.
-``_Dense(p._rows)`` reads a ParamPoly p as rows over ``p._den``, and
-``_make(ParamPoly, {(): rows}, q)`` makes a result canonical with one gcd.
+``_integral_scale`` reads the parameters into it, and ``_times_ratio``
+makes a result a Fraction or a canonical ParamPoly, with one gcd.
 """
 
 from __future__ import annotations
@@ -399,6 +399,26 @@ class _Dense:
         return _Dense(out)
 
     __rmul__ = __mul__
+
+
+def _times_ratio(value, p: int, q: int):
+    """value * p / q, exact, for an int or ``_Dense`` value, an int p and an
+    int q > 0: one Fraction or one canonical ParamPoly, reduced once."""
+    return Fraction(value * p, q) if isinstance(value, int) else _make(ParamPoly, {(): (value * p).rows}, q)
+
+
+def _integral_scale(k0, k1):
+    """(D, D k0, D k1) for an even D that makes D k0, D k1 integral:
+    D = 2 lcm(den k0, den k1), where the den of a ParamPoly is the common
+    denominator of its coefficients (D = 2 for the symbolic K0, K1, and 4
+    for K0/2).  A rational parameter comes out as an int and a ParamPoly as
+    a ``_Dense`` in Z[k0, k1], so the loops of ``hyper._closed_sum`` and
+    ``hyper.alpha_beta_recurrence`` run unchanged on ints or on dense integer rows."""
+    (p0, q0), (p1, q1) = (
+        (_Dense(k._rows), k._den) if isinstance(k, ParamPoly) else _ratio(k) for k in (k0, k1)
+    )
+    d = 2 * lcm(q0, q1)
+    return d, p0 * (d // q0), p1 * (d // q1)
 
 
 def poch(a, n: int):

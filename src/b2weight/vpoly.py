@@ -171,6 +171,13 @@ class _XForm(SparsePoly):
 
         return self._rekey(image)
 
+    def __repr__(self) -> str:
+        bits = [
+            f"({coeff})*x1^{a}*x2^{b}" + "".join(f"*t{s}" for s in slot)
+            for (a, b, *slot), coeff in sorted(self.terms.items())
+        ]
+        return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
 
 class XPoly(_XForm):
     """Scalar polynomial in x1, x2 with ParamPoly coefficients."""
@@ -194,12 +201,6 @@ class XPoly(_XForm):
 
     def is_w_invariant(self) -> bool:
         return all(self.compose(w) == self for w in ALL_ELEMENTS)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "XPoly(0)"
-        bits = [f"({coeff})*x1^{a}*x2^{b}" for (a, b), coeff in sorted(self.terms.items())]
-        return "XPoly(" + " + ".join(bits) + ")"
 
 
 def divide_by_linear(p: XPoly, root: tuple[int, int]) -> XPoly:
@@ -269,15 +270,6 @@ class VPoly(_XForm):
             return (((a, b, slot), _NO_SHIFT, sign),)
 
         return self._rekey(image)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "VPoly(0)"
-        bits = [
-            f"({coeff})*x1^{a}*x2^{b}*t{s}"
-            for (a, b, s), coeff in sorted(self.terms.items())
-        ]
-        return "VPoly(" + " + ".join(bits) + ")"
 
 
 # frequently used building blocks

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ import pytest
 
 import b2weight
 from b2weight.cli import build_parser, main, parse_rational
+from b2weight.hyper import alpha_beta_recurrence, s_inner_closed
+from b2weight.ring import K0, K1
 
 
 def run_cli(capsys, *argv):
@@ -25,8 +28,6 @@ def run_cli(capsys, *argv):
 
 
 def test_parse_rational_accepts_both_notations():
-    from fractions import Fraction
-
     assert parse_rational("3/10") == Fraction(3, 10)
     assert parse_rational("0.3") == Fraction(3, 10)
     assert parse_rational("-1/4") == Fraction(-1, 4)
@@ -342,6 +343,23 @@ def test_table_csv_is_pinned_by_its_sha256(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "option, point", [("--k0=1/4", (Fraction(1, 4), K1)), ("--k1=-2/25", (K0, Fraction(-2, 25)))]
+)
+def test_table_an_omitted_parameter_stays_symbolic(capsys, option, point):
+    # one parameter given: rows in Q[k1] (or Q[k0]), the library's results
+    # with the other parameter left symbolic
+    code, out, _ = run_cli(capsys, "table", option, "--nmax", "2", "--format", "csv")
+    assert code == 0
+    seq = alpha_beta_recurrence(2, *point)
+    want = [
+        [str(n), str(seq.alpha[n]), str(seq.beta[n])]
+        + [str(s_inner_closed(n, kind, *point)) for kind in ("p12", "p14")]
+        for n in range(3)
+    ]
+    assert [line.split(",") for line in out.splitlines()[1:]] == want
+
+
 def test_table_accepts_negative_rational_as_separate_value(capsys):
     code, joined, _ = run_cli(capsys, "table", "--k0=-7/20", "--k1=2/25", "--format", "csv")
     assert code == 0
@@ -539,8 +557,7 @@ KEPT = {
     "ring.ParamPoly.__pow__": "bench/tracer.py traces it as ring.pow",
     # Python protocol
     "ring.ParamPoly.__repr__": "error messages show polynomials with !r",
-    "vpoly.XPoly.__repr__": "error messages show polynomials with !r",
-    "vpoly.VPoly.__repr__": "error messages show polynomials with !r",
+    "vpoly._XForm.__repr__": "error messages show polynomials with !r",
     "ring.SparsePoly.__bool__": "the truth value of a polynomial, nonzero or not",
     "ring.SparsePoly.__hash__": "equal values hash equal, so they can key a dict or a set",
     "ring.ParamPoly.__rsub__": "a scalar minus a ParamPoly",

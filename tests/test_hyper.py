@@ -802,7 +802,7 @@ def _substitute(poly, k0, k1):
 )
 def test_parameters_with_denominators_equal_the_substituted_symbolic_results(point):
     # a rational next to a symbol, and a ParamPoly with a denominator, which
-    # _integral_scale folds into D: every result is the full symbolic one
+    # ring._integral_scale folds into D: every result is the full symbolic one
     # with the same values put in
     symbolic, seq = _symbolic_closed_forms(12), alpha_beta_recurrence(8)
     at = alpha_beta_recurrence(8, *point)
@@ -814,7 +814,8 @@ def test_parameters_with_denominators_equal_the_substituted_symbolic_results(poi
 
 
 def test_closed_forms_and_recurrence_do_not_use_the_generic_product(count_calls):
-    # the loops multiply dense integer rows (ring._Dense); ParamPoly's own
+    # the loops multiply dense integer rows (ring._Dense, read and made by
+    # ring._integral_scale and ring._times_ratio); ParamPoly's own
     # product may only appear a fixed number of times, whatever n is
     calls = [count_calls(ParamPoly, name) for name in ("__mul__", "__rmul__")]
     runs = {

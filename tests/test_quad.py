@@ -33,6 +33,11 @@ def const_one(v):
     return np.ones_like(v)
 
 
+def _on_nodes(g):
+    """A tanh-sinh integrand of the level from one g(v, s) of the level's nodes."""
+    return lambda level: g(*_tanh_sinh_nodes(level)[:2])
+
+
 def test_beta_integral_halves():
     res = singular_integral(-0.5, -0.5, const_one, tol=1e-12)
     assert abs(res.value - math.pi) <= 1e-12
@@ -183,33 +188,36 @@ def test_tanh_sinh_handles_endpoint_singularities():
     def f(v, s):
         return 1.0 / np.sqrt(v * s), 0.0
 
-    res = tanh_sinh(f, tol=1e-12)
+    res = tanh_sinh(_on_nodes(f), tol=1e-12)
     assert abs(res.value - math.pi) <= 1e-11
     assert isinstance(res, QuadResult)
 
 
 def test_tanh_sinh_calls_the_integrand_once_per_level():
-    # one call per level, in order, each on the nodes that level adds
+    # one call per level, in order, each counted by the nodes that level adds
     def counted(integrand):
-        sizes = []
+        levels = []
 
-        def f(v, s):
-            sizes.append(len(v))
+        def f(level):
+            levels.append(level)
+            v = _tanh_sinh_nodes(level)[0]
             return integrand(v), np.zeros_like(v)
 
-        return f, sizes
+        return f, levels
 
-    f, sizes = counted(np.ones_like)
+    f, levels = counted(np.ones_like)
     res = tanh_sinh(f, tol=1e-12)
     assert abs(res.value - 1.0) <= 1e-12
     # the rule cannot stop before level 3
-    assert sizes == [_tanh_sinh_nodes(level).shape[1] for level in range(4)]
+    assert levels == [0, 1, 2, 3]
+    sizes = [_tanh_sinh_nodes(level).shape[1] for level in levels]
     assert sum(sizes) == res.nodes
     # a jump at an irrational point never converges: all ten levels run
-    f, sizes = counted(lambda v: (v < 1 / math.sqrt(2)).astype(float))
+    f, levels = counted(lambda v: (v < 1 / math.sqrt(2)).astype(float))
     with pytest.raises(ToleranceError):
         tanh_sinh(f, tol=1e-14)
-    assert sizes == [_tanh_sinh_nodes(level).shape[1] for level in range(10)]
+    assert levels == list(range(10))
+    sizes = [_tanh_sinh_nodes(level).shape[1] for level in levels]
     assert all(later > earlier for earlier, later in zip(sizes[1:], sizes[2:]))
 
 
@@ -217,19 +225,14 @@ def test_tanh_sinh_node_tables_are_built_once_and_read_only():
     table = _tanh_sinh_nodes(4)
     assert _tanh_sinh_nodes(4) is table and not table.flags.writeable
 
-    # an integrand that overwrites its node arrays leaves later calls unchanged
-    def scribble(v, s):
-        values = np.sqrt(v * s)
-        v[:] = s[:] = 0.5
-        return values, 0.0
+    # a write to a level's nodes raises, so no integrand changes another's
+    def scribble(level):
+        v, s, _ = _tanh_sinh_nodes(level)
+        v[:] = 0.5
+        return np.sqrt(v * s), 0.0
 
-    first, second = tanh_sinh(scribble), tanh_sinh(scribble)
-    assert abs(first.value - math.pi / 8) <= 1e-10
-    assert (second.value.hex(), second.error_estimate.hex(), second.nodes) == (
-        first.value.hex(),
-        first.error_estimate.hex(),
-        first.nodes,
-    )
+    with pytest.raises(ValueError, match="read-only"):
+        tanh_sinh(scribble)
 
 
 def _edge_mass_reference(p, d1, d2, phi_power, u_c, s_c):
@@ -271,11 +274,11 @@ def test_tanh_sinh_refuses_a_non_finite_value_or_estimate():
     # infinite must not come back as the error estimate; a value that is not
     # finite is refused by the rule itself, whatever the integrand checks
     integrands = [
-        lambda v, s: (np.ones_like(v), np.full_like(v, np.nan)),
-        lambda v, s: (np.ones_like(v), np.where(v < 1e-200, np.nan, 0.0)),
-        lambda v, s: (np.ones_like(v), np.inf),
-        lambda v, s: (np.where(v < 1e-200, np.inf, 1.0), 0.0),
-        lambda v, s: (np.where(s < 1e-3, np.nan, 1.0), 0.0),
+        _on_nodes(lambda v, s: (np.ones_like(v), np.full_like(v, np.nan))),
+        _on_nodes(lambda v, s: (np.ones_like(v), np.where(v < 1e-200, np.nan, 0.0))),
+        _on_nodes(lambda v, s: (np.ones_like(v), np.inf)),
+        _on_nodes(lambda v, s: (np.where(v < 1e-200, np.inf, 1.0), 0.0)),
+        _on_nodes(lambda v, s: (np.where(s < 1e-3, np.nan, 1.0), 0.0)),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -366,9 +369,9 @@ def test_a_nan_or_negative_tol_is_refused_before_any_rule(count_calls):
         evaluated.append(v)
         return np.ones_like(v)
 
-    def integrand(v, s):
-        evaluated.append(v)
-        return np.ones_like(v), 0.0
+    def integrand(level):
+        evaluated.append(level)
+        return np.ones_like(_tanh_sinh_nodes(level)[0]), 0.0
 
     _h_point.cache_clear()
     _direct_rule.cache_clear()
@@ -630,6 +633,21 @@ def test_direct_mode_bits_at_the_benchmark_point():
     for (n, kind), value in want.items():
         got = sector_inner_numeric(n, kind, p, mode="direct")
         assert (got.value.hex(), got.nodes) == (value, 197)
+
+
+def test_singular_integral_bits():
+    # each value and estimate pinned to the bit at tol 1e-12, all on 99
+    # nodes, so a change to the weight's arithmetic or to the level hand-off
+    # shows here first
+    want = {
+        (0.3, -0.4, np.ones_like): ("0x1.63bf51e369d21p+0", "0x1.81e171012620ap-45"),
+        (-0.5, -0.5, np.ones_like): ("0x1.921fb54442d17p+1", "0x1.57c665e5dae80p-44"),
+        (0.5, -0.5, lambda v: v): ("0x1.2d97c7f3321d2p+0", "0x1.5daffcea26ab1p-40"),
+        (-0.9, 0.2, np.cos): ("0x1.31f04ea4775f1p+3", "0x1.ea3b749884668p-38"),
+    }
+    for (alpha, beta, smooth), (value, estimate) in want.items():
+        got = singular_integral(alpha, beta, smooth, tol=1e-12)
+        assert _bits(got) == (value, estimate, 99), (alpha, beta)
 
 
 def test_direct_rule_cache_stays_bounded_and_read_only():
