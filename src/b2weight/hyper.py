@@ -20,11 +20,13 @@ and if r < 1 the whole tail from t_m on is at most |t_m| / (1 - r).
 The float path works on arrays: ``_gauss_2f1_rows`` takes several parameter
 triples, each at its own array of arguments, and sums all series away from
 z = 1 in one ``_sum_series`` call, in the order of a one-term-at-a-time loop.
-Near z = 1 each triple takes one series in w = 1 - z, uniform in the
-distance of c - a - b from the nearest integer (``_connection_series``): its
-coefficients do not depend on w, so they are formed once per triple, and the
-bound there is a tail bound of the same kind plus a running bound on the
-rounding.  ``h_func`` is ``gauss_2f1`` at its parameter triple.
+Near z = 1 each distinct triple of a call takes one series in w = 1 - z,
+however many entries carry it, uniform in the distance of c - a - b from the
+nearest integer (``_connection_series``): its coefficients do not depend on
+w, so they are formed once per triple, and the bound there is a tail bound
+of the same kind plus a running bound on the rounding.  A value or bound
+past the float range raises ToleranceError.  ``h_func`` is ``gauss_2f1`` at
+its parameter triple.
 ``_gauss_2f1_rows`` and its helpers import numpy when they run, so the
 exact paths never load it.
 """
@@ -100,11 +102,15 @@ def _is_nonpositive_integer(x: float, tol: float = 0.0) -> bool:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function for real x: ``math.gamma`` with poles raising RegionError."""
+    """Gamma function for real x: ``math.gamma`` with poles raising RegionError
+    and values past the float range ToleranceError."""
     x = float(x)
     if _is_nonpositive_integer(x):
         raise RegionError(f"gamma_fn pole at x = {x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise ToleranceError(f"Gamma at {x} lies past the float range") from None
 
 
 def _recip_gamma(x: float) -> float:
@@ -467,10 +473,8 @@ def _connection_rows(
         # magnified by |d log w|; past the float range it is infinite, and refused
         exponent = [euler * x for x in logs]
         prefactor = np.array([math.exp(x) if x < 709.78 else math.inf for x in exponent])
-        with np.errstate(all="ignore"):
-            value = prefactor * value
-            bound = prefactor * bound + (2.0 + 3.0 * np.abs(exponent)) * _EPS * np.abs(value)
-        bound += _TINY
+        value = prefactor * value
+        bound = prefactor * bound + (2.0 + 3.0 * np.abs(exponent)) * _EPS * np.abs(value) + _TINY
     return value, bound, count
 
 
@@ -484,20 +488,21 @@ def _gauss_2f1_rows(
 
     ``z`` and ``w`` hold one float array or sequence per triple, in [0, 1];
     ``w`` holds 1 - z, possibly to better accuracy than the subtraction.
-    Callers that share their arguments pass the same array for each triple.
-    Returns one (value, tail_bound, terms_used) triple of arrays per
-    parameter triple.  The branches are those ``gauss_2f1`` documents, picked
-    per argument by mask: z = 1 takes Gauss's quotient, 1 - z < 1/4
-    ``_connection_rows`` (one call per triple), and the rest, terminating
-    triples at every argument, one ``_sum_series`` call.  A bound over
-    tol * (1 + |value|), or one that is not finite, raises ToleranceError.
+    Entries may repeat a triple, and callers that share their arguments pass
+    the same array for each entry.  Returns one (value, tail_bound,
+    terms_used) triple of arrays per entry.  The branches are those
+    ``gauss_2f1`` documents, picked per argument by mask: z = 1 takes Gauss's
+    quotient and 1 - z < 1/4 ``_connection_rows``, each once per distinct
+    triple whichever entries carry it, and the rest, terminating triples at
+    every argument, one ``_sum_series`` call.  A bound over
+    tol * (1 + |value|) raises ToleranceError, and so does a value or bound
+    past the float range.
     """
     import numpy as np
 
     sizes = [len(x) for x in z]
     ends = np.cumsum(sizes).tolist()
     z, w = np.concatenate(z, dtype=float), np.concatenate(w, dtype=float)
-    owner = np.repeat(np.arange(len(params)), sizes)
     triples = np.array(params, dtype=float).reshape(-1, 3)
     for triple in triples.tolist():
         for name, x in zip("abc", triple):
@@ -505,30 +510,41 @@ def _gauss_2f1_rows(
                 raise RegionError(f"gauss_2f1 parameter {name} = {x} is not finite")
         if _is_nonpositive_integer(triple[2]):
             raise RegionError(f"gauss_2f1 parameter c = {triple[2]} is a non-positive integer")
+    first = {}  # (a, b, c) -> the first entry that carries it, which owns its arguments
+    labels = [first.setdefault(tuple(t), k) for k, t in enumerate(triples.tolist())]
+    owner = np.repeat(labels, sizes)
+    rows = triples[owner]
     # the better-conditioned representation of the argument wins
     z_eff = np.where(w >= 0.5, z, 1.0 - w)
-    other = ~_terminates(triples[owner, :2]).any(axis=1)
+    other = ~_terminates(rows[:, :2]).any(axis=1)
     unit = other & (w == 0.0)
     near = other & (w != 0.0) & (z_eff > 0.75)
     value, bound = np.zeros((2, len(z)))
     terms = np.ones(len(z), dtype=np.int64)
-    for j in np.flatnonzero(unit).tolist():
-        p, q, r = triples[owner[j]].tolist()
+    for k in dict.fromkeys(owner[unit].tolist()):
+        p, q, r = triples[k].tolist()
         if r - p - q <= 0:
             raise RegionError(f"2F1 diverges at z = 1 when c - a - b = {r - p - q} is not positive")
-        value[j] = _gauss_sum(p, q, r)
+        value[unit & (owner == k)] = _gauss_sum(p, q, r)
     bound[unit] = np.abs(value[unit]) * (5.0 * _GAMMA_RELERR)
-    for k in dict.fromkeys(owner[near].tolist()):
-        at = near & (owner == k)
-        value[at], bound[at], terms[at] = _connection_rows(*triples[k].tolist(), w[at])
+    with np.errstate(all="ignore"):  # past the float range a series is not finite, and refused
+        for k in dict.fromkeys(owner[near].tolist()):
+            at, (p, q, r) = near & (owner == k), triples[k].tolist()
+            try:
+                value[at], bound[at], terms[at] = _connection_rows(p, q, r, w[at])
+            except OverflowError:
+                raise ToleranceError(
+                    f"2F1 near z=1 lies past the float range (a={p}, b={q}, c={r})"
+                ) from None
     rest = ~(unit | near)
-    value[rest], bound[rest], terms[rest] = _sum_series(*triples[owner[rest]].T, z_eff[rest], tol)
+    value[rest], bound[rest], terms[rest] = _sum_series(*rows[rest].T, z_eff[rest], tol)
     over = np.flatnonzero(~(bound <= tol * (1.0 + np.abs(value))) | ~np.isfinite(value))
     if over.size:
         j = over[0]
         place = "at z=1" if w[j] == 0.0 else "near z=1" if near[j] else f"at z={float(z[j])}"
-        best = f"best bound {bound[j]:.3e}"
-        raise ToleranceError(f"tol={tol} unreachable for 2F1 {place} ({best})")
+        if not (np.isfinite(value[j]) and np.isfinite(bound[j])):
+            raise ToleranceError(f"2F1 {place} lies past the float range (best bound {bound[j]})")
+        raise ToleranceError(f"tol={tol} unreachable for 2F1 {place} (best bound {bound[j]:.3e})")
     return [(value[i:j], bound[i:j], terms[i:j]) for i, j in zip([0, *ends], ends)]
 
 
@@ -594,13 +610,12 @@ def h_func(i: int, z: float, k0: float, k1: float, tol: float = 1e-12) -> HypRes
 
 @dataclass(frozen=True)
 class AlphaBetaSeq:
-    """Exact coefficient sequences indexed 0..n_max, with alpha[0] = 1.
+    """Exact coefficient sequences indexed 0..len(alpha) - 1, with alpha[0] = 1.
 
     The entries are ParamPoly for the symbolic sequences and Fraction for the
     values at one rational point.
     """
 
-    n_max: int
     alpha: tuple
     beta: tuple
 
@@ -646,7 +661,7 @@ def alpha_beta_recurrence(n_max: int, k0=K0, k1=K1) -> AlphaBetaSeq:
             scale *= h * h * 2 * n * (2 * n + 1)
         alpha.append(_times_ratio(a_n, 1, scale))
         beta.append(_times_ratio(b_n, 1, scale * h * (2 * n + 2)))
-    return AlphaBetaSeq(n_max, tuple(alpha), tuple(beta))
+    return AlphaBetaSeq(tuple(alpha), tuple(beta))
 
 
 def _closed_sum(n: int, e: int, b: Fraction, m: int, k0, k1):
@@ -768,18 +783,16 @@ def _balanced_sums(n: int, a, b, c, tiny=0):
 def chu_vandermonde(n: int, k1: Exact) -> tuple[Fraction, Fraction]:
     """Both sides of the terminating sum identity at unit argument.
 
-    Returns (finite sum of F(-n, -k1; -n - 2k1; 1), (1+k1)_n / (1+2k1)_n);
-    the two entries are equal whenever no denominator factor vanishes.
+    Returns (finite sum of F(-n, -k1; -n - 2k1; 1), (1+k1)_n / (1+2k1)_n),
+    which are equal.  Where 1 + 2k1 + i = 0 for some 0 <= i < n, the sum's
+    lower factor -n - 2k1 + j vanishes first, at j = n - 1 - i, and
+    DegenerateParameterError is raised.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     k1 = Fraction(k1)
     total = _unit_sum(n, (-n, -k1), (-n - 2 * k1,))
-    den_poch = poch(1 + 2 * k1, n)
-    if den_poch == 0:
-        raise DegenerateParameterError(f"(1+2k1)_n vanishes for k1={k1}, n={n}")
-    rhs = poch(1 + k1, n) / den_poch
-    return total, rhs
+    return total, poch(1 + k1, n) / poch(1 + 2 * k1, n)
 
 
 # ---------------------------------------------------------------------------

@@ -368,13 +368,13 @@ def _h_build(k0: float, k1: float, keys: list[tuple[int, int, int]]) -> dict:
     Gauss-Jacobi, times (1 + 3x)(1 + x)^b0 (1 + x(1 - x))^a, folded into the
     weights.  The map doubles every non-integer power of 1 - v that h_i h_j
     carries at v = 1 and keeps v ~ x near 0.  The rules of one size take one
-    stacked eigen-solve, and every h_k is summed to ``_SERIES_TOL`` in one
-    series call at the nodes of the rules whose family carries it.  Each
-    rule maps to read-only v, s = 1 - v (from the map, without cancellation),
-    the weights, the two factors of ``_h_integral``'s explicit factor that do
-    not depend on e, s / (1 + v) and (1 + v)^2, the product h_i h_j, its
-    absolute value and, last, a bound on its error from the certified tail
-    bounds of the two series.
+    stacked eigen-solve, and the h_k of every rule are summed to
+    ``_SERIES_TOL`` in one series call, which builds each h_k's near-1
+    series once.  Each rule maps to read-only v, s = 1 - v (from the map,
+    without cancellation), the weights, the two factors of ``_h_integral``'s
+    explicit factor that do not depend on e, s / (1 + v) and (1 + v)^2, the
+    product h_i h_j, its absolute value and, last, a bound on its error from
+    the certified tail bounds of the two series.
     """
     nodes = {}  # (i, j, size) -> v, s, w
     for size in dict.fromkeys(size for *_, size in keys):
@@ -387,18 +387,12 @@ def _h_build(k0: float, k1: float, keys: list[tuple[int, int, int]]) -> dict:
             # one family at a time: with scalar exponents numpy takes the
             # bits of its fast paths (sqrt at 0.5), as a single rule does
             nodes[key] = x * g, t * t * (1.0 + x), weight * (1.0 + 3.0 * x) * (1.0 + x) ** b0 * g**a
-    # each h_k at the nodes of every rule whose family carries it, in one call
-    carriers = {k: [key for key in nodes if k in key[:2]] for k in _H_PARAMS}
-    used = [k for k in _H_PARAMS if carriers[k]]
-    zs, ws = (
-        [np.concatenate([nodes[key][part] for key in carriers[k]]) for k in used] for part in (0, 1)
-    )
-    series = _gauss_2f1_rows([_H_PARAMS[k](k0, k1) for k in used], zs, ws, _SERIES_TOL)
-    h = {}  # (key, k) -> h_k at the nodes of rule key, and its bound
-    for k, (value, bound, _) in zip(used, series):
-        ends = np.cumsum([size for *_, size in carriers[k]])[:-1]
-        for key, hk, tk in zip(carriers[k], np.split(value, ends), np.split(bound, ends)):
-            h[key, k] = hk, tk
+    # (key, k) -> h_k at the nodes of rule key, and its bound, all in one call
+    pairs = [(key, k) for key in nodes for k in dict.fromkeys(key[:2])]
+    params = [_H_PARAMS[k](k0, k1) for _, k in pairs]
+    zs, ws = ([nodes[key][part] for key, _ in pairs] for part in (0, 1))
+    series = _gauss_2f1_rows(params, zs, ws, _SERIES_TOL)
+    h = {pair: (value, bound) for pair, (value, bound, _) in zip(pairs, series)}
     rules = {}
     for key, (v, s, w) in nodes.items():
         (vi, ti), (vj, tj) = h[key, key[0]], h[key, key[1]]

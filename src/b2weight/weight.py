@@ -87,8 +87,8 @@ def _eval_L_bounded(u: np.ndarray, w: np.ndarray, p: ParamPoint) -> tuple[np.nda
 
     ``w`` holds 1 - u^2 and is authoritative: u itself may have rounded to 1.0
     when the slope is within machine epsilon of the sector edge.  Returns the
-    entries and their bounds, both of shape (2, 2, len(u)).  All entries' 2F1
-    series are summed in one batch.
+    entries and their bounds, both of shape (2, 2, len(u)).  All four entries'
+    2F1 series are summed in one batch, also at k0 = 0, where L is diagonal.
 
     Each bound is the certified tail bound of the entry's 2F1 value times its
     prefactor, plus a rounding term for the prefactors: exp(+-k1 log u) and
@@ -108,7 +108,8 @@ def _eval_L_bounded(u: np.ndarray, w: np.ndarray, p: ParamPoint) -> tuple[np.nda
     k0, k1 = p.k0, p.k1
     # per slope, the prefactors of L11, L12, L21 and L22 and the relative
     # rounding, each rounding as the same operations on arrays would
-    c12, c21 = (0.0, 0.0) if k0 == 0.0 else (-(k0 / (k1 + 0.5)), -(k0 / (0.5 - k1)))
+    # 0.0 - x is -x for x != 0, and +0.0 for x = +-0.0: at k0 = 0 L is diagonal
+    c12, c21 = 0.0 - k0 / (k1 + 0.5), 0.0 - k0 / (0.5 - k1)
     scale = 2.0 * (1.0 + 2.0 * abs(k0) + abs(k1))
     rows = []
     for x, y in zip(slopes, complements):
@@ -120,14 +121,11 @@ def _eval_L_bounded(u: np.ndarray, w: np.ndarray, p: ParamPoint) -> tuple[np.nda
     table = np.array(rows).reshape(-1, 5).T
     pref, rel = table[:4], table[4]
 
-    params = [(-k0, 0.5 - k0 + k1, k1 + 0.5), (-k0, 0.5 - k0 - k1, 0.5 - k1)]
-    if k0 != 0.0:
-        params += [(1 - k0, 0.5 - k0 + k1, k1 + 1.5), (1 - k0, 0.5 - k0 - k1, 1.5 - k1)]
+    params = [(-k0, 0.5 - k0 + k1, k1 + 0.5), (-k0, 0.5 - k0 - k1, 0.5 - k1),
+              (1 - k0, 0.5 - k0 + k1, k1 + 1.5), (1 - k0, 0.5 - k0 - k1, 1.5 - k1)]
     # _gauss_2f1_rows takes 1 - w for u^2 where w < 1/2; every triple at every slope
-    series = _gauss_2f1_rows(params, [u * u] * len(params), [w] * len(params), _SERIES_TOL)
-    (f11, t11, _), (f22, t22, _), *off = series
-    # at k0 = 0 L is diagonal: zero prefactors and series
-    (f12, t12, _), (f21, t21, _) = off or [(np.zeros(len(u)),) * 3] * 2
+    series = _gauss_2f1_rows(params, [u * u] * 4, [w] * 4, _SERIES_TOL)
+    (f11, t11, _), (f22, t22, _), (f12, t12, _), (f21, t21, _) = series
     ell = pref * np.array([f11, f12, f21, f22])
     err = np.abs(pref) * np.array([t11, t12, t21, t22]) + rel * np.abs(ell)
     return ell.reshape(2, 2, -1), err.reshape(2, 2, -1)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from b2weight import hyper
 from b2weight.errors import DegenerateParameterError, RegionError, ToleranceError
 from b2weight.hyper import (
     _EPS,
@@ -124,6 +126,52 @@ def test_2f1_error_messages():
     with mpmath.workdps(40):
         assert abs(res.value - mpmath.hyp2f1(0.3, 0.4, 0.7005, 0.9)) <= res.tail_bound
 
+
+
+def test_series_refusals_name_their_limit():
+    # the forward series' term cap, and 1/Gamma of the near-1 series beyond
+    # its shift
+    with pytest.raises(ToleranceError) as exc:
+        gauss_2f1(200.0, 200.0, 1.5, 0.7)
+    want = "2F1 series did not certify tol=1e-12 within 2000 terms (a=200.0, b=200.0, c=1.5, z=0.7)"
+    assert str(exc.value) == want
+    with pytest.raises(ToleranceError) as exc:
+        gauss_2f1(0.3, 0.4, 250.5, 0.9)
+    assert str(exc.value) == "1/Gamma at 250.3 lies past the float range"
+
+
+def test_values_past_the_float_range_raise_tolerance_error_without_a_warning():
+    # a gamma value past the float range (near z = 1, at z = 1 and alone)
+    # and near-1 tables whose products overflow; none of them may leak an
+    # OverflowError or a RuntimeWarning
+    calls = [
+        (gauss_2f1, (0.3, 0.4, 180.5, 0.9)),
+        (gauss_2f1, (0.3, 0.4, 180.5, 1.0)),
+        (gamma_fn, (180.5,)),
+        (gauss_2f1, (0.3, 0.4, 171.0, 0.9)),
+        (gauss_2f1, (1.5, 47.0, 141.5, 0.86)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, args in calls:
+            with pytest.raises(ToleranceError, match="past the float range"):
+                f(*args)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    a=st.floats(-60.0, 60.0),
+    b=st.floats(-60.0, 60.0),
+    c=st.floats(0.01, 5.0) | st.floats(5.0, 300.0),
+    z=st.floats(0.0, 1.0) | st.floats(0.75, 1.0) | st.just(1.0),
+)
+def test_every_call_returns_or_raises_a_documented_error(a, b, c, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            gauss_2f1(a, b, c, z)
+        except (RegionError, ToleranceError):
+            pass
 
 def test_2f1_rejects_bad_arguments():
     with pytest.raises(RegionError):
@@ -425,6 +473,20 @@ def test_one_call_over_mixed_triples_gives_every_argument_its_own_bits():
             (one,) = _gauss_2f1_rows([triple], [[z]], [[w]], 1e-12)
             assert [a[j:j + 1].tobytes() for a in got] == [a.tobytes() for a in one], (triple, z)
 
+
+
+def test_entries_that_repeat_a_triple_share_its_series(count_calls):
+    # the engine groups by triple value, not by entry: over z = 0.5, 0.9,
+    # 0.95 and 1, the entries [t1, t2, t1, t1] take one near-1 series and
+    # one Gauss quotient per distinct triple, and t1's entries get one set
+    # of bits
+    t1, t2 = (0.3, 0.7, 1.5), (0.2, 0.4, 1.1)
+    zs = [0.5, 0.9, 0.95, 1.0]
+    near, unit = count_calls(hyper, "_connection_rows"), count_calls(hyper, "_gauss_sum")
+    rows = _gauss_2f1_rows([t1, t2, t1, t1], [zs] * 4, [[1.0 - z for z in zs]] * 4, 1e-12)
+    assert [args[:3] for args in near] == [t1, t2] and unit == [t1, t2]
+    first = [a.tobytes() for a in rows[0]]
+    assert [a.tobytes() for a in rows[2]] == first == [a.tobytes() for a in rows[3]]
 
 # calls whose bound at tol = 1e-12 exceeded tol * (1 + |value|) when c - a - b
 # within 1e-5 of an integer took capped forward summation: an Euler-transformed
@@ -924,8 +986,10 @@ def test_chu_vandermonde_random_rationals():
 
 
 def test_chu_vandermonde_degenerate_raises():
-    with pytest.raises(DegenerateParameterError):
-        chu_vandermonde(3, Fraction(-1, 2))
+    # where a factor of (1+2k1)_n vanishes, a lower factor of the sum does first
+    for n in (1, 3, 5):
+        with pytest.raises(DegenerateParameterError, match="denominator Pochhammer vanishes"):
+            chu_vandermonde(n, Fraction(-1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -635,6 +635,21 @@ def test_direct_mode_bits_at_the_benchmark_point():
         assert (got.value.hex(), got.nodes) == (value, 197)
 
 
+
+def test_h_mode_bits():
+    # mode "h" values, estimates and node counts pinned to the bit, at a CI
+    # point, at a corner of the region and at the point of the tol 1e-11
+    # check, so a change to the rules, the series or the sums shows here
+    want = {
+        (0.3, 0.1, 1e-9, 0): ("0x1.ccccccccc7475p+0", "0x1.5ec19d5eec3cbp-37", 144),
+        (-0.45, 0.0, 1e-9, 0): ("0x1.99999999a3529p-4", "0x1.35878aa6d5e78p-39", 240),
+        (-0.2113, 0.1307, 1e-11, 0): ("0x1.ad77318fce969p-1", "0x1.a5a3cfc514d88p-38", 240),
+        (-0.2113, 0.1307, 1e-11, 20): ("0x1.e1d1665c3f87ap-3", "0x1.5330a01acc6c6p-40", 240),
+    }
+    for (k0, k1, tol, n), bits in want.items():
+        got = sector_inner_numeric(n, "p12", ParamPoint(k0, k1), tol=tol)
+        assert _bits(got) == bits, (k0, k1, tol, n)
+
 def test_singular_integral_bits():
     # each value and estimate pinned to the bit at tol 1e-12, all on 99
     # nodes, so a change to the weight's arithmetic or to the level hand-off

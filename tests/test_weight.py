@@ -145,6 +145,10 @@ def test_eval_l_at_one_slope_equals_its_column_in_a_batch():
             for whole, one in zip(batch, alone):
                 assert whole[:, :, j].tobytes() == one[:, :, 0].tobytes(), (k0, k1, s[j])
         assert eval_L(u[4], p, u_sq_complement=w[4]).tobytes() == batch[0][:, :, 4].tobytes()
+        if k0 == 0.0:
+            # a diagonal L: +0.0 off the diagonal, in the entries and their bounds
+            off = np.array([part[[0, 1], [1, 0]] for part in batch])
+            assert not off.any() and not np.signbit(off).any()
 
 
 def test_eval_k_identity_at_zero_parameters():
