@@ -25,19 +25,26 @@ The order n of a pairing enters only through an explicit factor
 one point draws on four rule families, and a bounded memo keeps, per point,
 each rule with every factor that does not depend on n: its nodes v and
 s = 1 - v, its weights, s / (1 + v) and (1 + v)^2, and the product of
-h-values at its nodes with its absolute value and error bound, so a level
-of a pairing takes seven numpy calls.  The first pairing at a point builds
-the 24- and 48-node rules of all four families, which every pairing needs,
-together: one stacked eigen-solve per size and one series call for every
-h-value at their nodes.  A later level is built when a family first
-reaches it, its nodes again in one batch.  Mode "direct" likewise needs L
-only at the slope: a second bounded memo keeps, per point and tanh-sinh
-level, every part of the integrand but the power of w / q that carries n
-(``_direct_rule``), its sums over L's rows formed: three rows per kind,
-eight floats a node.  So every n and kind at one point sums L's series once;
-only the six gamma values of its edge bound are computed per pairing.  Both
-modes sum their series to ``weight._SERIES_TOL``, so pairings at every
-tolerance share one memo per point.
+h-values at its nodes with its absolute value and error bound.  Per kind
+it also keeps a block of every level built so far of the kind's two
+families: s / (1 + v) concatenated, and the weights times the h product,
+its bound and its absolute value, over (1 + v)^2, stacked.  So a pairing
+takes three numpy calls, whatever its levels: the power of s / (1 + v) and
+its product with the stack over the block, and every level's three sums
+from one ``reduceat``.  A level's sums have the same bits whichever other
+levels the block holds.  The first pairing at a point builds the 24- and
+48-node rules of all four families, which every pairing needs, together:
+one stacked eigen-solve per size and one series call for every h-value at
+their nodes.  A later level is built when a family first reaches it, its
+nodes again in one batch, and the kind's block is rebuilt with it.  Mode
+"direct" likewise needs L only at the slope: a second bounded memo keeps,
+per point and tanh-sinh level, every part of the integrand but the power
+of w / q that carries n (``_direct_rule``), its sums over L's rows formed:
+three rows per kind, eight floats a node.  So every n and kind at one point
+sums L's series once; only the six gamma values of its edge bound are
+computed per pairing.  Both modes sum their series to
+``weight._SERIES_TOL``, so pairings at every tolerance share one memo per
+point.
 """
 
 from __future__ import annotations
@@ -162,15 +169,19 @@ def _tanh_sinh_nodes(level: int) -> np.ndarray:
     return table
 
 
-def _refine(levels: Iterable, tol: float, rule: str, first: int = 1) -> QuadResult:
+def _refine(
+    levels: Iterable, tol: float, rule: str, first: int = 1, more: bool = False
+) -> tuple[float, float, int] | None:
     """The stopping rule of both quadrature rules.
 
     ``levels`` yields, per refinement level, the value, one error term and the
     number of nodes the level added.  Level ``first`` and every later one stop
     as soon as |value - previous| is at most tol * (1 + |value|) or the
     level's error term, which no larger rule can resolve; the estimate is that
-    difference plus the error term.  Raises ToleranceError at a non-finite
-    value or error term, and when no two successive levels agree.
+    difference plus the error term.  Returns the fields of a ``QuadResult``,
+    which its callers form.  Raises ToleranceError at a non-finite value or
+    error term, and when no two successive levels agree, unless ``more`` says
+    the caller can add levels: then it returns None.
     """
     previous, nodes = 0.0, 0
     for level, (value, error, added) in enumerate(levels):
@@ -179,8 +190,10 @@ def _refine(levels: Iterable, tol: float, rule: str, first: int = 1) -> QuadResu
             raise ToleranceError(f"{rule} rule of {nodes} nodes gave {value}, error term {error}")
         difference = abs(value - previous)
         if level >= first and difference <= max(tol * (1.0 + abs(value)), error):
-            return QuadResult(value, difference + error, nodes)
+            return value, difference + error, nodes
         previous = value
+    if more:
+        return None
     raise ToleranceError(f"{rule} rule of {nodes} nodes did not reach tol={tol}")
 
 
@@ -224,7 +237,7 @@ def tanh_sinh(f: Callable[[int], tuple[np.ndarray, np.ndarray]], tol: float = 1e
             # the sum of `nodes` terms rounds at most once per term
             yield total * h, bound * h + (nodes + 2) * _EPS * mass * h, len(dvdt)
 
-    return _refine(levels(), tol, "tanh-sinh", first=3)
+    return QuadResult(*_refine(levels(), tol, "tanh-sinh", first=3))
 
 
 def singular_integral(
@@ -316,14 +329,15 @@ def sector_inner_numeric(
     raise ValueError(f"mode must be 'h' or 'direct', got {mode!r}")
 
 
-# Points kept at once, each with every rule its pairings reached: four
-# families (two kinds times two slots) of at most five doubling levels each
-# (24 to 384 nodes).  On the graded rule, for n <= 20 over the step-1/20
-# grid, no family goes past 96 nodes at tol 1e-9 or past 384 at tol 1e-11.
+# Points kept at once, each with every rule its pairings reached, and each
+# kind's block of them: four families (two kinds times two slots) of at most
+# five doubling levels each (24 to 384 nodes).  On the graded rule, for
+# n <= 20 over the step-1/20 grid, no family goes past 96 nodes at tol 1e-9
+# or past 384 at tol 1e-11.
 _H_POINT_CACHE = 4
 
-# the families (i, j) of h_i h_j: p12's slots 1 and 2, then p14's
-_H_FAMILIES = ((1, 1), (2, 2), (1, 3), (2, 4))
+# per kind, the families (i, j) of h_i h_j in its slots 1 and 2
+_H_KINDS = {"p12": ((1, 1), (2, 2)), "p14": ((1, 3), (2, 4))}
 
 # the relative rounding, in units of eps, of the weights' graded factor
 # (1 + 3x)(1 + x)^b0 (1 + x(1 - x))^a for |a|, |b0| <= 1: two roundings in
@@ -346,7 +360,8 @@ def _h_point(k0: float, k1: float) -> dict:
     built together by one ``_h_build``; ``_h_rule`` adds each later level
     when a family first reaches it.
     """
-    return _h_build(k0, k1, [(i, j, size) for size in _GJ_SIZES[:2] for i, j in _H_FAMILIES])
+    families = [family for pair in _H_KINDS.values() for family in pair]
+    return _h_build(k0, k1, [(i, j, size) for size in _GJ_SIZES[:2] for i, j in families])
 
 
 def _h_rule(k0: float, k1: float, i: int, j: int, size: int) -> tuple[np.ndarray, ...]:
@@ -371,7 +386,7 @@ def _h_build(k0: float, k1: float, keys: list[tuple[int, int, int]]) -> dict:
     stacked eigen-solve, and the h_k of every rule are summed to
     ``_SERIES_TOL`` in one series call, which builds each h_k's near-1
     series once.  Each rule maps to read-only v, s = 1 - v (from the map,
-    without cancellation), the weights, the two factors of ``_h_integral``'s
+    without cancellation), the weights, the two factors of the pairing's
     explicit factor that do not depend on e, s / (1 + v) and (1 + v)^2, the
     product h_i h_j, its absolute value and, last, a bound on its error from
     the certified tail bounds of the two series.
@@ -406,63 +421,127 @@ def _h_build(k0: float, k1: float, keys: list[tuple[int, int, int]]) -> dict:
     return rules
 
 
-def _h_integral(k0: float, k1: float, i: int, j: int, e: int, tol: float) -> QuadResult:
-    """int_0^1 v^a (1-v)^b0 (1-v)^e (1+v)^(-e-2) h_i h_j dv on a shared rule.
+def _h_block(p: ParamPoint, kind: str, rebuild: bool = False) -> tuple:
+    """The block of the pairings of ``kind`` at p: all a pairing reads but e.
 
-    The weight v^a (1-v)^b0 is ``_h_rule``'s.  Only the explicit factor
-    depends on e, so every n at one point reuses the weights, the factors
-    s / (1 + v) and (1 + v)^2 and the h-values of the family (i, j) from the
-    point's memo, and a level forms only the explicit factor and three sums.
-    The error estimate adds to the refinement difference the h error carried
-    through the rule and the rounding of the weights (their first moment and
-    graded factor) and of forming and summing the terms.
+    It holds the ``_h_rule`` it read its rules through; the position
+    of each level (i, j, size) the point's memo holds for the kind's two
+    families, family by family; ``_h_stack`` of those rules; and per slot
+    the family (i, j), the slot's coefficient and the rounding, in units of
+    eps, of its rule's first moment: of its lgamma sum, and of exp.  It is
+    kept in the point's memo, next to the rules.  A built rule never
+    changes, so the block is rebuilt only on ``rebuild``, after a level was
+    added, or when ``_h_rule`` is no longer the function it was built
+    through.
     """
-    a, b0 = _h_exponents(k0, k1, i, j)
-    b = 2.0 * b0 + 1.0  # the rule's exponent of 1 - x
-    # the rounding of the rule's first moment: of its lgamma sum, and of exp
-    moment = abs(math.lgamma(a + 1.0)) + abs(math.lgamma(b + 1.0)) + abs(math.lgamma(a + b + 2.0)) + 4.0
-    per_term = 9 * e + 8 + _GRADED_ROUNDING + moment
+    k0, k1 = p.k0, p.k1
+    rules = _h_point(k0, k1)
+    block = rules.get(kind)
+    if rebuild or block is None or block[0] is not _h_rule:
+        families = _H_KINDS[kind]
+        keys = [(i, j, size) for i, j in families for size in _GJ_SIZES if (i, j, size) in rules]
+        slots = []
+        for (i, j), coeff in zip(families, _h_coefficients(p, kind)):
+            a, b0 = _h_exponents(k0, k1, i, j)
+            b = 2.0 * b0 + 1.0  # the rule's exponent of 1 - x
+            lgammas = (math.lgamma(a + 1.0), math.lgamma(b + 1.0), math.lgamma(a + b + 2.0))
+            slots.append((i, j, coeff, sum(map(abs, lgammas)) + 4.0))
+        stack = _h_stack([_h_rule(k0, k1, *key) for key in keys])
+        rules[kind] = block = _h_rule, {key: at for at, key in enumerate(keys)}, stack, slots
+    return block
 
-    def levels():
-        for size in _GJ_SIZES:
-            rule = _h_rule(k0, k1, i, j, size)
-            _, _, w, ratio, square, hprod, hprod_abs, hprod_bound = rule
-            explicit = ratio**e / square
-            weighted = w * explicit
-            propagated = float(np.dot(weighted, hprod_bound))
-            # one rounding per summed term and ``per_term`` in forming each: s
-            # rounds up to five times and 1 + v three times, so the ratio up to
-            # nine, which the e-th power multiplies, a few products more, and
-            # the rounding of the weights
-            rounding = (size + per_term) * _EPS * float(np.dot(weighted, hprod_abs))
-            yield float(np.dot(w, explicit * hprod)), propagated + rounding, size
 
-    return _refine(levels(), tol, "Gauss-Jacobi")
+def _h_coefficients(p: ParamPoint, kind: str) -> tuple[float, float]:
+    """The coefficients of the two slots' integrals in a pairing of ``kind``."""
+    k0, k1 = p.k0, p.k1
+    d1, d2 = d_consts(p)
+    if kind == "p12":
+        return 4.0 * d1 * ((1 + 2 * k0 + 2 * k1) / (1 + 2 * k1)) ** 2, 4.0 * d2
+    # signs fixed by expanding (L p14^T)^T diag(d) (L p12^T): the slot-1
+    # product is +, the slot-2 product is -; at k = 0 this reduces to the
+    # elementary value -1/2 of the first odd pairing, which pins them
+    return 4.0 * d1 * (1 - 2 * k0 + 2 * k1) * (1 + 2 * k0 + 2 * k1) / (1 + 2 * k1) ** 2, -4.0 * d2
+
+
+def _h_stack(rules: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The rules' parts that do not depend on e, concatenated: s / (1 + v);
+    the (3, nodes) stack of w h_i h_j, w times its bound and w |h_i h_j|,
+    each over (1 + v)^2; and each rule's first index.  All read-only."""
+    _, _, w, ratio, square, hprod, hprod_abs, hprod_bound = zip(*rules)
+    parts = np.array([np.concatenate(part) for part in (hprod, hprod_bound, hprod_abs)])
+    arrays = (
+        np.concatenate(ratio), np.concatenate(w) * parts / np.concatenate(square),
+        np.cumsum([0] + [len(weights) for weights in w[:-1]]),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _h_sums(arrays: tuple[np.ndarray, ...], e: int) -> list[list[float]]:
+    """Per rule of a ``_h_stack``, the sums of w h_i h_j, of its bound and
+    of its absolute value, each times the explicit factor of order e."""
+    ratio, stack, starts = arrays
+    return np.add.reduceat(stack * ratio**e, starts, axis=1).T.tolist()
+
+
+def _h_levels(index: dict, sums: list, i: int, j: int, per_term: float) -> list[tuple]:
+    """The levels of family (i, j) in a block, in order up to the first it
+    lacks, as ``_refine`` reads them: value, error term, nodes."""
+    levels = []
+    for size in _GJ_SIZES:
+        at = index.get((i, j, size))
+        if at is None:
+            break
+        value, propagated, mass = sums[at]
+        # one rounding per summed term and ``per_term`` in forming each
+        levels.append((value, propagated + (size + per_term) * _EPS * mass, size))
+    return levels
 
 
 def _sector_inner_h(n: int, kind: str, p: ParamPoint, tol: float) -> QuadResult:
-    k0, k1 = p.k0, p.k1
-    d1, d2 = d_consts(p)
+    """int_0^1 v^a (1-v)^b0 (1-v)^e (1+v)^(-e-2) h_i h_j dv per slot, on
+    shared rules, times the slot's coefficient, summed over the two slots.
+
+    The weight v^a (1-v)^b0 is ``_h_rule``'s.  Only the explicit factor
+    depends on e, so every n at one point reuses the kind's block
+    (``_h_block``): a pairing forms the e-th power of s / (1 + v) and its
+    product with the block's stack once, and every level's value,
+    propagated bound and mass in one ``reduceat``, three numpy calls in
+    all.  Each slot's family then refines over its levels in order; when
+    they run out before the stop, the family builds its next level and the
+    block is rebuilt with it.  The error estimate adds to the refinement
+    difference the h error carried through the rule and the rounding of the
+    weights (their first moment and graded factor) and of forming and
+    summing the terms.
+    """
+    # (1-v)^(2n - 2k0) for p12: the rule's weight keeps -2k0, the explicit factor 2n
+    e = 2 * n if kind == "p12" else 2 * n + 1
     sub_tol = tol / 8.0
-    if kind == "p12":
-        # (1-v)^(2n - 2k0): the rule's weight keeps -2k0, the explicit factor 2n
-        pairs, e = ((1, 1), (2, 2)), 2 * n
-        coeff1 = 4.0 * d1 * ((1 + 2 * k0 + 2 * k1) / (1 + 2 * k1)) ** 2
-        coeff2 = 4.0 * d2
-    else:
-        pairs, e = ((1, 3), (2, 4)), 2 * n + 1
-        # signs fixed by expanding (L p14^T)^T diag(d) (L p12^T): the slot-1
-        # product is +, the slot-2 product is -; at k = 0 this reduces to the
-        # elementary value -1/2 of the first odd pairing, which pins them
-        coeff1 = 4.0 * d1 * (1 - 2 * k0 + 2 * k1) * (1 + 2 * k0 + 2 * k1) / (1 + 2 * k1) ** 2
-        coeff2 = -4.0 * d2
-    i1, i2 = (_h_integral(k0, k1, i, j, e, sub_tol) for i, j in pairs)
-    part1, part2 = coeff1 * i1.value, coeff2 * i2.value
+    _, index, arrays, slots = _h_block(p, kind)
+    sums = _h_sums(arrays, e)
+    results = []
+    for i, j, coeff, moment in slots:
+        # s rounds up to five times and 1 + v three times, so the ratio up
+        # to nine, which the e-th power multiplies, a few products more, and
+        # the rounding of the weights
+        per_term = 9 * e + 8 + _GRADED_ROUNDING + moment
+        while True:
+            levels = _h_levels(index, sums, i, j, per_term)
+            result = _refine(levels, sub_tol, "Gauss-Jacobi", more=len(levels) < len(_GJ_SIZES))
+            if result is not None:
+                break
+            _h_rule(p.k0, p.k1, i, j, _GJ_SIZES[len(levels)])  # builds the next level
+            _, index, arrays, _ = _h_block(p, kind, rebuild=True)
+            sums = _h_sums(arrays, e)
+        results.append((coeff, *result))
+    (coeff1, value1, error1, nodes1), (coeff2, value2, error2, nodes2) = results
+    part1, part2 = coeff1 * value1, coeff2 * value2
     # d1 and d2 each carry four gamma values; the coefficients and the sum a
     # few roundings more
     rounding = (4.0 * _GAMMA_RELERR + 16.0 * _EPS) * (abs(part1) + abs(part2))
-    err = abs(coeff1) * i1.error_estimate + abs(coeff2) * i2.error_estimate + rounding
-    return QuadResult(part1 + part2, err, i1.nodes + i2.nodes)
+    err = abs(coeff1) * error1 + abs(coeff2) * error2 + rounding
+    return QuadResult(part1 + part2, err, nodes1 + nodes2)
 
 
 # Levels kept at once.  A point has ten, of 12 to 3154 nodes and 6309 in all;

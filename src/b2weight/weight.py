@@ -39,7 +39,12 @@ class WeightEval:
 
     @property
     def det_k(self) -> float:
-        return float(self.K[0, 0] * self.K[1, 1] - self.K[0, 1] * self.K[1, 0])
+        """det K = d1 d2 (det L)^2, K being a congruence of diag(d1, d2).
+
+        K's own entries grow like 1 / (1 - u^2) toward the sector edge and
+        cancel in K11 K22 - K12 K21; L's do not."""
+        (l11, l12), (l21, l22) = self.L.tolist()
+        return self.d1 * self.d2 * (l11 * l22 - l12 * l21) ** 2
 
 
 def c_norm(p: ParamPoint) -> float:

@@ -591,18 +591,35 @@ def _bits(result: QuadResult) -> tuple:
     return result.value.hex(), result.error_estimate.hex(), result.nodes
 
 
-def test_shared_rule_results_do_not_depend_on_cache_state():
-    p = ParamPoint(-0.35, 0.08)
+def test_shared_rule_results_do_not_depend_on_cache_state(count_calls):
+    # at (-0.2113, 0.1307) and tol 1e-11 a family reaches 96 nodes, so a
+    # kind's block grows after the first pairing of a sweep: in the cold and
+    # the reverse order, and warm after a sweep at tol 1e-9 that left it smaller
+    stacks = count_calls(quad, "_h_stack")
+    for (k0, k1), tol in (((-0.35, 0.08), 1e-9), ((-0.2113, 0.1307), 1e-11)):
+        p = ParamPoint(k0, k1)
+        grown = []
 
-    def sweep(order):
-        return {call: _bits(sector_inner_numeric(*call, p)) for call in order}
+        def sweep(order, tol=tol):
+            bits = {}
+            for index, call in enumerate(order):
+                stacked = len(stacks)
+                bits[call] = _bits(sector_inner_numeric(*call, p, tol=tol))
+                if index and len(stacks) > stacked:
+                    grown.append(call)
+            return bits
 
-    _h_point.cache_clear()
-    cold = sweep(PAIRINGS_TO_20)
-    warm = sweep(PAIRINGS_TO_20)
-    _h_point.cache_clear()
-    reverse = sweep(PAIRINGS_TO_20[::-1])
-    assert cold == warm == reverse
+        _h_point.cache_clear()
+        cold = sweep(PAIRINGS_TO_20)
+        warm = sweep(PAIRINGS_TO_20)
+        _h_point.cache_clear()
+        reverse = sweep(PAIRINGS_TO_20[::-1])
+        _h_point.cache_clear()
+        sweep(PAIRINGS_TO_20, tol=1e-9)
+        after_loose = sweep(PAIRINGS_TO_20)
+        assert cold == warm == reverse == after_loose, (k0, k1)
+        if tol == 1e-11:
+            assert len(grown) >= 3, grown
 
 
 def test_direct_rule_results_do_not_depend_on_cache_state():
@@ -641,10 +658,10 @@ def test_h_mode_bits():
     # point, at a corner of the region and at the point of the tol 1e-11
     # check, so a change to the rules, the series or the sums shows here
     want = {
-        (0.3, 0.1, 1e-9, 0): ("0x1.ccccccccc7475p+0", "0x1.5ec19d5eec3cbp-37", 144),
-        (-0.45, 0.0, 1e-9, 0): ("0x1.99999999a3529p-4", "0x1.35878aa6d5e78p-39", 240),
-        (-0.2113, 0.1307, 1e-11, 0): ("0x1.ad77318fce969p-1", "0x1.a5a3cfc514d88p-38", 240),
-        (-0.2113, 0.1307, 1e-11, 20): ("0x1.e1d1665c3f87ap-3", "0x1.5330a01acc6c6p-40", 240),
+        (0.3, 0.1, 1e-9, 0): ("0x1.ccccccccc7476p+0", "0x1.5ec2b345a914ep-37", 144),
+        (-0.45, 0.0, 1e-9, 0): ("0x1.99999999a3529p-4", "0x1.3586bef2a42fbp-39", 240),
+        (-0.2113, 0.1307, 1e-11, 0): ("0x1.ad77318fce968p-1", "0x1.a5a7f847b5f2bp-38", 240),
+        (-0.2113, 0.1307, 1e-11, 20): ("0x1.e1d1665c3f87bp-3", "0x1.53309fc60898ep-40", 240),
     }
     for (k0, k1, tol, n), bits in want.items():
         got = sector_inner_numeric(n, "p12", ParamPoint(k0, k1), tol=tol)
@@ -707,17 +724,40 @@ def test_h_rule_values_equal_per_node_h_func():
 
 def test_shared_rule_cache_stays_bounded(count_calls):
     builds = count_calls(quad, "_h_build")
+    stacks = count_calls(quad, "_h_stack")
     _h_point.cache_clear()
     for k0, k1 in SHARED_RULE_POINTS[3:]:
         p = ParamPoint(float(k0), float(k1))
         for n, kind in PAIRINGS_TO_20:
             sector_inner_numeric(n, kind, p)
             assert _h_point.cache_info().currsize <= _H_POINT_CACHE
-        # one point's rule families fit: a second sweep builds no rule
-        built = len(builds)
+        # one point's rule families fit: a second sweep builds no rule and
+        # rebuilds no block
+        built, stacked = len(builds), len(stacks)
         for n, kind in PAIRINGS_TO_20:
             sector_inner_numeric(n, kind, p)
-        assert len(builds) == built
+        assert (len(builds), len(stacks)) == (built, stacked)
+        for kind in ("p12", "p14"):
+            _, _, arrays, _ = _h_point(p.k0, p.k1)[kind]
+            assert not any(array.flags.writeable for array in arrays), kind
+
+
+def test_a_level_sums_alike_in_any_block():
+    # a (family, level) sum from a kind's block has the bits of the same
+    # level summed from a block that holds it alone: reduceat sums a segment
+    # the same wherever it starts and whatever its neighbours
+    for k0, k1 in ((0.13, -0.07), (-0.2113, 0.1307)):
+        p = ParamPoint(k0, k1)
+        for kind, families in quad._H_KINDS.items():
+            for i, j in families:
+                _h_rule(k0, k1, i, j, 96)
+            _, index, arrays, _ = quad._h_block(p, kind, rebuild=True)
+            assert len(index) == 6
+            for e in (0, 1, 7, 40):
+                sums = quad._h_sums(arrays, e)
+                for key, at in index.items():
+                    (alone,) = quad._h_sums(quad._h_stack([_h_rule(k0, k1, *key)]), e)
+                    assert [x.hex() for x in sums[at]] == [x.hex() for x in alone], (kind, key, e)
 
 
 def test_pairings_at_any_tolerance_share_one_memo_per_point(count_calls):

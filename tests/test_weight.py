@@ -175,6 +175,14 @@ def test_det_k_constant_over_sector():
     assert abs(det_a - det_k_closed_form(p)) < 1e-10
 
 
+def test_det_k_near_the_sector_edge():
+    # K's entries reach 8.4e7 at this angle and cancel to 0.0 in
+    # K11 K22 - K12 K21; d1 d2 (det L)^2 keeps the determinant
+    p = ParamPoint(0.3, 0.1)
+    want = det_k_closed_form(p)
+    assert abs(eval_K(0.785398163397448, p).det_k - want) <= 1e-6 * want
+
+
 def test_det_k_closed_form_over_random_sample():
     rng = random.Random(20130215)
     for _ in range(100):
